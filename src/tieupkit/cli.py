@@ -10,7 +10,6 @@ and a TOTAL row over the pooled counts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
 import os
 import sys
@@ -48,7 +47,6 @@ class RunConfig:
     designators: Path | None = None
     concept_map: Path | None = None
     dump: tuple[str, ...] = ()
-    jobs: int = 1
     no_discourse: bool = False
     discourse: disc.DiscourseConfig = disc.DiscourseConfig()
 
@@ -128,18 +126,6 @@ def _dump_text(result: ExtractionResult, stage: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _process_document(doc, resources, config: RunConfig) -> tuple[str, str, dict[str, str]]:
-    started = time.perf_counter()
-    if config.no_discourse:
-        result = extract_document_no_discourse(doc, resources)
-    else:
-        result = extract_document(doc, resources)
-    dumps = {stage: _dump_text(result, stage) for stage in config.dump}
-    elapsed = (time.perf_counter() - started) * 1000
-    log.info("extracted %s in %.1f ms", doc.doc_id, elapsed)
-    return doc.doc_id, serialize_templates(result.graph), dumps
-
-
 def run_extract(config: RunConfig) -> int:
     try:
         resources = load_resources(config)
@@ -156,23 +142,18 @@ def run_extract(config: RunConfig) -> int:
         return 1
 
     config.out.mkdir(parents=True, exist_ok=True)
-
-    def handle(item):
-        doc_id, template_text, dumps = item
-        _atomic_write(config.out / f"{doc_id}.tmpl", template_text)
-        for stage, text in dumps.items():
-            _atomic_write(config.out / f"{doc_id}.{stage}.txt", text)
-
+    extract = extract_document_no_discourse if config.no_discourse else extract_document
     try:
-        if config.jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(config.jobs) as pool:
-                for item in pool.map(
-                    lambda d: _process_document(d, resources, config), docs
-                ):
-                    handle(item)
-        else:
-            for doc in docs:
-                handle(_process_document(doc, resources, config))
+        for doc in docs:
+            started = time.perf_counter()
+            result = extract(doc, resources)
+            _atomic_write(config.out / f"{doc.doc_id}.tmpl",
+                          serialize_templates(result.graph))
+            for stage in config.dump:
+                _atomic_write(config.out / f"{doc.doc_id}.{stage}.txt",
+                              _dump_text(result, stage))
+            elapsed = (time.perf_counter() - started) * 1000
+            log.info("extracted %s in %.1f ms", doc.doc_id, elapsed)
     except (TieupkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -238,8 +219,6 @@ def _build_run_config(args) -> RunConfig:
         if stage not in DUMP_STAGES:
             raise TieupkitError(f"unknown dump stage {stage!r}")
 
-    jobs = args.jobs or int(file_values.get("jobs", "1"))
-
     def opt_path(name: str, flag_value) -> Path | None:
         value = pick(name, flag_value)
         return Path(value) if value else None
@@ -252,7 +231,6 @@ def _build_run_config(args) -> RunConfig:
         designators=opt_path("designators", args.designators),
         concept_map=opt_path("concept_map", args.concept_map),
         dump=tuple(dump),
-        jobs=jobs,
         no_discourse=args.no_discourse,
         discourse=discourse_config_from(file_values),
     )
@@ -281,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--out", help="output directory")
     p_extract.add_argument("--dump", action="append", choices=DUMP_STAGES,
                            help="write per-document diagnostics for a stage")
-    p_extract.add_argument("--jobs", type=int, default=0, help="parallel documents")
     p_extract.add_argument("--config", help="key = value config file; flags override")
     p_extract.add_argument("--no-discourse", action="store_true",
                            help="skip discourse stages (ablation mode)")

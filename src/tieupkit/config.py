@@ -5,8 +5,17 @@ from __future__ import annotations
 from .discourse import DiscourseConfig
 from .errors import ParseError
 
+_PRONOUN_KEYS = ("pronoun_both", "pronoun_near", "pronoun_self")
+
+# Every key ``tieupkit extract`` reads from a config file.
+CONFIG_KEYS = frozenset(
+    {"corpus", "out", "concepts", "patterns", "designators", "concept_map", "dump",
+     "subject_markers", *_PRONOUN_KEYS}
+)
+
 
 def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
+    """Parse ``key = value`` lines; a key outside CONFIG_KEYS is an error."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -15,7 +24,10 @@ def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ParseError(f"expected 'key = value', got {stripped!r}", lineno, path)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r}", lineno, path)
+        values[key] = value.strip()
     return values
 
 
@@ -26,7 +38,7 @@ def discourse_config_from(values: dict[str, str]) -> DiscourseConfig:
     and ``subject_markers`` (whitespace- or comma-separated).
     """
     kwargs = {}
-    for key in ("pronoun_both", "pronoun_near", "pronoun_self"):
+    for key in _PRONOUN_KEYS:
         if values.get(key):
             kwargs[key] = values[key]
     if values.get("subject_markers"):

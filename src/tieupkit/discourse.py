@@ -239,22 +239,17 @@ def resolve_pronouns(
     doc: Document,
     reg: CompanyRegistry,
     topics: TopicState,
-    current_tieup=None,
+    current_tieup: dict[int, frozenset[int]] | None = None,
     config: DiscourseConfig = DiscourseConfig(),
 ) -> list[PronounReference]:
     """Resolve 両社 / 同社 / 自社 occurrences to entity id sets.
 
-    ``current_tieup`` supplies the tie-up partner ids in force at each
-    sentence: either one id set for the whole document or a mapping from
-    sent_index to an id set.  An unresolvable pronoun gets an empty set.
+    ``current_tieup`` maps a sent_index to the tie-up partner ids in force
+    at that sentence; None means no tie-up anywhere.  An unresolvable
+    pronoun gets an empty set.
     """
     if current_tieup is None:
         current_tieup = {}
-
-    def tieup_at(sent_index: int) -> frozenset[int]:
-        if isinstance(current_tieup, dict):
-            return frozenset(current_tieup.get(sent_index, ()))
-        return frozenset(current_tieup)
 
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
@@ -262,7 +257,7 @@ def resolve_pronouns(
             if tok.surface not in config.pronouns:
                 continue
             if tok.surface == config.pronoun_both:
-                ids = tieup_at(s)
+                ids = current_tieup.get(s, frozenset())
             elif tok.surface == config.pronoun_near:
                 preceding = [
                     e for e in reg.companies_in_sentence(s) if e.position[1] < t

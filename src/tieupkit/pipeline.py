@@ -1,9 +1,10 @@
 """End-to-end extraction: token file in, template graph out.
 
-Stage order: name recognition and grouping, registry build and reference
-unification, topic tracking, per-sentence concept search and pattern
-matching with best-match selection, discourse segmentation, pronoun
-resolution, concept merging, template generation.
+Stage order: name recognition and grouping, registry build, per-sentence
+concept search and pattern matching with best-match selection (the sentence
+stage, shared with the no-discourse ablation), reference unification, topic
+tracking, discourse segmentation, pronoun resolution, concept merging,
+template generation.
 """
 
 from __future__ import annotations
@@ -78,9 +79,13 @@ def _created_company_text(sentence, span) -> str | None:
 
 
 def _match_instances(
-    doc, winners, reg, resources, pronoun_refs
+    doc, winners, reg, resources, pronoun_refs, topics=None
 ) -> list[disc.ConceptInstance]:
-    """Concept instances for best matches, with ids resolved per span."""
+    """Concept instances for best matches, with ids resolved per span.
+
+    With ``topics``, an instance whose spans name no company or resolved
+    pronoun takes its sentence's topic set as subjects.
+    """
     config = resources.discourse
     instances = []
     for m in winners:
@@ -105,6 +110,8 @@ def _match_instances(
         if label == "ECONOMIC-ACTIVITY":
             lo, hi = m.spans[_index_span(m, resources)]
             bindings["activity"] = "".join(t.surface for t in sentence[lo:hi])
+        if not subject_ids and topics is not None:
+            subject_ids = topics.for_sentence(m.sent_index)
         instances.append(
             disc.ConceptInstance(
                 concept=label,
@@ -125,33 +132,11 @@ def _index_span(match, resources) -> int:
     raise ValueError(f"match for unknown rule {match.rule_name}")
 
 
-def _with_topic_fallback(instances, topics) -> list[disc.ConceptInstance]:
-    out = []
-    for inst in instances:
-        if inst.subject_ids:
-            out.append(inst)
-        else:
-            out.append(
-                disc.ConceptInstance(
-                    concept=inst.concept,
-                    sent_index=inst.sent_index,
-                    source=inst.source,
-                    bindings=inst.bindings,
-                    subject_ids=topics.for_sentence(inst.sent_index),
-                    partner_ids=inst.partner_ids,
-                )
-            )
-    return out
-
-
-def extract_document(doc: Document, resources: ExtractionResources) -> ExtractionResult:
-    config = resources.discourse
+def _sentence_stage(doc: Document, resources: ExtractionResources):
+    """Names, units, registry, then per-sentence concept hits and best matches."""
     doc = tokens_mod.recognize_names(doc, resources.designators)
     doc = tokens_mod.group_segments(doc)
-
     reg = disc.build_registry(doc=doc)
-    disc.unify_company_references(reg)
-    topics = disc.track_topics(doc, reg, config)
 
     hits: list[concepts_mod.ConceptHit] = []
     winners: list[patterns_mod.PatternMatch] = []
@@ -159,6 +144,16 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
         hits.extend(concepts_mod.find_concepts(sentence, resources.concept_lexicon))
         matches = patterns_mod.match_sentence(sentence, resources.rules)
         winners.extend(patterns_mod.select_best(matches, "per-concept-group"))
+    return doc, reg, hits, winners
+
+
+def extract_document(doc: Document, resources: ExtractionResources) -> ExtractionResult:
+    config = resources.discourse
+    doc, reg, hits, winners = _sentence_stage(doc, resources)
+    # The sentence stage never reads entity ids, so unification and topic
+    # tracking can follow it.
+    disc.unify_company_references(reg)
+    topics = disc.track_topics(doc, reg, config)
 
     # Segmentation sees only company tokens; pronouns resolve afterward
     # against each segment's tie-up and feed the final subject sets.
@@ -173,7 +168,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     pronouns = disc.resolve_pronouns(doc, reg, topics, tieup_by_sentence, config)
     pronoun_refs = {p.position: p.referent_ids for p in pronouns}
 
-    instances = _match_instances(doc, winners, reg, resources, pronoun_refs)
+    instances = _match_instances(doc, winners, reg, resources, pronoun_refs, topics)
     for hit in hits:
         instances.append(
             disc.ConceptInstance(
@@ -183,7 +178,6 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
                 subject_ids=topics.for_sentence(hit.sent_index),
             )
         )
-    instances = _with_topic_fallback(instances, topics)
 
     clusters = [
         disc.merge_concepts(seg, instances) for seg in segments if seg.tieup_ids
@@ -203,17 +197,7 @@ def extract_document_no_discourse(
     for isolating pattern-stage behavior.  Output graphs stay well formed
     and reference-closed.
     """
-    doc = tokens_mod.recognize_names(doc, resources.designators)
-    doc = tokens_mod.group_segments(doc)
-    reg = disc.build_registry(doc=doc)
-
-    hits: list[concepts_mod.ConceptHit] = []
-    winners: list[patterns_mod.PatternMatch] = []
-    for sentence in doc.sentences:
-        hits.extend(concepts_mod.find_concepts(sentence, resources.concept_lexicon))
-        matches = patterns_mod.match_sentence(sentence, resources.rules)
-        winners.extend(patterns_mod.select_best(matches, "per-concept-group"))
-
+    doc, reg, hits, winners = _sentence_stage(doc, resources)
     instances = _match_instances(doc, winners, reg, resources, None)
     clusters = []
     for inst in instances:

@@ -100,7 +100,9 @@ def compute_metrics(counts: ScoreCounts) -> Metrics:
     rec = ratio("REC", 2 * c.cor + c.par, 2 * c.possible)
     pre = ratio("PRE", 2 * c.cor + c.par, 2 * c.actual)
     if rec or pre:
-        pr = f_measure(rec, pre)
+        # f_measure(rec, pre) reduced: both ratios share the numerator
+        # 2·COR + PAR, and COR + PAR > 0 here, so possible, actual > 0.
+        pr = Fraction(2 * c.cor + c.par, c.possible + c.actual)
     else:
         pr = Fraction(0)
         undefined.add("PR")
@@ -108,7 +110,10 @@ def compute_metrics(counts: ScoreCounts) -> Metrics:
 
 
 def f_measure(rec: Fraction, pre: Fraction) -> Fraction:
-    return 2 * rec * pre / (rec + pre)
+    """2·rec·pre / (rec + pre), built as one Fraction from integers."""
+    a, b = rec.numerator, rec.denominator
+    c, d = pre.numerator, pre.denominator
+    return Fraction(2 * a * c, a * d + c * b)
 
 
 def _fills(obj: EntityObject | TieUpObject) -> list[tuple[str, str]]:

@@ -8,7 +8,7 @@ else is carried through untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -100,7 +100,7 @@ def _reindex(doc_id: str, sentences: list[list[Token]]) -> Document:
     out = []
     for s, sent in enumerate(sentences):
         out.append(
-            tuple(replace(tok, sent_index=s, tok_index=t) for t, tok in enumerate(sent))
+            tuple(Token(tok.surface, tok.pos, s, t) for t, tok in enumerate(sent))
         )
     return Document(doc_id, tuple(out))
 

@@ -150,19 +150,18 @@ class TestExtract:
         assert code == 0
         assert (out / "pronouns_a.tmpl").exists()
 
-    def test_jobs_parallel_output_identical(self, tmp_path, capsys):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        for out, jobs in ((serial, "1"), (parallel, "4")):
-            code, _, _ = run(
-                capsys,
-                "extract",
-                "--corpus", str(DATA / "corpus"),
-                "--out", str(out),
-                "--jobs", jobs,
-            )
-            assert code == 0
-        for path in serial.glob("*.tmpl"):
-            assert path.read_text("utf-8") == (parallel / path.name).read_text("utf-8")
+    def test_unknown_config_key_rejected_with_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"corpus = {DATA / 'corpus' / 'multi_tieup.tok'}\njobs = 4\n", "utf-8"
+        )
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "extract", "--config", str(config), "--out", str(out)
+        )
+        assert code == 2
+        assert "line 2" in err and "'jobs'" in err
+        assert not out.exists()
 
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"

@@ -22,6 +22,10 @@ class TestKvConfig:
         with pytest.raises(ParseError):
             read_kv_config("corpus in.tok")
 
+    def test_unknown_key_names_line(self):
+        with pytest.raises(ParseError, match="line 3"):
+            read_kv_config("# run\ncorpus = in.tok\ncorpsu = typo.tok\n", "run.conf")
+
     def test_defaults(self):
         config = discourse_config_from({})
         assert config == DiscourseConfig()

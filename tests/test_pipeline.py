@@ -108,3 +108,13 @@ class TestNoDiscourseMode:
         result = extract_document_no_discourse(load_doc("multi_tieup"), resources)
         warned = [t for t in result.graph.tieups if t.warning]
         assert warned  # the lone-subject sale match has only one entity
+
+    def test_sentence_stage_shared_with_full_pipeline(self, resources, data_dir):
+        names = sorted(p.stem for p in (data_dir / "corpus").glob("*.tok"))
+        assert len(names) == 6
+        for name in names:
+            full = extract_document(load_doc(name), resources)
+            ablation = extract_document_no_discourse(load_doc(name), resources)
+            assert ablation.document == full.document, name
+            assert ablation.hits == full.hits, name
+            assert ablation.winners == full.winners, name

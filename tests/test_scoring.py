@@ -78,6 +78,26 @@ class TestMetrics:
             if rec == pre:
                 assert f_measure(rec, pre) == rec
 
+    def test_single_fraction_forms_match_chained_formula(self):
+        from tieupkit.scoring import f_measure
+
+        def chained(rec, pre):
+            return 2 * rec * pre / (rec + pre)
+
+        rng = random.Random(113)
+        for _ in range(3000):
+            c = ScoreCounts(*[rng.randint(0, 60) for _ in range(5)])
+            m = compute_metrics(c)
+            if m.rec or m.pre:
+                assert m.pr == chained(m.rec, m.pre)
+                assert "PR" not in m.undefined
+            else:
+                assert m.pr == 0 and "PR" in m.undefined
+            rec = Fraction(rng.randint(0, 500), rng.randint(1, 500))
+            pre = Fraction(rng.randint(0, 500), rng.randint(1, 500))
+            if rec or pre:
+                assert f_measure(rec, pre) == chained(rec, pre)
+
     def test_spurious_monotonicity(self):
         rng = random.Random(101)
         for _ in range(500):

@@ -10,10 +10,8 @@ and a TOTAL row over the pooled counts.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
-import time
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -33,7 +31,6 @@ from .pipeline import (
 from .scoring import score_documents
 from .templates import parse_templates, serialize_templates
 
-log = logging.getLogger("tieupkit")
 
 DUMP_STAGES = ("matches", "topics", "registry", "segments")
 
@@ -145,15 +142,12 @@ def run_extract(config: RunConfig) -> int:
     extract = extract_document_no_discourse if config.no_discourse else extract_document
     try:
         for doc in docs:
-            started = time.perf_counter()
             result = extract(doc, resources)
             _atomic_write(config.out / f"{doc.doc_id}.tmpl",
                           serialize_templates(result.graph))
             for stage in config.dump:
                 _atomic_write(config.out / f"{doc.doc_id}.{stage}.txt",
                               _dump_text(result, stage))
-            elapsed = (time.perf_counter() - started) * 1000
-            log.info("extracted %s in %.1f ms", doc.doc_id, elapsed)
     except (TieupkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -268,7 +262,6 @@ def main(argv: list[str] | None = None) -> int:
     p_score.add_argument("key_dir", type=Path)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
     if args.command == "extract":
         try:

@@ -134,14 +134,10 @@ def find_concepts(
         return []
     sent_index = sentence[0].sent_index
     hits: list[ConceptHit] = []
-    seen: set[tuple[str, int]] = set()
     for run, start, _count in compound_runs(sentence):
         for name, keywords in lex.entries:
-            if (name, start) in seen:
-                continue
             for kw in keywords:
                 if kw.matches(run):
                     hits.append(ConceptHit(name, sent_index, run, kw, start))
-                    seen.add((name, start))
                     break
     return hits

@@ -300,9 +300,7 @@ class DiscourseSegment:
 
 
 def segment_discourse(
-    doc: Document,
-    tieup_concepts: list[ConceptInstance],
-    reg: CompanyRegistry,
+    doc: Document, tieup_concepts: list[ConceptInstance]
 ) -> list[DiscourseSegment]:
     """Cut the document whenever a tie-up with different partners appears.
 

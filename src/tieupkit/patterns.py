@@ -19,7 +19,7 @@ Elements:
 The index field names one literal element; a rule is attempted on a sentence
 only when some token could satisfy that literal.  Matching is exhaustive:
 every distinct assignment of elements to contiguous token spans is produced,
-and the selection step keeps one winner per scope bucket by, in order,
+and the selection step keeps one winner per concept group by, in order,
 most filled company-name variables, fewest consumed tokens, most matched
 variables and literals.
 """
@@ -285,8 +285,7 @@ def _enumerate_rule(sentence, rule: PatternRule) -> list[tuple[tuple[int, int], 
     return results
 
 
-def _build_match(sentence, rule: PatternRule, spans) -> PatternMatch:
-    slots = _variable_slots(rule)
+def _build_match(sentence, rule: PatternRule, group: str, slots, spans) -> PatternMatch:
     bindings: dict[str, tuple[int, int]] = {}
     cname = 0
     matched = 0
@@ -303,7 +302,7 @@ def _build_match(sentence, rule: PatternRule, spans) -> PatternMatch:
     sent_index = sentence[0].sent_index if sentence else 0
     return PatternMatch(
         rule_name=rule.name,
-        group=rule.group,
+        group=group,
         sent_index=sent_index,
         spans=tuple(spans),
         bindings=bindings,
@@ -330,8 +329,9 @@ def match_sentence(
     for rule in rules:
         if use_prefilter and not index_prefilter(sentence, rule):
             continue
+        group, slots = rule.group, _variable_slots(rule)
         for spans in _enumerate_rule(sentence, rule):
-            matches.append(_build_match(sentence, rule, spans))
+            matches.append(_build_match(sentence, rule, group, slots, spans))
     return matches
 
 
@@ -339,10 +339,8 @@ def _selection_key(m: PatternMatch):
     return (-m.cname_filled, m.consumed, -m.elements_matched, m.start, m.rule_name, m.spans)
 
 
-def select_best(
-    matches: list[PatternMatch], scope: str = "per-concept-group"
-) -> list[PatternMatch]:
-    """One winner per scope bucket.
+def select_best(matches: list[PatternMatch]) -> list[PatternMatch]:
+    """One winner per concept group.
 
     Ranking, in order: most company-name variables containing a company
     token; fewest consumed tokens (shortest string match); most matched
@@ -350,14 +348,9 @@ def select_best(
     then rule name, then span layout, so the result is independent of input
     order.
     """
-    if scope not in ("per-sentence", "per-concept-group"):
-        raise ValueError(f"unknown scope {scope!r}")
-    if not matches:
-        return []
     buckets: dict[str, list[PatternMatch]] = {}
     for m in matches:
-        key = m.group if scope == "per-concept-group" else ""
-        buckets.setdefault(key, []).append(m)
+        buckets.setdefault(m.group, []).append(m)
     winners = [min(bucket, key=_selection_key) for bucket in buckets.values()]
     winners.sort(key=lambda m: (m.start, m.rule_name))
     return winners

@@ -143,7 +143,7 @@ def _sentence_stage(doc: Document, resources: ExtractionResources):
     for sentence in doc.sentences:
         hits.extend(concepts_mod.find_concepts(sentence, resources.concept_lexicon))
         matches = patterns_mod.match_sentence(sentence, resources.rules)
-        winners.extend(patterns_mod.select_best(matches, "per-concept-group"))
+        winners.extend(patterns_mod.select_best(matches))
     return doc, reg, hits, winners
 
 
@@ -158,7 +158,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     # Segmentation sees only company tokens; pronouns resolve afterward
     # against each segment's tie-up and feed the final subject sets.
     pre_instances = _match_instances(doc, winners, reg, resources, None)
-    segments = disc.segment_discourse(doc, pre_instances, reg)
+    segments = disc.segment_discourse(doc, pre_instances)
 
     tieup_by_sentence = {
         s: seg.tieup_ids

@@ -17,9 +17,6 @@ from fractions import Fraction
 
 from .templates import EntityObject, TemplateGraph, TieUpObject
 
-# Alignment runs in this order so reference slots see the entity pairing.
-_TYPE_ORDER = ("ENTITY", "TIE_UP")
-
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
 
@@ -170,6 +167,8 @@ class FillScore:
 
 
 def _score_pair(kind, label, resp_slots, key_slots) -> list[FillScore]:
+    # Slot tables are shared by every pair an object joins, so the value
+    # lists are copied before they are consumed here and in _pair_cor_count.
     records = []
     for slot in sorted(set(resp_slots) | set(key_slots)):
         resp_vals = list(resp_slots.get(slot, []))
@@ -209,16 +208,12 @@ def _pair_cor_count(resp_slots, key_slots) -> int:
     return cor
 
 
-def _objects_of(graph: TemplateGraph, kind: str):
-    return list(graph.entities if kind == "ENTITY" else graph.tieups)
-
-
-def _align_type(resp_objs, key_objs, resp_slot_fn, key_slot_fn) -> list[tuple[int, int]]:
+def _align_type(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, int]]:
     """Greedy pairing by descending shared-correct count, ids break ties."""
     candidates = []
     for ki, key_obj in enumerate(key_objs):
         for ri, resp_obj in enumerate(resp_objs):
-            cor = _pair_cor_count(resp_slot_fn(resp_obj), key_slot_fn(key_obj))
+            cor = _pair_cor_count(resp_slots[ri], key_slots[ki])
             candidates.append((-cor, key_obj.object_id, resp_obj.object_id, ki, ri))
     candidates.sort()
     used_keys: set[int] = set()
@@ -238,16 +233,17 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
     records: list[FillScore] = []
     entity_map: dict[int, int] = {}
 
-    for kind in _TYPE_ORDER:
-        resp_objs = _objects_of(response, kind)
-        key_objs = _objects_of(key, kind)
-        if kind == "ENTITY":
-            resp_slot_fn = key_slot_fn = lambda o: _slot_values(o, None)
-        else:
-            resp_slot_fn = lambda o: _slot_values(o, entity_map)
-            key_slot_fn = lambda o: _slot_values(o, None)
+    # Entities align first so tie-up reference slots see their pairing.
+    for kind, resp_objs, key_objs in (
+        ("ENTITY", response.entities, key.entities),
+        ("TIE_UP", response.tieups, key.tieups),
+    ):
+        # Entities have no ENTITIES slot, so the still-empty map is inert on
+        # the first pass; tie-up tables see the finished entity alignment.
+        resp_slots = [_slot_values(o, entity_map) for o in resp_objs]
+        key_slots = [_slot_values(o, None) for o in key_objs]
 
-        pairs = _align_type(resp_objs, key_objs, resp_slot_fn, key_slot_fn)
+        pairs = _align_type(resp_objs, key_objs, resp_slots, key_slots)
         aligned_resp = {ri for ri, _ in pairs}
         aligned_key = {ki for _, ki in pairs}
 
@@ -257,7 +253,7 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
                 entity_map[resp_obj.object_id] = key_obj.object_id
             label = f"{kind}-{resp_obj.object_id}~{kind}-{key_obj.object_id}"
             records.extend(
-                _score_pair(kind, label, resp_slot_fn(resp_obj), key_slot_fn(key_obj))
+                _score_pair(kind, label, resp_slots[ri], key_slots[ki])
             )
         for ki, key_obj in enumerate(key_objs):
             if ki not in aligned_key:

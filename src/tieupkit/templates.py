@@ -74,12 +74,8 @@ def generate_templates(
     in first-mention order; a cluster with fewer than two entities is kept
     but flagged.
     """
-    referenced: list[int] = []
-    for cluster in clusters:
-        for eid in sorted(cluster.tieup_ids):
-            if eid not in referenced:
-                referenced.append(eid)
-    referenced.sort()  # registry index order is first-mention order
+    # Registry index order is first-mention order.
+    referenced = sorted({eid for cluster in clusters for eid in cluster.tieup_ids})
 
     entity_numbers = {eid: n for n, eid in enumerate(referenced, start=1)}
     entities = []

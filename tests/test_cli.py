@@ -1,7 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tieupkit
 from tieupkit.cli import main
 
 from conftest import DATA
@@ -169,6 +174,20 @@ class TestExtract:
             run(capsys, "extract", "--corpus", str(DATA / "corpus"), "--out", str(out))
         for path in sorted(first.iterdir()):
             assert path.read_text("utf-8") == (second / path.name).read_text("utf-8")
+
+    def test_successful_extract_is_silent(self, tmp_path):
+        # A fresh interpreter: in-process, pytest's own logging handlers
+        # would capture a log line before it reached stderr.
+        src = str(Path(tieupkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tieupkit.cli", "extract",
+             "--corpus", str(DATA / "corpus"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 class TestScore:

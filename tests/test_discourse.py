@@ -1,7 +1,6 @@
 import random
 
 from tieupkit.discourse import (
-    CompanyRegistry,
     ConceptInstance,
     DiscourseSegment,
     build_registry,
@@ -230,8 +229,7 @@ class TestSegmentation:
 
     def test_new_partner_set_starts_segment(self):
         doc = self.make_doc(3)
-        reg = CompanyRegistry()
-        segs = segment_discourse(doc, [tieup(0, {1, 2}), tieup(2, {1, 3})], reg)
+        segs = segment_discourse(doc, [tieup(0, {1, 2}), tieup(2, {1, 3})])
         assert [(s.start, s.end, set(s.tieup_ids)) for s in segs] == [
             (0, 1, {1, 2}),
             (2, 2, {1, 3}),
@@ -239,13 +237,13 @@ class TestSegmentation:
 
     def test_same_partner_set_keeps_segment(self):
         doc = self.make_doc(3)
-        segs = segment_discourse(doc, [tieup(0, {1, 2}), tieup(2, {1, 2})], CompanyRegistry())
+        segs = segment_discourse(doc, [tieup(0, {1, 2}), tieup(2, {1, 2})])
         assert len(segs) == 1
         assert (segs[0].start, segs[0].end) == (0, 2)
 
     def test_no_tieup_single_unlabeled_segment(self):
         doc = self.make_doc(2)
-        (seg,) = segment_discourse(doc, [], CompanyRegistry())
+        (seg,) = segment_discourse(doc, [])
         assert seg.structure_label == "unlabeled"
         assert (seg.start, seg.end) == (0, 1)
         assert seg.tieup_ids == frozenset()
@@ -256,14 +254,12 @@ class TestSegmentation:
             "ECONOMIC-ACTIVITY", 1, "pattern",
             subject_ids=frozenset({1}), partner_ids=frozenset({1}),
         )
-        segs = segment_discourse(doc, [tieup(0, {1, 2}), one_company], CompanyRegistry())
+        segs = segment_discourse(doc, [tieup(0, {1, 2}), one_company])
         assert len(segs) == 1
 
     def test_reappearing_tieup_labeled_type_two(self):
         doc = self.make_doc(3)
-        segs = segment_discourse(
-            doc, [tieup(0, {1, 2}), tieup(1, {1, 3}), tieup(2, {1, 2})], CompanyRegistry()
-        )
+        segs = segment_discourse(doc, [tieup(0, {1, 2}), tieup(1, {1, 3}), tieup(2, {1, 2})])
         assert [s.structure_label for s in segs] == ["type-I", "type-I", "type-II"]
 
     def test_segments_cover_all_tieup_sentences_disjointly(self):
@@ -275,7 +271,7 @@ class TestSegmentation:
                 tieup(rng.randrange(nsent), set(rng.sample(range(1, 6), 2)))
                 for _ in range(rng.randint(0, 5))
             ]
-            segs = segment_discourse(doc, mentions, CompanyRegistry())
+            segs = segment_discourse(doc, mentions)
             covered = []
             for seg in segs:
                 covered.extend(range(seg.start, seg.end + 1))

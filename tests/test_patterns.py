@@ -255,7 +255,7 @@ class TestWorkedSentences:
     def test_establish_binds_pronoun_subject_and_created_object(self):
         (rule,) = parse_pattern_file(EST_RULE_TEXT)
         matches = match_sentence(S434_SENTENCE_2, [rule])
-        (best,) = select_best(matches, "per-concept-group")
+        (best,) = select_best(matches)
         assert best.binding_text(S434_SENTENCE_2, "@CNAME_PARTNER_SUBJ") == "両社"
         created = best.binding_text(S434_SENTENCE_2, "@CNAME_CREATED_OBJ")
         assert "合弁会社" in created
@@ -368,7 +368,7 @@ class TestSelectBest:
         (Jv2 2 @CNAME_A 提携:loose:VN)
         """
         matches = self.build(text, s)
-        (winner,) = select_best(matches, "per-sentence")
+        (winner,) = select_best(matches)
         assert winner.rule_name == "Jv1"
         assert winner.cname_filled == 2
 
@@ -385,7 +385,7 @@ class TestSelectBest:
         matches = match_sentence(s, [rule])
         full_fill = [m for m in matches if m.cname_filled == 1]
         assert {m.consumed for m in full_fill} == {3, 5}
-        (winner,) = select_best(matches, "per-sentence")
+        (winner,) = select_best(matches)
         assert winner.cname_filled == 1
         assert winner.consumed == 3
         assert winner.end == 3  # stops at the near 提携, not 提携強化
@@ -397,23 +397,23 @@ class TestSelectBest:
             ("提携", "verbal-nominal"),
         )
         text = """
-        (JvA 2 @CNAME_A 提携:loose:VN)
-        (JvB 3 @CNAME_A は:strict:P 提携:loose:VN)
+        (Jv1 2 @CNAME_A 提携:loose:VN)
+        (Jv2 3 @CNAME_A は:strict:P 提携:loose:VN)
         """
         matches = self.build(text, s)
-        (best_a,) = select_best([m for m in matches if m.rule_name == "JvA"], "per-sentence")
-        (best_b,) = select_best([m for m in matches if m.rule_name == "JvB"], "per-sentence")
+        (best_a,) = select_best([m for m in matches if m.rule_name == "Jv1"])
+        (best_b,) = select_best([m for m in matches if m.rule_name == "Jv2"])
         assert best_a.cname_filled == best_b.cname_filled
         assert best_a.consumed == best_b.consumed
         assert best_a.elements_matched < best_b.elements_matched
-        (winner,) = select_best(matches, "per-sentence")
-        assert winner.rule_name == "JvB"
+        (winner,) = select_best(matches)
+        assert winner.rule_name == "Jv2"
 
     def test_single_match_is_its_own_winner(self):
         s = sent(("X社", "company"), ("は", "particle"), ("提携", "verbal-nominal"))
         (rule,) = parse_pattern_file("(Jv 3 @CNAME_A は:strict:P 提携:loose:VN)")
         matches = match_sentence(s, [rule])
-        assert select_best(matches, "per-sentence") == matches
+        assert select_best(matches) == matches
 
     def test_grouping_keeps_one_winner_per_group(self):
         s = sent(
@@ -429,7 +429,7 @@ class TestSelectBest:
         (JointVenture1 3 @CNAME_A @SKIP 設立:loose:VN)
         """
         matches = self.build(text, s)
-        winners = select_best(matches, "per-concept-group")
+        winners = select_best(matches)
         assert sorted(m.group for m in winners) == ["Establish", "JointVenture"]
 
     def test_selection_is_order_independent(self):
@@ -446,11 +446,11 @@ class TestSelectBest:
         (Jv2 2 @CNAME_A 提携:loose:VN)
         """
         matches = self.build(text, s)
-        baseline = select_best(matches, "per-sentence")
+        baseline = select_best(matches)
         for _ in range(20):
             shuffled = matches[:]
             rng.shuffle(shuffled)
-            assert select_best(shuffled, "per-sentence") == baseline
+            assert select_best(shuffled) == baseline
 
     def test_empty_input(self):
-        assert select_best([], "per-sentence") == []
+        assert select_best([]) == []

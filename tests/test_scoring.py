@@ -203,6 +203,39 @@ class TestAlignment:
             want = exhaustive_align_cor(resp, key)
             assert got == want
 
+    def test_renumbered_entities_score_perfect(self):
+        # Tie-up reference slots are compared through the entity alignment,
+        # so renumbering the response's entities must cost nothing.
+        rng = random.Random(131)
+        moved = 0
+        for _ in range(200):
+            g = random_graph(rng)
+            renumbered = renumber_entities(g, rng)
+            if any(a.entity_refs != b.entity_refs for a, b in zip(g.tieups, renumbered.tieups)):
+                moved += 1
+            counts = align_and_count(renumbered, g)
+            assert counts.par == counts.inc == counts.mis == counts.spu == 0
+        assert moved > 0
+
+
+def renumber_entities(graph: TemplateGraph, rng) -> TemplateGraph:
+    """Shuffle the entity ids and rewrite the tie-up refs to match."""
+    ids = [e.object_id for e in graph.entities]
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    new_id = dict(zip(ids, shuffled))
+    entities = sorted(
+        (EntityObject(new_id[e.object_id], e.name, e.aliases, e.entity_type)
+         for e in graph.entities),
+        key=lambda e: e.object_id,
+    )
+    tieups = [
+        TieUpObject(t.object_id, tuple(sorted(new_id[r] for r in t.entity_refs)),
+                    t.jv_company, t.activities, t.status, t.warning)
+        for t in graph.tieups
+    ]
+    return TemplateGraph(graph.doc_id, tuple(tieups), tuple(entities))
+
 
 def perturb(graph: TemplateGraph, rng) -> TemplateGraph:
     """Rename one entity and drop one tie-up slot, keeping ids."""

@@ -9,7 +9,7 @@ template generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import concepts as concepts_mod
 from . import discourse as disc
@@ -50,20 +50,18 @@ class ExtractionResult:
     instances: list[disc.ConceptInstance]
 
 
-def _span_company_ids(sentence, span, reg, pronoun_refs, config) -> frozenset[int]:
-    """Unified ids of companies and resolved pronouns inside a token span."""
+def _span_company_ids(sentence, span, reg) -> set[int]:
+    """Unified ids of the companies inside a token span."""
     ids: set[int] = set()
     lo, hi = span
     if not sentence:
-        return frozenset()
+        return ids
     s = sentence[0].sent_index
     for t in range(lo, hi):
         entry = reg.company_entry_at((s, t))
         if entry is not None:
             ids.add(entry.entity_id)
-        elif pronoun_refs is not None and sentence[t].surface in config.pronouns:
-            ids.update(pronoun_refs.get((s, t), frozenset()))
-    return frozenset(ids)
+    return ids
 
 
 def _created_company_text(sentence, span) -> str | None:
@@ -78,31 +76,20 @@ def _created_company_text(sentence, span) -> str | None:
     return "".join(t.surface for t in sentence[start:end])
 
 
-def _match_instances(
-    doc, winners, reg, resources, pronoun_refs, topics=None
-) -> list[disc.ConceptInstance]:
-    """Concept instances for best matches, with ids resolved per span.
-
-    With ``topics``, an instance whose spans name no company or resolved
-    pronoun takes its sentence's topic set as subjects.
-    """
-    config = resources.discourse
+def _match_instances(doc, winners, reg, resources) -> list[disc.ConceptInstance]:
+    """Concept instances for best matches; subjects are the partner ids,
+    the companies named in the ``@CNAME`` spans."""
     instances = []
     for m in winners:
         sentence = doc.sentences[m.sent_index]
         label = resources.concept_label(m.group)
         partner_ids: set[int] = set()
-        subject_ids: set[int] = set()
         bindings: dict[str, str] = {}
         for name, span in m.bindings.items():
             if not name.startswith(patterns_mod.CNAME_PREFIX):
                 continue
             bindings[name] = "".join(t.surface for t in sentence[span[0] : span[1]])
-            span_ids = _span_company_ids(sentence, span, reg, pronoun_refs, config)
-            subject_ids.update(span_ids)
-            partner_ids.update(
-                _span_company_ids(sentence, span, reg, None, config)
-            )
+            partner_ids.update(_span_company_ids(sentence, span, reg))
             if "_CREATED" in name:
                 created = _created_company_text(sentence, span)
                 if created:
@@ -110,19 +97,40 @@ def _match_instances(
         if label == "ECONOMIC-ACTIVITY":
             lo, hi = m.spans[_index_span(m, resources)]
             bindings["activity"] = "".join(t.surface for t in sentence[lo:hi])
-        if not subject_ids and topics is not None:
-            subject_ids = topics.for_sentence(m.sent_index)
         instances.append(
             disc.ConceptInstance(
                 concept=label,
                 sent_index=m.sent_index,
                 source="pattern",
                 bindings=bindings,
-                subject_ids=frozenset(subject_ids),
+                subject_ids=frozenset(partner_ids),
                 partner_ids=frozenset(partner_ids),
             )
         )
     return instances
+
+
+def _with_pronoun_subjects(
+    winners, instances, reg, pronoun_refs, topics
+) -> list[disc.ConceptInstance]:
+    """Add to each instance's subjects the referents of the pronouns, not
+    themselves company mentions, in its ``@CNAME`` spans; an instance left
+    with no subjects takes its sentence's topic set."""
+    out = []
+    for m, inst in zip(winners, instances):
+        s = m.sent_index
+        subject_ids = set(inst.partner_ids)
+        for name, (lo, hi) in m.bindings.items():
+            if not name.startswith(patterns_mod.CNAME_PREFIX):
+                continue
+            for t in range(lo, hi):
+                referents = pronoun_refs.get((s, t))
+                if referents is not None and reg.company_entry_at((s, t)) is None:
+                    subject_ids.update(referents)
+        out.append(
+            replace(inst, subject_ids=frozenset(subject_ids) or topics.for_sentence(s))
+        )
+    return out
 
 
 def _index_span(match, resources) -> int:
@@ -157,8 +165,8 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
 
     # Segmentation sees only company tokens; pronouns resolve afterward
     # against each segment's tie-up and feed the final subject sets.
-    pre_instances = _match_instances(doc, winners, reg, resources, None)
-    segments = disc.segment_discourse(doc, pre_instances)
+    instances = _match_instances(doc, winners, reg, resources)
+    segments = disc.segment_discourse(doc, instances)
 
     tieup_by_sentence = {
         s: seg.tieup_ids
@@ -168,7 +176,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     pronouns = disc.resolve_pronouns(doc, reg, topics, tieup_by_sentence, config)
     pronoun_refs = {p.position: p.referent_ids for p in pronouns}
 
-    instances = _match_instances(doc, winners, reg, resources, pronoun_refs, topics)
+    instances = _with_pronoun_subjects(winners, instances, reg, pronoun_refs, topics)
     for hit in hits:
         instances.append(
             disc.ConceptInstance(
@@ -198,7 +206,7 @@ def extract_document_no_discourse(
     and reference-closed.
     """
     doc, reg, hits, winners = _sentence_stage(doc, resources)
-    instances = _match_instances(doc, winners, reg, resources, None)
+    instances = _match_instances(doc, winners, reg, resources)
     clusters = []
     for inst in instances:
         if not inst.bindings:

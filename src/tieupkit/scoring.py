@@ -69,11 +69,10 @@ class Metrics:
 
 def round_percent(value: Fraction) -> float:
     """Percentage rounded half-up to one decimal (0.6375 -> 63.8)."""
-    scaled = value * 1000
-    floor = scaled.numerator // scaled.denominator
-    if 2 * (scaled - floor) >= 1:
-        floor += 1
-    return floor / 10
+    tenths, rest = divmod(1000 * value.numerator, value.denominator)
+    if 2 * rest >= value.denominator:
+        tenths += 1
+    return tenths / 10
 
 
 def compute_metrics(counts: ScoreCounts) -> Metrics:
@@ -111,6 +110,10 @@ def f_measure(rec: Fraction, pre: Fraction) -> Fraction:
     a, b = rec.numerator, rec.denominator
     c, d = pre.numerator, pre.denominator
     return Fraction(2 * a * c, a * d + c * b)
+
+
+# Slots with a fixed vocabulary; every other slot is open.
+_CLOSED_SLOTS = ("STATUS", "TYPE", "WARNING")
 
 
 def _fills(obj: EntityObject | TieUpObject) -> list[tuple[str, str]]:
@@ -209,23 +212,89 @@ def _pair_cor_count(resp_slots, key_slots) -> int:
 
 
 def _align_type(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, int]]:
-    """Greedy pairing by descending shared-correct count, ids break ties."""
-    candidates = []
-    for ki, key_obj in enumerate(key_objs):
-        for ri, resp_obj in enumerate(resp_objs):
-            cor = _pair_cor_count(resp_slots[ri], key_slots[ki])
-            candidates.append((-cor, key_obj.object_id, resp_obj.object_id, ki, ri))
-    candidates.sort()
-    used_keys: set[int] = set()
-    used_resps: set[int] = set()
+    """Greedy pairing by descending shared-correct count, ids break ties.
+
+    The result is that of sorting every (key, response) pair by (-COR, key
+    id, response id) and taking each pair whose two objects are still free,
+    provided object ids are unique within each side (``parse_templates``
+    rejects duplicates and ``generate_templates`` numbers objects 1..n).
+    Without visiting every pair: COR splits into a closed part from
+    ``_CLOSED_SLOTS``, fixed per pair of signatures (closed-value tuples),
+    and an open part, nonzero only for linked pairs, which share an open
+    (slot, value).  One COR level at a time, from the highest, each free key
+    in id order takes its lowest-id free candidate: a linked response at
+    that level, or the first free response of each signature group whose
+    closed part equals the level.  That response is never linked to the
+    key: a linked pair's COR exceeds its closed part, so at that higher
+    level the key took a response or the response was taken.
+    """
+    key_index: dict[tuple[str, str], list[int]] = {}
+    for ki, slots in enumerate(key_slots):
+        for slot, values in slots.items():
+            if slot not in _CLOSED_SLOTS:
+                for value in values:
+                    key_index.setdefault((slot, value), []).append(ki)
+    linked: list[dict[int, int]] = [{} for _ in key_objs]  # ki -> {ri: COR}
+    for ri, slots in enumerate(resp_slots):
+        keys = {
+            ki
+            for slot, values in slots.items()
+            if slot not in _CLOSED_SLOTS
+            for value in values
+            for ki in key_index.get((slot, value), ())
+        }
+        for ki in keys:
+            linked[ki][ri] = _pair_cor_count(slots, key_slots[ki])
+
+    resp_ids = [obj.object_id for obj in resp_objs]
+    resp_sigs = [_signature(slots) for slots in resp_slots]
+    groups: dict[tuple, list[int]] = {}  # signature -> free responses, id order
+    for ri in sorted(range(len(resp_objs)), key=resp_ids.__getitem__):
+        groups.setdefault(resp_sigs[ri], []).append(ri)
+    key_sigs = [_signature(slots) for slots in key_slots]
+    # Key signature -> (closed COR, group) for every response group.
+    closed = {
+        ks: [
+            (_pair_cor_count(dict(rs), dict(ks)), members)
+            for rs, members in groups.items()
+        ]
+        for ks in set(key_sigs)
+    }
+    levels = {cor for offers in closed.values() for cor, _ in offers}
+    for links in linked:
+        levels.update(links.values())
+
+    free_keys = sorted(range(len(key_objs)), key=lambda ki: key_objs[ki].object_id)
+    taken: set[int] = set()
     pairs = []
-    for _neg_cor, _kid, _rid, ki, ri in candidates:
-        if ki in used_keys or ri in used_resps:
-            continue
-        used_keys.add(ki)
-        used_resps.add(ri)
-        pairs.append((ri, ki))
+    for level in sorted(levels, reverse=True):
+        if not free_keys:
+            break
+        still_free = []
+        for ki in free_keys:
+            links = linked[ki]
+            candidates = [
+                (resp_ids[ri], ri)
+                for ri, cor in links.items()
+                if cor == level and ri not in taken
+            ]
+            for cor, members in closed[key_sigs[ki]]:
+                if cor == level and members:
+                    candidates.append((resp_ids[members[0]], members[0]))
+            if not candidates:
+                still_free.append(ki)
+                continue
+            _rid, ri = min(candidates)
+            taken.add(ri)
+            groups[resp_sigs[ri]].remove(ri)
+            pairs.append((ri, ki))
+        free_keys = still_free
     return pairs
+
+
+def _signature(slots) -> tuple:
+    """An object's closed-slot values, the only ones its closed COR reads."""
+    return tuple((slot, tuple(slots[slot])) for slot in _CLOSED_SLOTS if slot in slots)
 
 
 def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:

@@ -78,17 +78,23 @@ def generate_templates(
     referenced = sorted({eid for cluster in clusters for eid in cluster.tieup_ids})
 
     entity_numbers = {eid: n for n, eid in enumerate(referenced, start=1)}
+    # Each referenced id's later surfaces, in entry order, once each.
+    aliases: dict[int, list[str]] = {eid: [] for eid in referenced}
+    for e in reg.entries:
+        found = aliases.get(e.entity_id)
+        if (
+            found is not None
+            and e.index != e.entity_id
+            and e.string != reg.entries[e.entity_id - 1].string
+            and e.string not in found
+        ):
+            found.append(e.string)
     entities = []
     for eid in referenced:
         canonical = reg.entries[eid - 1]
-        aliases = []
-        for e in reg.entries:
-            if e.entity_id == eid and e.index != eid and e.string != canonical.string:
-                if e.string not in aliases:
-                    aliases.append(e.string)
         entities.append(
             EntityObject(
-                entity_numbers[eid], canonical.string, tuple(aliases), canonical.pos.upper()
+                entity_numbers[eid], canonical.string, tuple(aliases[eid]), canonical.pos.upper()
             )
         )
 

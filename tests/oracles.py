@@ -1,12 +1,14 @@
 """Independent brute-force oracles the engine is checked against.
 
 Everything here favors obviousness over speed and shares no code with the
-implementations under test.
+implementations under test, apart from the per-pair count that
+``align_by_sorting`` borrows from the scorer.
 """
 
 from itertools import combinations
 
 from tieupkit.patterns import ElementKind, PatternMatch, PatternRule
+from tieupkit.scoring import _pair_cor_count
 
 
 def lcs_by_enumeration(a: str, b: str) -> int:
@@ -144,3 +146,27 @@ def exhaustive_align_cor(response, key) -> int:
             )
             best = max(best, entity_cor + tieup_cor)
     return best
+
+
+def align_by_sorting(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, int]]:
+    """Greedy pairing by descending shared-correct count, ids break ties.
+
+    The scorer's former alignment: every response x key pair is counted
+    and sorted.  Pair counts come from the scorer's ``_pair_cor_count``.
+    """
+    candidates = []
+    for ki, key_obj in enumerate(key_objs):
+        for ri, resp_obj in enumerate(resp_objs):
+            cor = _pair_cor_count(resp_slots[ri], key_slots[ki])
+            candidates.append((-cor, key_obj.object_id, resp_obj.object_id, ki, ri))
+    candidates.sort()
+    used_keys: set[int] = set()
+    used_resps: set[int] = set()
+    pairs = []
+    for _neg_cor, _kid, _rid, ki, ri in candidates:
+        if ki in used_keys or ri in used_resps:
+            continue
+        used_keys.add(ki)
+        used_resps.add(ri)
+        pairs.append((ri, ki))
+    return pairs

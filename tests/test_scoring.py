@@ -3,6 +3,8 @@ from fractions import Fraction
 
 from tieupkit.scoring import (
     ScoreCounts,
+    _align_type,
+    _slot_values,
     align_and_count,
     compute_metrics,
     round_percent,
@@ -10,7 +12,7 @@ from tieupkit.scoring import (
 )
 from tieupkit.templates import EntityObject, TemplateGraph, TieUpObject, parse_templates
 
-from oracles import exhaustive_align_cor
+from oracles import align_by_sorting, exhaustive_align_cor
 from test_templates import SAMPLE, random_graph
 
 
@@ -46,6 +48,20 @@ class TestMetrics:
         assert round_percent(Fraction(6375, 10000)) == 63.8
         assert round_percent(Fraction(6374, 10000)) == 63.7
         assert round_percent(Fraction(1, 3)) == 33.3
+
+    def test_integer_rounding_matches_fraction_formula(self):
+        def by_fractions(value):
+            scaled = value * 1000
+            floor = scaled.numerator // scaled.denominator
+            if 2 * (scaled - floor) >= 1:
+                floor += 1
+            return floor / 10
+
+        rng = random.Random(137)
+        for _ in range(200_000):
+            den = rng.randint(1, 2000)
+            value = Fraction(rng.randint(0, den), den)
+            assert round_percent(value) == by_fractions(value)
 
     def random_counts(self, rng):
         return ScoreCounts(*[rng.randint(0, 30) for _ in range(5)])
@@ -216,6 +232,103 @@ class TestAlignment:
             counts = align_and_count(renumbered, g)
             assert counts.par == counts.inc == counts.mis == counts.spu == 0
         assert moved > 0
+
+
+class TestIndexedAlignment:
+    """_align_type returns exactly the pairs of sorting every pair."""
+
+    def assert_same_pairs(self, response, key):
+        # Slot tables as score_fills builds them: tie-up tables map their
+        # references through the finished entity alignment.
+        entity_map: dict[int, int] = {}
+        for resp_objs, key_objs in (
+            (response.entities, key.entities),
+            (response.tieups, key.tieups),
+        ):
+            resp_slots = [_slot_values(o, entity_map) for o in resp_objs]
+            key_slots = [_slot_values(o, None) for o in key_objs]
+            pairs = _align_type(resp_objs, key_objs, resp_slots, key_slots)
+            assert pairs == align_by_sorting(resp_objs, key_objs, resp_slots, key_slots)
+            for ri, ki in pairs:
+                entity_map[resp_objs[ri].object_id] = key_objs[ki].object_id
+
+    def test_same_pairs_as_sorting_every_pair(self):
+        rng = random.Random(139)
+        for _ in range(2000):
+            key = shuffle_objects(random_graph(rng), rng)
+            if rng.random() < 0.5:
+                response = random_graph(rng)
+            else:
+                response = shuffle_objects(renumber_entities(perturb(key, rng), rng), rng)
+            self.assert_same_pairs(response, key)
+
+        # Every pair linked: one shared ACTIVITY and one shared alias.
+        for _ in range(20):
+            key = shuffle_objects(wide_graph(rng, 12, 8, shared=True), rng)
+            response = shuffle_objects(wide_graph(rng, 12, 8, shared=True), rng)
+            self.assert_same_pairs(response, key)
+
+        # One flipped STATUS.
+        key = wide_graph(rng, 6, 5, shared=True)
+        t = key.tieups[2]
+        flipped = TieUpObject(t.object_id, t.entity_refs, t.jv_company, t.activities,
+                              "DISSOLVED" if t.status == "EXISTING" else "EXISTING",
+                              t.warning)
+        response = TemplateGraph("d", key.tieups[:2] + (flipped,) + key.tieups[3:],
+                                 key.entities)
+        self.assert_same_pairs(response, key)
+
+        # Empty sides.
+        g = random_graph(random.Random(149))
+        empty = TemplateGraph("d")
+        for response, key in ((empty, g), (g, empty), (empty, empty)):
+            self.assert_same_pairs(response, key)
+
+        # A registry-sized graph against a renumbered, perturbed copy.
+        key = wide_graph(rng, 300, 100, shared=False)
+        response = key
+        for _ in range(20):
+            response = perturb(response, rng)
+        response = shuffle_objects(renumber_entities(response, rng), rng)
+        self.assert_same_pairs(response, key)
+
+
+def wide_graph(rng, n_entities: int, n_tieups: int, shared: bool) -> TemplateGraph:
+    """With ``shared``, every entity has the alias 共通 and every tie-up the
+    ACTIVITY 販売, so that every pair of objects of a kind is linked."""
+    common_alias = ("共通",) if shared else ()
+    common_activity = ("販売",) if shared else ()
+    entities = tuple(
+        EntityObject(
+            i,
+            f"{rng.choice(['X', 'Y', 'Z'])}社{rng.randrange(n_entities)}",
+            common_alias + tuple(f"略{rng.randrange(n_entities)}" for _ in range(rng.randint(0, 2))),
+            rng.choice(["COMPANY", "COMPANY", "PERSON", None]),
+        )
+        for i in range(1, n_entities + 1)
+    )
+    tieups = []
+    for i in range(1, n_tieups + 1):
+        refs = tuple(sorted(rng.sample(range(1, n_entities + 1), rng.randint(0, 2))))
+        tieups.append(
+            TieUpObject(
+                i,
+                refs,
+                jv_company=tuple(rng.sample(["合弁会社", "新会社"], rng.randint(0, 1))),
+                activities=common_activity + tuple(rng.sample(["開発", "製造"], rng.randint(0, 1))),
+                status=rng.choice(["EXISTING", "EXISTING", "DISSOLVED"]),
+                warning="UNDER-SPECIFIED" if len(refs) < 2 else None,
+            )
+        )
+    return TemplateGraph("d", tuple(tieups), entities)
+
+
+def shuffle_objects(graph: TemplateGraph, rng) -> TemplateGraph:
+    """Same objects in another order, as a template file may list them."""
+    tieups, entities = list(graph.tieups), list(graph.entities)
+    rng.shuffle(tieups)
+    rng.shuffle(entities)
+    return TemplateGraph(graph.doc_id, tuple(tieups), tuple(entities))
 
 
 def renumber_entities(graph: TemplateGraph, rng) -> TemplateGraph:

@@ -251,10 +251,11 @@ def resolve_pronouns(
     if current_tieup is None:
         current_tieup = {}
 
+    pronouns = config.pronouns
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
         for t, tok in enumerate(sent):
-            if tok.surface not in config.pronouns:
+            if tok.surface not in pronouns:
                 continue
             if tok.surface == config.pronoun_both:
                 ids = current_tieup.get(s, frozenset())

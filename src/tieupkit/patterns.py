@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ParseError
 from .tokens import ENTITY_TAGS, POS_COMPANY, Token
@@ -60,26 +61,22 @@ class PatternElement:
     mode: str = "strict"
     pos_tag: str = ""
 
-    def is_cname(self) -> bool:
-        return self.kind is ElementKind.VARIABLE and (self.name or "").startswith(
-            CNAME_PREFIX
-        )
+    @cached_property
+    def token_tags(self) -> frozenset[str]:
+        """Token tags a literal accepts; ``NP`` also takes grouped name units."""
+        tags = {_TAG_ALIASES.get(self.pos_tag, self.pos_tag)}
+        if self.pos_tag == "NP":
+            tags |= ENTITY_TAGS
+        return frozenset(tags)
 
     def matches_token(self, tok: Token) -> bool:
         if self.kind is not ElementKind.LITERAL:
             raise ValueError("only literals match single tokens")
-        if not _pos_ok(self.pos_tag, tok.pos):
+        if tok.pos not in self.token_tags:
             return False
         if self.mode == "strict":
             return tok.surface in self.alternatives
         return any(alt in tok.surface for alt in self.alternatives)
-
-
-def _pos_ok(pattern_tag: str, token_pos: str) -> bool:
-    # NP stands for a noun phrase slot; grouped name units qualify.
-    if pattern_tag == "NP" and token_pos in ENTITY_TAGS:
-        return True
-    return _TAG_ALIASES.get(pattern_tag, pattern_tag) == token_pos
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class PatternRule:
     index_field: int
     elements: tuple[PatternElement, ...]
 
-    @property
+    @cached_property
     def group(self) -> str:
         """Rule name with trailing decimal digits stripped."""
         return re.sub(r"\d+$", "", self.name)
@@ -96,6 +93,24 @@ class PatternRule:
     @property
     def index_element(self) -> PatternElement:
         return self.elements[self.index_field - 1]
+
+    @cached_property
+    def elements_matched(self) -> int:
+        """Variables and literals, the elements every match fills."""
+        return sum(el.kind is not ElementKind.SKIP for el in self.elements)
+
+    @cached_property
+    def variables(self) -> tuple[tuple[int, str, bool], ...]:
+        """(element position, binding key, is a company-name variable) per
+        variable; repeated names get '#n' suffixes from the second on."""
+        seen: dict[str, int] = {}
+        layout = []
+        for i, el in enumerate(self.elements):
+            if el.kind is ElementKind.VARIABLE:
+                seen[el.name] = n = seen.get(el.name, 0) + 1
+                key = el.name if n == 1 else f"{el.name}#{n}"
+                layout.append((i, key, el.name.startswith(CNAME_PREFIX)))
+        return tuple(layout)
 
 
 @dataclass(frozen=True)
@@ -181,11 +196,15 @@ def _parse_literal(words: list[str], lineno: int, path: str | None) -> PatternEl
 
 def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
     rules = []
+    names: set[str] = set()
     for lineno, body in _split_rule_texts(text, path):
         words = body.split()
         if len(words) < 3:
             raise ParseError("rule needs a name, an index number, and elements", lineno, path)
         name = words[0]
+        if name in names:
+            raise ParseError(f"duplicate rule name {name!r}", lineno, path)
+        names.add(name)
         try:
             index_field = int(words[1])
         except ValueError:
@@ -240,26 +259,6 @@ def load_concept_map(text: str, path: str | None = None) -> dict[str, str]:
     return mapping
 
 
-def _variable_slots(rule: PatternRule) -> list[str | None]:
-    """Binding key per element; repeated variable names get '#n' suffixes."""
-    counts: dict[str, int] = {}
-    for el in rule.elements:
-        if el.kind is ElementKind.VARIABLE:
-            counts[el.name] = counts.get(el.name, 0) + 1
-    seen: dict[str, int] = {}
-    slots: list[str | None] = []
-    for el in rule.elements:
-        if el.kind is not ElementKind.VARIABLE:
-            slots.append(None)
-            continue
-        seen[el.name] = seen.get(el.name, 0) + 1
-        if counts[el.name] > 1 and seen[el.name] > 1:
-            slots.append(f"{el.name}#{seen[el.name]}")
-        else:
-            slots.append(el.name)
-    return slots
-
-
 def _enumerate_rule(sentence, rule: PatternRule) -> list[tuple[tuple[int, int], ...]]:
     n = len(sentence)
     elements = rule.elements
@@ -285,30 +284,22 @@ def _enumerate_rule(sentence, rule: PatternRule) -> list[tuple[tuple[int, int], 
     return results
 
 
-def _build_match(sentence, rule: PatternRule, group: str, slots, spans) -> PatternMatch:
+def _build_match(sentence, sent_index: int, rule: PatternRule, spans) -> PatternMatch:
     bindings: dict[str, tuple[int, int]] = {}
     cname = 0
-    matched = 0
-    for el, slot, span in zip(rule.elements, slots, spans):
-        if el.kind is ElementKind.SKIP:
-            continue
-        matched += 1
-        if el.kind is ElementKind.VARIABLE:
-            bindings[slot] = span
-            if el.is_cname() and any(
-                t.pos == POS_COMPANY for t in sentence[span[0] : span[1]]
-            ):
-                cname += 1
-    sent_index = sentence[0].sent_index if sentence else 0
+    for i, key, is_cname in rule.variables:
+        lo, hi = bindings[key] = spans[i]
+        if is_cname and any(t.pos == POS_COMPANY for t in sentence[lo:hi]):
+            cname += 1
     return PatternMatch(
         rule_name=rule.name,
-        group=group,
+        group=rule.group,
         sent_index=sent_index,
-        spans=tuple(spans),
+        spans=spans,
         bindings=bindings,
         consumed=spans[-1][1] - spans[0][0],
         cname_filled=cname,
-        elements_matched=matched,
+        elements_matched=rule.elements_matched,
     )
 
 
@@ -325,13 +316,13 @@ def match_sentence(
 ) -> list[PatternMatch]:
     """Every distinct assignment of every rule to the sentence."""
     sentence = list(sentence)
+    sent_index = sentence[0].sent_index if sentence else 0
     matches: list[PatternMatch] = []
     for rule in rules:
         if use_prefilter and not index_prefilter(sentence, rule):
             continue
-        group, slots = rule.group, _variable_slots(rule)
         for spans in _enumerate_rule(sentence, rule):
-            matches.append(_build_match(sentence, rule, group, slots, spans))
+            matches.append(_build_match(sentence, sent_index, rule, spans))
     return matches
 
 

@@ -10,6 +10,7 @@ template generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import concepts as concepts_mod
 from . import discourse as disc
@@ -34,6 +35,11 @@ class ExtractionResources:
 
     def concept_label(self, group: str) -> str:
         return self.concept_map.get(group, group)
+
+    @cached_property
+    def index_positions(self) -> dict[str, int]:
+        """Rule name -> span position of its index field (names are unique)."""
+        return {rule.name: rule.index_field - 1 for rule in self.rules}
 
 
 @dataclass
@@ -95,7 +101,7 @@ def _match_instances(doc, winners, reg, resources) -> list[disc.ConceptInstance]
                 if created:
                     bindings["created"] = created
         if label == "ECONOMIC-ACTIVITY":
-            lo, hi = m.spans[_index_span(m, resources)]
+            lo, hi = m.spans[resources.index_positions[m.rule_name]]
             bindings["activity"] = "".join(t.surface for t in sentence[lo:hi])
         instances.append(
             disc.ConceptInstance(
@@ -131,13 +137,6 @@ def _with_pronoun_subjects(
             replace(inst, subject_ids=frozenset(subject_ids) or topics.for_sentence(s))
         )
     return out
-
-
-def _index_span(match, resources) -> int:
-    for rule in resources.rules:
-        if rule.name == match.rule_name:
-            return rule.index_field - 1
-    raise ValueError(f"match for unknown rule {match.rule_name}")
 
 
 def _sentence_stage(doc: Document, resources: ExtractionResources):

@@ -169,6 +169,8 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         header = _HEADER_RE.match(line.strip())
         if header:
             kind_id = (header.group(1), int(header.group(2)))
+            if kind_id[0] not in ("TIE_UP", "ENTITY"):
+                raise ParseError(f"unknown object type {kind_id[0]!r}", lineno, path)
             if kind_id in seen_headers:
                 raise ParseError(
                     f"duplicate object <{kind_id[0]}-{kind_id[1]}>", lineno, path
@@ -187,29 +189,29 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         if not value:
             raise ParseError(f"slot {slot} has no value", lineno, path)
         values = value.split() if slot in _MULTI_VALUED else [value]
+        if current[0] == "TIE_UP" and slot == "ENTITIES":
+            for ref in values:
+                m = _REF_RE.match(ref)
+                if not m or m.group(1) != "ENTITY":
+                    raise ParseError(f"bad entity reference {ref!r}", lineno, path)
         current[2].setdefault(slot, []).extend(values)
 
     tieups = []
     entities = []
     for kind, object_id, slots in objects:
         if kind == "TIE_UP":
-            refs = []
-            for ref in slots.get("ENTITIES", []):
-                m = _REF_RE.match(ref)
-                if not m or m.group(1) != "ENTITY":
-                    raise ParseError(f"bad entity reference {ref!r}", None, path)
-                refs.append(int(m.group(2)))
+            refs = tuple(int(_REF_RE.match(r).group(2)) for r in slots.get("ENTITIES", []))
             tieups.append(
                 TieUpObject(
                     object_id=object_id,
-                    entity_refs=tuple(refs),
+                    entity_refs=refs,
                     jv_company=tuple(slots.get("JV-COMPANY", [])),
                     activities=tuple(slots.get("ACTIVITY", [])),
                     status=slots.get("STATUS", [None])[0],
                     warning=slots.get("WARNING", [None])[0],
                 )
             )
-        elif kind == "ENTITY":
+        else:
             entities.append(
                 EntityObject(
                     object_id=object_id,
@@ -218,6 +220,4 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
                     entity_type=slots.get("TYPE", [None])[0],
                 )
             )
-        else:
-            raise ParseError(f"unknown object type {kind!r}", None, path)
     return TemplateGraph(doc_id, tuple(tieups), tuple(entities))

@@ -54,6 +54,60 @@ def enumerate_matches(sentence, rule: PatternRule) -> set[tuple[tuple[int, int],
     return found
 
 
+def literal_accepts(alternatives, mode: str, pos_tag: str, surface: str, pos: str) -> bool:
+    """A literal's verdict on one token, from the README's pattern-file rules.
+
+    ``P``, ``V``, ``VN``, ``N`` and ``PUNCT`` stand for the reserved tags
+    ``particle``, ``verb``, ``verbal-nominal``, ``noun`` and ``punct``;
+    ``NP`` accepts the grouped name units ``company``, ``person`` and
+    ``place`` as well as a token tagged ``NP``; any other tag must equal the
+    token's tag.  ``strict`` wants the whole surface to be an alternative,
+    ``loose`` an alternative anywhere inside it.
+    """
+    long_forms = {
+        "P": ["particle"],
+        "V": ["verb"],
+        "VN": ["verbal-nominal"],
+        "N": ["noun"],
+        "PUNCT": ["punct"],
+        "NP": ["NP", "company", "person", "place"],
+    }
+    if pos not in long_forms.get(pos_tag, [pos_tag]):
+        return False
+    for alt in alternatives:
+        if mode == "strict" and surface == alt:
+            return True
+        if mode == "loose" and surface.find(alt) >= 0:
+            return True
+    return False
+
+
+def match_fields(sentence, rule: PatternRule, spans) -> dict:
+    """A match's derived fields, recomputed from its rule and spans."""
+    bindings = {}
+    occurrences: dict[str, int] = {}
+    cname_filled = 0
+    for el, (lo, hi) in zip(rule.elements, spans):
+        if el.kind is not ElementKind.VARIABLE:
+            continue
+        occurrences[el.name] = occurrences.get(el.name, 0) + 1
+        nth = occurrences[el.name]
+        bindings[el.name if nth == 1 else f"{el.name}#{nth}"] = (lo, hi)
+        tags = [t.pos for t in sentence[lo:hi]]
+        if el.name[:6] == "@CNAME" and "company" in tags:
+            cname_filled += 1
+    name = rule.name
+    while name and name[-1].isdecimal():
+        name = name[:-1]
+    return {
+        "bindings": bindings,
+        "cname_filled": cname_filled,
+        "consumed": spans[-1][1] - spans[0][0],
+        "elements_matched": sum(1 for el in rule.elements if el.kind is not ElementKind.SKIP),
+        "group": name,
+    }
+
+
 def match_set(matches: list[PatternMatch]) -> set[tuple[str, tuple[tuple[int, int], ...]]]:
     return {(m.rule_name, m.spans) for m in matches}
 

@@ -69,6 +69,29 @@ class TestExtract:
         assert code != 0
         assert "nope.pat" in err
 
+    def test_duplicate_rule_name_fails_with_line(self, tmp_path, capsys):
+        # Matching the second rule's two spans against the first rule's
+        # index field used to raise IndexError.
+        patterns = tmp_path / "dup.pat"
+        patterns.write_text(
+            "(EconomicActivity2 4 @CNAME_PARTNER_SUBJ は|が:strict:P @SKIP 販売:loose:VN)\n"
+            "(EconomicActivity2 2 @CNAME_PARTNER_SUBJ 開発:loose:VN)\n",
+            "utf-8",
+        )
+        corpus = tmp_path / "d.tok"
+        corpus.write_text(
+            "#DOC d\nX社\tcompany\n開発\tverbal-nominal\nする\tverb\n#END\n", "utf-8"
+        )
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "extract", "--corpus", str(corpus), "--patterns", str(patterns),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "line 2" in err and "dup.pat" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_duplicate_doc_ids_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -13,7 +13,7 @@ from tieupkit.patterns import (
 )
 from tieupkit.tokens import Token
 
-from oracles import enumerate_matches, match_set
+from oracles import enumerate_matches, literal_accepts, match_fields, match_set
 
 JV_RULE_TEXT = """
 (JointVenture1 6
@@ -103,6 +103,18 @@ class TestParsing:
         assert err.value.line == 3
         assert "rules.pat" in str(err.value)
 
+    def test_duplicate_rule_name_rejected_with_line(self):
+        text = (
+            "(EconomicActivity2 4 @CNAME_A は|が:strict:P @SKIP 販売:loose:VN)\n"
+            "# a second rule of the same name\n"
+            "(EconomicActivity2 2\n"
+            "  @CNAME_A 開発:loose:VN)"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(text, path="rules.pat")
+        assert err.value.line == 3
+        assert "duplicate rule name 'EconomicActivity2'" in str(err.value)
+
 
 class TestConceptMap:
     def test_load_and_rename(self):
@@ -141,6 +153,39 @@ class TestLiteralMatching:
         el = rule.elements[0]
         assert el.matches_token(Token("X社", "company"))
         assert not el.matches_token(Token("X社", "noun"))
+
+    def test_literal_verdicts_equal_oracle(self):
+        # Every literal tag against every token tag, both modes and the
+        # omitted mode, on surfaces that hit, contain or miss the words.
+        literal_tags = ["noun", "verbal-nominal", "verb", "particle", "punct", "company",
+                        "person", "place", "unknown", "other",
+                        "P", "V", "VN", "N", "PUNCT", "NP", "X"]
+        token_tags = literal_tags + ["NP"]
+        words = ["提携", "合弁", "は"]
+        rng = random.Random(59)
+        verdicts = set()
+        for tag in literal_tags:
+            for mode in ("strict", "loose", ""):
+                alts = rng.sample(words, rng.randint(1, 2))
+                (rule,) = parse_pattern_file(f"(L 1 {'|'.join(alts)}:{mode}:{tag})")
+                el = rule.elements[0]
+                for pos in token_tags:
+                    surfaces = [rng.choice(alts), "業務" + rng.choice(alts)] + [
+                        "".join(rng.choices(words + ["業務"], k=rng.randint(1, 3)))
+                        for _ in range(4)
+                    ]
+                    for surface in surfaces:
+                        tok = Token(surface, pos)
+                        want = literal_accepts(alts, mode or "strict", tag, surface, pos)
+                        assert el.matches_token(tok) == want, (alts, mode, tag, surface, pos)
+                        verdicts.add((tag, pos, mode, want))
+        for tag, pos in [("NP", "company"), ("NP", "person"), ("NP", "place"), ("NP", "NP"),
+                         ("P", "particle"), ("V", "verb"), ("VN", "verbal-nominal"),
+                         ("N", "noun"), ("PUNCT", "punct"), ("noun", "noun"), ("X", "X")]:
+            for mode in ("strict", "loose"):
+                assert (tag, pos, mode, True) in verdicts, (tag, pos, mode)
+        for tag, pos in [("NP", "noun"), ("P", "P"), ("company", "NP"), ("noun", "N")]:
+            assert not any((tag, pos, m, True) in verdicts for m in ("strict", "loose", ""))
 
     def test_strict_implies_loose(self):
         (strict_rule, loose_rule) = parse_pattern_file(
@@ -348,6 +393,26 @@ class TestEnumerationProperties:
                         assert hi >= lo
                     else:
                         assert hi > lo
+
+
+    def test_match_fields_equal_recomputation(self):
+        # Repeated variable names are common here: four names over up to
+        # six elements, two of them @CNAME.
+        rng = random.Random(61)
+        repeated = 0
+        for _ in range(300):
+            s = random_tokens(rng, self.VOCAB, self.TAGS)
+            rule = random_rule(rng, self.VOCAB, self.TAGS)
+            for m in match_sentence(s, [rule], use_prefilter=False):
+                fields = match_fields(s, rule, m.spans)
+                assert list(m.bindings.items()) == list(fields["bindings"].items())
+                assert m.cname_filled == fields["cname_filled"]
+                assert m.consumed == fields["consumed"]
+                assert m.elements_matched == fields["elements_matched"]
+                assert m.group == fields["group"]
+                assert m.rule_name == rule.name and m.sent_index == 0
+                repeated += any("#" in key for key in m.bindings)
+        assert repeated > 0
 
 
 class TestSelectBest:

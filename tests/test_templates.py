@@ -158,6 +158,26 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_templates(text, "d")
 
+    def test_bad_reference_names_its_line(self):
+        from tieupkit.errors import ParseError
+
+        for ref in ("<PERSON-2>", "ENTITY-2", "<ENTITY-x>"):
+            text = f"<ENTITY-1> :=\n  NAME: X社\n\n<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1> {ref}\n"
+            with pytest.raises(ParseError) as err:
+                parse_templates(text, "d", path="bad.tmpl")
+            assert err.value.line == 5
+            assert "bad entity reference" in str(err.value)
+            assert "bad.tmpl:line 5" in str(err.value)
+
+    def test_unknown_object_type_names_its_line(self):
+        from tieupkit.errors import ParseError
+
+        text = "<ENTITY-1> :=\n  NAME: X社\n\n<PERSON-1> :=\n  NAME: 山田\n"
+        with pytest.raises(ParseError) as err:
+            parse_templates(text, "d", path="bad.tmpl")
+        assert err.value.line == 4
+        assert "unknown object type 'PERSON'" in str(err.value)
+
     def test_parse_rejects_duplicate_object(self):
         from tieupkit.errors import ParseError
 

@@ -19,7 +19,8 @@ Elements:
 The index field names one literal element; a rule is attempted on a sentence
 only when some token could satisfy that literal.  Matching is exhaustive:
 every distinct assignment of elements to contiguous token spans is produced,
-and the selection step keeps one winner per concept group by, in order,
+with each distinct literal judged against each token once per sentence, and
+the selection step keeps one winner per concept group by, in order,
 most filled company-name variables, fewest consumed tokens, most matched
 variables and literals.
 """
@@ -113,16 +114,30 @@ class PatternRule:
         return tuple(layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternMatch:
-    rule_name: str
-    group: str
+    """One assignment of a rule's elements to token spans.
+
+    Only the rule, the spans and the company count are stored; everything
+    else is derived from them on read.
+    """
+
+    rule: PatternRule
     sent_index: int
     spans: tuple[tuple[int, int], ...]
-    bindings: dict[str, tuple[int, int]]
-    consumed: int
     cname_filled: int
-    elements_matched: int
+
+    @property
+    def rule_name(self) -> str:
+        return self.rule.name
+
+    @property
+    def group(self) -> str:
+        return self.rule.group
+
+    @property
+    def elements_matched(self) -> int:
+        return self.rule.elements_matched
 
     @property
     def start(self) -> int:
@@ -132,12 +147,21 @@ class PatternMatch:
     def end(self) -> int:
         return self.spans[-1][1]
 
+    @property
+    def consumed(self) -> int:
+        return self.spans[-1][1] - self.spans[0][0]
+
+    @property
+    def bindings(self) -> dict[str, tuple[int, int]]:
+        spans = self.spans
+        return {key: spans[i] for i, key, _ in self.rule.variables}
+
     def binding_text(self, sentence, name: str) -> str:
         lo, hi = self.bindings[name]
         return "".join(t.surface for t in sentence[lo:hi])
 
     def __hash__(self):
-        return hash((self.rule_name, self.sent_index, self.spans))
+        return hash((self.rule.name, self.sent_index, self.spans))
 
 
 def _split_rule_texts(text: str, path: str | None) -> list[tuple[int, str]]:
@@ -259,48 +283,42 @@ def load_concept_map(text: str, path: str | None = None) -> dict[str, str]:
     return mapping
 
 
-def _enumerate_rule(sentence, rule: PatternRule) -> list[tuple[tuple[int, int], ...]]:
-    n = len(sentence)
+def _enumerate_rule(rule: PatternRule, rows, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every assignment of ``rule`` to an ``n``-token sentence, in order.
+
+    ``rows[i]`` is the literal table row of element ``i`` (one verdict per
+    token, then False at ``n``), or None for a variable or ``@SKIP``.
+    """
     elements = rule.elements
+    last = len(elements)
+    # A variable takes at least one token, ``@SKIP`` none.
+    min_width = [int(el.kind is ElementKind.VARIABLE) for el in elements]
     results: list[tuple[tuple[int, int], ...]] = []
 
     def extend(ei: int, pos: int, spans: tuple[tuple[int, int], ...]):
-        if ei == len(elements):
+        if ei == last:
             results.append(spans)
             return
-        el = elements[ei]
-        if el.kind is ElementKind.LITERAL:
-            if pos < n and el.matches_token(sentence[pos]):
-                extend(ei + 1, pos + 1, spans + ((pos, pos + 1),))
-        elif el.kind is ElementKind.SKIP:
-            for end in range(pos, n + 1):
+        row = rows[ei]
+        if row is None:
+            for end in range(pos + min_width[ei], n + 1):
                 extend(ei + 1, end, spans + ((pos, end),))
-        else:
-            for end in range(pos + 1, n + 1):
-                extend(ei + 1, end, spans + ((pos, end),))
+        elif row[pos]:
+            extend(ei + 1, pos + 1, spans + ((pos, pos + 1),))
 
     for start in range(n + 1):
         extend(0, start, ())
     return results
 
 
-def _build_match(sentence, sent_index: int, rule: PatternRule, spans) -> PatternMatch:
-    bindings: dict[str, tuple[int, int]] = {}
+def _build_match(sent_index: int, rule: PatternRule, spans, companies) -> PatternMatch:
+    """``companies[i]`` counts the company tokens before position ``i``."""
     cname = 0
-    for i, key, is_cname in rule.variables:
-        lo, hi = bindings[key] = spans[i]
-        if is_cname and any(t.pos == POS_COMPANY for t in sentence[lo:hi]):
-            cname += 1
-    return PatternMatch(
-        rule_name=rule.name,
-        group=rule.group,
-        sent_index=sent_index,
-        spans=spans,
-        bindings=bindings,
-        consumed=spans[-1][1] - spans[0][0],
-        cname_filled=cname,
-        elements_matched=rule.elements_matched,
-    )
+    for i, _key, is_cname in rule.variables:
+        if is_cname:
+            lo, hi = spans[i]
+            cname += companies[hi] > companies[lo]
+    return PatternMatch(rule, sent_index, spans, cname)
 
 
 def index_prefilter(sentence, rule: PatternRule) -> bool:
@@ -314,20 +332,40 @@ def match_sentence(
     rules: list[PatternRule],
     use_prefilter: bool = True,
 ) -> list[PatternMatch]:
-    """Every distinct assignment of every rule to the sentence."""
+    """Every distinct assignment of every rule to the sentence.
+
+    Each distinct literal is judged against each token once per sentence:
+    rules with an equal literal share its table row.
+    """
     sentence = list(sentence)
+    n = len(sentence)
     sent_index = sentence[0].sent_index if sentence else 0
+    companies = [0]
+    for tok in sentence:
+        companies.append(companies[-1] + (tok.pos == POS_COMPANY))
+    table: dict[PatternElement, list[bool]] = {}
     matches: list[PatternMatch] = []
     for rule in rules:
         if use_prefilter and not index_prefilter(sentence, rule):
             continue
-        for spans in _enumerate_rule(sentence, rule):
-            matches.append(_build_match(sentence, sent_index, rule, spans))
+        rows = []
+        for el in rule.elements:
+            row = None
+            if el.kind is ElementKind.LITERAL:
+                row = table.get(el)
+                if row is None:
+                    row = table[el] = [el.matches_token(t) for t in sentence] + [False]
+            rows.append(row)
+        for spans in _enumerate_rule(rule, rows, n):
+            matches.append(_build_match(sent_index, rule, spans, companies))
     return matches
 
 
 def _selection_key(m: PatternMatch):
-    return (-m.cname_filled, m.consumed, -m.elements_matched, m.start, m.rule_name, m.spans)
+    # Runs once per match, so it reads the stored fields, not the properties.
+    spans, rule = m.spans, m.rule
+    start = spans[0][0]
+    return (-m.cname_filled, spans[-1][1] - start, -rule.elements_matched, start, rule.name, spans)
 
 
 def select_best(matches: list[PatternMatch]) -> list[PatternMatch]:
@@ -341,7 +379,7 @@ def select_best(matches: list[PatternMatch]) -> list[PatternMatch]:
     """
     buckets: dict[str, list[PatternMatch]] = {}
     for m in matches:
-        buckets.setdefault(m.group, []).append(m)
+        buckets.setdefault(m.rule.group, []).append(m)
     winners = [min(bucket, key=_selection_key) for bucket in buckets.values()]
     winners.sort(key=lambda m: (m.start, m.rule_name))
     return winners

@@ -31,8 +31,13 @@ STATUS_DISSOLVED = "DISSOLVED"
 
 WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 
-# Slots whose values split on whitespace; all others take the rest of the line.
+# Slots whose values split on whitespace; all others take the rest of the line
+# and may appear once per object.
 _MULTI_VALUED = {"ENTITIES", "ALIASES", "ACTIVITY", "JV-COMPANY"}
+_SLOTS = {
+    "TIE_UP": {"ENTITIES", "JV-COMPANY", "ACTIVITY", "STATUS", "WARNING"},
+    "ENTITY": {"NAME", "ALIASES", "TYPE"},
+}
 
 _HEADER_RE = re.compile(r"^<([A-Z_]+)-(\d+)>\s*:=\s*$")
 _REF_RE = re.compile(r"^<([A-Z_]+)-(\d+)>$")
@@ -169,7 +174,7 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         header = _HEADER_RE.match(line.strip())
         if header:
             kind_id = (header.group(1), int(header.group(2)))
-            if kind_id[0] not in ("TIE_UP", "ENTITY"):
+            if kind_id[0] not in _SLOTS:
                 raise ParseError(f"unknown object type {kind_id[0]!r}", lineno, path)
             if kind_id in seen_headers:
                 raise ParseError(
@@ -188,8 +193,12 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         value = value.strip()
         if not value:
             raise ParseError(f"slot {slot} has no value", lineno, path)
+        if slot not in _SLOTS[current[0]]:
+            raise ParseError(f"unknown {current[0]} slot {slot}", lineno, path)
+        if slot not in _MULTI_VALUED and slot in current[2]:
+            raise ParseError(f"slot {slot} given twice", lineno, path)
         values = value.split() if slot in _MULTI_VALUED else [value]
-        if current[0] == "TIE_UP" and slot == "ENTITIES":
+        if slot == "ENTITIES":
             for ref in values:
                 m = _REF_RE.match(ref)
                 if not m or m.group(1) != "ENTITY":

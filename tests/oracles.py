@@ -54,6 +54,50 @@ def enumerate_matches(sentence, rule: PatternRule) -> set[tuple[tuple[int, int],
     return found
 
 
+def enumerate_in_order(sentence, rule: PatternRule) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(spans, filled company-name variables) per assignment, in the order
+    the matcher must produce them.
+
+    The recursion is the matcher's former one, which judged each literal
+    against the token afresh; a company-name variable counts as filled when
+    a token of its span is tagged ``company``.
+    """
+    n = len(sentence)
+    elements = rule.elements
+    results: list[tuple[tuple[int, int], ...]] = []
+
+    def extend(ei: int, pos: int, spans: tuple[tuple[int, int], ...]):
+        if ei == len(elements):
+            results.append(spans)
+            return
+        el = elements[ei]
+        if el.kind is ElementKind.LITERAL:
+            if pos < n and el.matches_token(sentence[pos]):
+                extend(ei + 1, pos + 1, spans + ((pos, pos + 1),))
+        elif el.kind is ElementKind.SKIP:
+            for end in range(pos, n + 1):
+                extend(ei + 1, end, spans + ((pos, end),))
+        else:
+            for end in range(pos + 1, n + 1):
+                extend(ei + 1, end, spans + ((pos, end),))
+
+    for start in range(n + 1):
+        extend(0, start, ())
+
+    out = []
+    for spans in results:
+        cname = 0
+        for el, (lo, hi) in zip(elements, spans):
+            if (
+                el.kind is ElementKind.VARIABLE
+                and el.name.startswith("@CNAME")
+                and any(t.pos == "company" for t in sentence[lo:hi])
+            ):
+                cname += 1
+        out.append((spans, cname))
+    return out
+
+
 def literal_accepts(alternatives, mode: str, pos_tag: str, surface: str, pos: str) -> bool:
     """A literal's verdict on one token, from the README's pattern-file rules.
 

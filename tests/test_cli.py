@@ -261,6 +261,17 @@ class TestScore:
         assert total.split()[1:] == ["70.0", "25.0", "25.0", "50.0", "37.5", "37.5", "37.5"]
 
 
+    def test_misspelled_key_slot_fails_with_line(self, tmp_path, capsys):
+        keys = tmp_path / "keys"
+        keys.mkdir()
+        (keys / "d1.tmpl").write_text("<ENTITY-1> :=\n  NAEM: X社\n", "utf-8")
+        code, stdout, err = run(capsys, "score", str(keys), str(keys))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert "d1.tmpl:line 2: unknown ENTITY slot NAEM" in err
+        assert "Traceback" not in err
+
 class TestArgs:
     def test_missing_required_flags(self, capsys):
         code = main(["extract"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from tieupkit.errors import ParseError
 from tieupkit.patterns import (
     ElementKind,
+    PatternMatch,
     PatternRule,
     index_prefilter,
     match_sentence,
@@ -13,7 +15,13 @@ from tieupkit.patterns import (
 )
 from tieupkit.tokens import Token
 
-from oracles import enumerate_matches, literal_accepts, match_fields, match_set
+from oracles import (
+    enumerate_in_order,
+    enumerate_matches,
+    literal_accepts,
+    match_fields,
+    match_set,
+)
 
 JV_RULE_TEXT = """
 (JointVenture1 6
@@ -413,6 +421,127 @@ class TestEnumerationProperties:
                 assert m.rule_name == rule.name and m.sent_index == 0
                 repeated += any("#" in key for key in m.bindings)
         assert repeated > 0
+
+
+def in_order(s, rules, use_prefilter):
+    return [
+        (m.rule_name, m.spans, m.cname_filled)
+        for m in match_sentence(s, rules, use_prefilter=use_prefilter)
+    ]
+
+
+def oracle_in_order(s, rules):
+    return [
+        (rule.name, spans, cname)
+        for rule in rules
+        for spans, cname in enumerate_in_order(s, rule)
+    ]
+
+
+class TestEnumerationOrder:
+    VOCAB = TestEnumerationProperties.VOCAB
+    TAGS = TestEnumerationProperties.TAGS
+
+    def test_matches_equal_oracle_in_order(self):
+        # Small vocabularies make rules of one list share equal literals,
+        # pair literals that differ only in POS tag, and repeat @CNAME names.
+        rng = random.Random(67)
+        shared = same_words_other_tag = repeated_cname = 0
+        for _ in range(300):
+            s = random_tokens(rng, self.VOCAB, self.TAGS)
+            rules = [random_rule(rng, self.VOCAB, self.TAGS) for _ in range(3)]
+            want = oracle_in_order(s, rules)
+            assert in_order(s, rules, use_prefilter=True) == want
+            assert in_order(s, rules, use_prefilter=False) == want
+            literals = [
+                (i, el)
+                for i, rule in enumerate(rules)
+                for el in rule.elements
+                if el.kind is ElementKind.LITERAL
+            ]
+            shared += any(i != j and a == b for i, a in literals for j, b in literals)
+            same_words_other_tag += any(
+                (a.alternatives, a.mode) == (b.alternatives, b.mode) and a.pos_tag != b.pos_tag
+                for _, a in literals
+                for _, b in literals
+            )
+            repeated_cname += any(
+                sum(el.name == name for el in rule.elements) > 1
+                for rule in rules
+                for name in ("@CNAME_A", "@CNAME_B")
+            )
+        assert shared and same_words_other_tag and repeated_cname
+
+    def test_rules_sharing_a_literal(self):
+        s = sent(
+            ("X社", "company"),
+            ("と", "particle"),
+            ("Y社", "company"),
+            ("が", "particle"),
+            ("提携", "verbal-nominal"),
+            ("し", "verb"),
+            ("提携", "verbal-nominal"),
+        )
+        rules = parse_pattern_file(
+            "(A 3 @CNAME_A @SKIP 提携:loose:VN)\n"
+            "(B 4 @CNAME_A と:strict:P @CNAME_B 提携:loose:VN)\n"
+            "(C 2 @SKIP 提携:loose:VN)"
+        )
+        assert rules[0].elements[2] == rules[1].elements[3] == rules[2].elements[1]
+        got = in_order(s, rules, use_prefilter=True)
+        assert got == oracle_in_order(s, rules)
+        assert {name for name, _, _ in got} == {"A", "B", "C"}
+
+    def test_same_words_different_tags(self):
+        s = sent(
+            ("X社", "company"),
+            ("提携", "noun"),
+            ("Y社", "company"),
+            ("提携", "verbal-nominal"),
+        )
+        rules = parse_pattern_file(
+            "(N1 2 @CNAME_A 提携:loose:N)\n(V1 2 @CNAME_A 提携:loose:VN)"
+        )
+        got = in_order(s, rules, use_prefilter=True)
+        assert got == oracle_in_order(s, rules)
+        assert {spans[-1] for name, spans, _ in got if name == "N1"} == {(1, 2)}
+        assert {spans[-1] for name, spans, _ in got if name == "V1"} == {(3, 4)}
+
+    def test_repeated_company_variable(self):
+        s = sent(
+            ("X社", "company"),
+            ("は", "particle"),
+            ("両社", "noun"),
+            ("は", "particle"),
+            ("Y社", "company"),
+            ("と", "particle"),
+            ("提携", "verbal-nominal"),
+        )
+        (rule,) = parse_pattern_file(
+            "(Jv1 6 @CNAME_A は:strict:P @CNAME_A と:strict:P @SKIP 提携:loose:VN)"
+        )
+        got = in_order(s, [rule], use_prefilter=True)
+        assert got == oracle_in_order(s, [rule])
+        assert {cname for _, _, cname in got} == {1, 2}
+
+
+class TestMatchLayout:
+    def test_match_stores_four_fields_and_no_instance_dict(self):
+        s = sent(("X社", "company"), ("は", "particle"), ("提携", "verbal-nominal"))
+        rules = parse_pattern_file(
+            "(Jv1 3 @CNAME_A は:strict:P 提携:loose:VN)\n"
+            "(Jv2 3 @CNAME_A は:strict:P 提携:loose:VN)"
+        )
+        first, second = match_sentence(s, rules)
+        assert [f.name for f in dataclasses.fields(PatternMatch)] == [
+            "rule", "sent_index", "spans", "cname_filled",
+        ]
+        assert not hasattr(first, "__dict__")
+        assert first.spans == second.spans and first.cname_filled == second.cname_filled
+        assert first != second
+        rebuilt = PatternMatch(first.rule, first.sent_index, first.spans, first.cname_filled)
+        assert rebuilt == first
+        assert hash(rebuilt) == hash(first) == hash(("Jv1", 0, first.spans))
 
 
 class TestSelectBest:

@@ -187,6 +187,57 @@ class TestSerialization:
         assert err.value.line == 4
 
 
+    def test_parse_rejects_misspelled_slot(self):
+        from tieupkit.errors import ParseError
+
+        text = "<ENTITY-1> :=\n  NAEM: X社\n  TYPE: COMPANY\n"
+        with pytest.raises(ParseError) as err:
+            parse_templates(text, "d", path="bad.tmpl")
+        assert err.value.line == 2
+        assert "unknown ENTITY slot NAEM" in str(err.value)
+
+    def test_parse_rejects_repeated_single_valued_slot(self):
+        from tieupkit.errors import ParseError
+
+        for slot, first, second in [
+            ("STATUS", "EXISTING", "DISSOLVED"),
+            ("WARNING", "UNDER-SPECIFIED", "UNDER-SPECIFIED"),
+        ]:
+            text = f"<TIE_UP-1> :=\n  {slot}: {first}\n  {slot}: {second}\n"
+            with pytest.raises(ParseError) as err:
+                parse_templates(text, "d", path="bad.tmpl")
+            assert err.value.line == 3
+            assert f"slot {slot} given twice" in str(err.value)
+        for slot in ("NAME", "TYPE"):
+            text = f"<ENTITY-1> :=\n  {slot}: X社\n  ALIASES: X\n  {slot}: Y社\n"
+            with pytest.raises(ParseError) as err:
+                parse_templates(text, "d")
+            assert err.value.line == 4
+
+    def test_parse_rejects_slot_of_the_other_object_type(self):
+        from tieupkit.errors import ParseError
+
+        text = "<ENTITY-1> :=\n  NAME: X社\n\n<ENTITY-2> :=\n  ENTITIES: <ENTITY-1>\n"
+        with pytest.raises(ParseError) as err:
+            parse_templates(text, "d", path="bad.tmpl")
+        assert err.value.line == 5
+        assert "unknown ENTITY slot ENTITIES" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_templates("<TIE_UP-1> :=\n  NAME: X社\n", "d")
+        assert err.value.line == 2
+
+    def test_multi_valued_slots_may_repeat(self):
+        text = (
+            "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1>\n  ENTITIES: <ENTITY-2>\n"
+            "  ACTIVITY: 販売\n  ACTIVITY: 開発\n\n"
+            "<ENTITY-1> :=\n  NAME: X社\n  ALIASES: X\n  ALIASES: エックス\n\n"
+            "<ENTITY-2> :=\n  NAME: Y社\n"
+        )
+        graph = parse_templates(text, "d")
+        assert graph.tieups[0].entity_refs == (1, 2)
+        assert graph.tieups[0].activities == ("販売", "開発")
+        assert graph.entities[0].aliases == ("X", "エックス")
+
 def random_graph(rng, doc_id="d"):
     names = ["田辺製薬", "エー・メルク社", "X社", "Y社", "新日本製鉄", "ソニー", "IBM"]
     n_entities = rng.randint(0, 4)

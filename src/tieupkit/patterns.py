@@ -23,11 +23,18 @@ with each distinct literal judged against each token once per sentence, and
 the selection step keeps one winner per concept group by, in order,
 most filled company-name variables, fewest consumed tokens, most matched
 variables and literals.
+
+Enumeration follows only branches that can still complete: a per-sentence
+table lists, for each element, the positions from which the rest of the rule
+can still match.  A rule then costs its assignments times its length plus
+its length times the sentence length, so a sentence it cannot match costs
+linear time.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -99,6 +106,11 @@ class PatternRule:
     def elements_matched(self) -> int:
         """Variables and literals, the elements every match fills."""
         return sum(el.kind is not ElementKind.SKIP for el in self.elements)
+
+    @cached_property
+    def min_widths(self) -> tuple[int, ...]:
+        """Fewest tokens each element takes: ``@SKIP`` none, the rest one."""
+        return tuple(int(el.kind is not ElementKind.SKIP) for el in self.elements)
 
     @cached_property
     def variables(self) -> tuple[tuple[int, str, bool], ...]:
@@ -283,30 +295,53 @@ def load_concept_map(text: str, path: str | None = None) -> dict[str, str]:
     return mapping
 
 
-def _enumerate_rule(rule: PatternRule, rows, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every assignment of ``rule`` to an ``n``-token sentence, in order.
+def _live_positions(rule: PatternRule, rows, n: int) -> list:
+    """``live[i]``: the ascending positions from which ``elements[i:]`` can
+    still complete in an ``n``-token sentence; ``live[-1]`` is every position.
 
     ``rows[i]`` is the literal table row of element ``i`` (one verdict per
-    token, then False at ``n``), or None for a variable or ``@SKIP``.
+    token), or None for a variable or ``@SKIP``.  A literal is live where its
+    row holds and the next element is live one token on; a variable or
+    ``@SKIP`` wherever the next element is live at least its minimum width on,
+    which is every position up to the last such one less that width.
     """
-    elements = rule.elements
-    last = len(elements)
-    # A variable takes at least one token, ``@SKIP`` none.
-    min_width = [int(el.kind is ElementKind.VARIABLE) for el in elements]
+    widths = rule.min_widths
+    live: list = [range(n + 1)]
+    for i in reversed(range(len(rows))):
+        after, row = live[-1], rows[i]
+        if row is not None:
+            live.append([e - 1 for e in after if e and row[e - 1]])
+        elif after:
+            live.append(range(after[-1] - widths[i] + 1))
+        else:
+            live.append(after)
+    live.reverse()
+    return live
+
+
+def _enumerate_rule(rule: PatternRule, rows, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every assignment of ``rule`` to an ``n``-token sentence, in order of
+    start, then of each span's end.
+
+    Only live positions (see ``_live_positions``) are visited, so every
+    branch followed ends in at least one assignment.
+    """
+    live = _live_positions(rule, rows, n)
+    widths = rule.min_widths
+    last = len(rows)
     results: list[tuple[tuple[int, int], ...]] = []
 
     def extend(ei: int, pos: int, spans: tuple[tuple[int, int], ...]):
         if ei == last:
             results.append(spans)
-            return
-        row = rows[ei]
-        if row is None:
-            for end in range(pos + min_width[ei], n + 1):
-                extend(ei + 1, end, spans + ((pos, end),))
-        elif row[pos]:
+        elif rows[ei] is not None:
             extend(ei + 1, pos + 1, spans + ((pos, pos + 1),))
+        else:
+            ends = live[ei + 1]
+            for end in ends[bisect_left(ends, pos + widths[ei]):]:
+                extend(ei + 1, end, spans + ((pos, end),))
 
-    for start in range(n + 1):
+    for start in live[0]:
         extend(0, start, ())
     return results
 
@@ -354,7 +389,7 @@ def match_sentence(
             if el.kind is ElementKind.LITERAL:
                 row = table.get(el)
                 if row is None:
-                    row = table[el] = [el.matches_token(t) for t in sentence] + [False]
+                    row = table[el] = [el.matches_token(t) for t in sentence]
             rows.append(row)
         for spans in _enumerate_rule(rule, rows, n):
             matches.append(_build_match(sent_index, rule, spans, companies))

@@ -164,10 +164,15 @@ def serialize_templates(graph: TemplateGraph) -> str:
 
 
 def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> TemplateGraph:
-    """Parse block text back into a graph; inverse of serialization."""
-    objects: list[tuple[str, int, dict[str, list[str]]]] = []
-    current: tuple[str, int, dict[str, list[str]]] | None = None
+    """Parse block text back into a graph; inverse of serialization.
+
+    Every ENTITIES reference must name an entity the text defines, once per
+    tie-up.
+    """
+    objects: list[tuple[str, int, dict[str, list]]] = []
+    current: tuple[str, int, dict[str, list]] | None = None
     seen_headers: set[tuple[str, int]] = set()
+    references: list[tuple[int, int]] = []  # (entity number, line), in file order
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -199,21 +204,34 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
             raise ParseError(f"slot {slot} given twice", lineno, path)
         values = value.split() if slot in _MULTI_VALUED else [value]
         if slot == "ENTITIES":
+            refs = current[2].setdefault(slot, [])
             for ref in values:
                 m = _REF_RE.match(ref)
                 if not m or m.group(1) != "ENTITY":
                     raise ParseError(f"bad entity reference {ref!r}", lineno, path)
+                number = int(m.group(2))
+                if number in refs:
+                    raise ParseError(
+                        f"<ENTITY-{number}> repeated in <TIE_UP-{current[1]}>", lineno, path
+                    )
+                refs.append(number)
+                references.append((number, lineno))
+            continue
         current[2].setdefault(slot, []).extend(values)
+
+    defined = {object_id for kind, object_id, _ in objects if kind == "ENTITY"}
+    for number, lineno in references:
+        if number not in defined:
+            raise ParseError(f"reference to undefined <ENTITY-{number}>", lineno, path)
 
     tieups = []
     entities = []
     for kind, object_id, slots in objects:
         if kind == "TIE_UP":
-            refs = tuple(int(_REF_RE.match(r).group(2)) for r in slots.get("ENTITIES", []))
             tieups.append(
                 TieUpObject(
                     object_id=object_id,
-                    entity_refs=refs,
+                    entity_refs=tuple(slots.get("ENTITIES", [])),
                     jv_company=tuple(slots.get("JV-COMPANY", [])),
                     activities=tuple(slots.get("ACTIVITY", [])),
                     status=slots.get("STATUS", [None])[0],

@@ -272,6 +272,19 @@ class TestScore:
         assert "d1.tmpl:line 2: unknown ENTITY slot NAEM" in err
         assert "Traceback" not in err
 
+    def test_dangling_key_reference_fails_with_line(self, tmp_path, capsys):
+        keys = tmp_path / "keys"
+        keys.mkdir()
+        (keys / "d1.tmpl").write_text(
+            "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-9>\n\n<ENTITY-1> :=\n  NAME: X社\n", "utf-8"
+        )
+        code, stdout, err = run(capsys, "score", str(keys), str(keys))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert "d1.tmpl:line 2: reference to undefined <ENTITY-9>" in err
+        assert "Traceback" not in err
+
 class TestArgs:
     def test_missing_required_flags(self, capsys):
         code = main(["extract"])

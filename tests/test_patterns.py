@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -8,12 +9,14 @@ from tieupkit.patterns import (
     ElementKind,
     PatternMatch,
     PatternRule,
+    _live_positions,
     index_prefilter,
     match_sentence,
     parse_pattern_file,
     select_best,
 )
-from tieupkit.tokens import Token
+from tieupkit.pipeline import extract_document
+from tieupkit.tokens import Token, parse_document
 
 from oracles import (
     enumerate_in_order,
@@ -523,6 +526,71 @@ class TestEnumerationOrder:
         got = in_order(s, [rule], use_prefilter=True)
         assert got == oracle_in_order(s, [rule])
         assert {cname for _, _, cname in got} == {1, 2}
+
+
+def dense_clause(length):
+    """「P社 は Q社 と 提携 販売 設立 、」 repeated to ``length`` - 1 tokens,
+    then 。: the benchmark's long sentence, where every shipped rule matches
+    many times."""
+    clause = [
+        ("P社", "company"), ("は", "particle"), ("Q社", "company"), ("と", "particle"),
+        ("提携", "verbal-nominal"), ("販売", "verbal-nominal"), ("設立", "verbal-nominal"),
+        ("、", "punct"),
+    ]
+    return sent(*[clause[i % len(clause)] for i in range(length - 1)], ("。", "punct"))
+
+
+def literal_rows(s, rule):
+    return [
+        [el.matches_token(t) for t in s] if el.kind is ElementKind.LITERAL else None
+        for el in rule.elements
+    ]
+
+
+class TestLiveBranches:
+    VOCAB = TestEnumerationProperties.VOCAB
+    TAGS = TestEnumerationProperties.TAGS
+
+    def test_live_exactly_where_the_suffix_can_start(self):
+        rng = random.Random(71)
+        dead_somewhere = 0
+        for _ in range(300):
+            s = random_tokens(rng, self.VOCAB, self.TAGS)
+            rule = random_rule(rng, self.VOCAB, self.TAGS)
+            live = _live_positions(rule, literal_rows(s, rule), len(s))
+            assert len(live) == len(rule.elements) + 1
+            assert list(live[-1]) == list(range(len(s) + 1))
+            for i in range(len(rule.elements)):
+                suffix = PatternRule(rule.name, 1, rule.elements[i:])
+                starts = {spans[0][0] for spans in enumerate_matches(s, suffix)}
+                assert list(live[i]) == sorted(starts)
+                dead_somewhere += len(starts) < len(s) + 1
+        assert dead_somewhere
+
+    def test_sentence_that_cannot_match_costs_linear_time(self, resources):
+        # 提携 comes first, so JointVenture1's と never follows it and no rule
+        # matches; trying every span of every variable would take cubic time.
+        pairs = [("提携", "verbal-nominal")] + [("X社", "company"), ("は", "particle")] * 1000
+        s = sent(*pairs)
+        assert len(s) == 2001
+        started = time.perf_counter()
+        assert match_sentence(s, resources.rules) == []
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5, f"2001-token sentence took {elapsed:.2f}s"
+        text = "#DOC runaway\n" + "".join(f"{w}\t{p}\n" for w, p in pairs) + "#END\n"
+        result = extract_document(parse_document(text), resources)
+        assert result.graph.tieups == ()
+
+    def test_dense_clause_equals_oracle_in_order(self, resources):
+        for length in range(20, 91, 7):
+            s = dense_clause(length)
+            assert in_order(s, resources.rules, use_prefilter=True) == oracle_in_order(
+                s, resources.rules
+            )
+
+    def test_dense_clause_ladder_counts(self, resources):
+        counts = [len(match_sentence(dense_clause(n), resources.rules)) for n in (44, 88, 132)]
+        assert counts == [490, 7832, 30872]
 
 
 class TestMatchLayout:

@@ -238,6 +238,38 @@ class TestSerialization:
         assert graph.tieups[0].activities == ("販売", "開発")
         assert graph.entities[0].aliases == ("X", "エックス")
 
+    def test_parse_rejects_reference_to_undefined_entity(self):
+        from tieupkit.errors import ParseError
+
+        text = (
+            "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1>\n  ENTITIES: <ENTITY-9>\n\n"
+            "<ENTITY-1> :=\n  NAME: X社\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_templates(text, "d", path="bad.tmpl")
+        assert err.value.line == 3
+        assert "bad.tmpl:line 3: reference to undefined <ENTITY-9>" in str(err.value)
+
+    def test_parse_rejects_reference_repeated_in_one_tieup(self):
+        from tieupkit.errors import ParseError
+
+        entities = "\n<ENTITY-1> :=\n  NAME: X社\n\n<ENTITY-2> :=\n  NAME: Y社\n"
+        for entities_lines, line in [
+            ("  ENTITIES: <ENTITY-1> <ENTITY-1>\n", 2),
+            ("  ENTITIES: <ENTITY-1> <ENTITY-2>\n  ENTITIES: <ENTITY-01>\n", 3),
+        ]:
+            text = "<TIE_UP-1> :=\n" + entities_lines + entities
+            with pytest.raises(ParseError) as err:
+                parse_templates(text, "d", path="bad.tmpl")
+            assert err.value.line == line
+            assert "<ENTITY-1> repeated in <TIE_UP-1>" in str(err.value)
+        # Two tie-ups may name the same entity.
+        text = (
+            "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1> <ENTITY-2>\n\n"
+            "<TIE_UP-2> :=\n  ENTITIES: <ENTITY-1>\n" + entities
+        )
+        assert [t.entity_refs for t in parse_templates(text, "d").tieups] == [(1, 2), (1,)]
+
 def random_graph(rng, doc_id="d"):
     names = ["田辺製薬", "エー・メルク社", "X社", "Y社", "新日本製鉄", "ソニー", "IBM"]
     n_entities = rng.randint(0, 4)

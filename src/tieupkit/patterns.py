@@ -26,8 +26,11 @@ variables and literals.
 
 Enumeration follows only branches that can still complete: a per-sentence
 table lists, for each element, the positions from which the rest of the rule
-can still match.  A rule then costs its assignments times its length plus
-its length times the sentence length, so a sentence it cannot match costs
+can still match.  The completions of the rule from each reachable (element,
+position) state are built once and shared by every prefix that reaches the
+state, so assignments share their suffixes.  A rule then costs its length
+times the sentence length, plus one entry per completion of each reachable
+state, plus one match per assignment; a sentence it cannot match costs
 linear time.
 """
 
@@ -113,16 +116,24 @@ class PatternRule:
         return tuple(int(el.kind is not ElementKind.SKIP) for el in self.elements)
 
     @cached_property
-    def variables(self) -> tuple[tuple[int, str, bool], ...]:
-        """(element position, binding key, is a company-name variable) per
-        variable; repeated names get '#n' suffixes from the second on."""
+    def is_cname(self) -> tuple[bool, ...]:
+        """Per element: is it a company-name variable?"""
+        return tuple(
+            el.kind is ElementKind.VARIABLE and el.name.startswith(CNAME_PREFIX)
+            for el in self.elements
+        )
+
+    @cached_property
+    def variables(self) -> tuple[tuple[int, str], ...]:
+        """(element position, binding key) per variable; repeated names get
+        '#n' suffixes from the second on."""
         seen: dict[str, int] = {}
         layout = []
         for i, el in enumerate(self.elements):
             if el.kind is ElementKind.VARIABLE:
                 seen[el.name] = n = seen.get(el.name, 0) + 1
                 key = el.name if n == 1 else f"{el.name}#{n}"
-                layout.append((i, key, el.name.startswith(CNAME_PREFIX)))
+                layout.append((i, key))
         return tuple(layout)
 
 
@@ -166,7 +177,7 @@ class PatternMatch:
     @property
     def bindings(self) -> dict[str, tuple[int, int]]:
         spans = self.spans
-        return {key: spans[i] for i, key, _ in self.rule.variables}
+        return {key: spans[i] for i, key in self.rule.variables}
 
     def binding_text(self, sentence, name: str) -> str:
         lo, hi = self.bindings[name]
@@ -319,41 +330,73 @@ def _live_positions(rule: PatternRule, rows, n: int) -> list:
     return live
 
 
-def _enumerate_rule(rule: PatternRule, rows, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every assignment of ``rule`` to an ``n``-token sentence, in order of
-    start, then of each span's end.
+# Slot setters of the frozen ``PatternMatch``: calling them on a bare
+# ``object.__new__`` instance builds a match without the dataclass
+# ``__init__`` and its ``object.__setattr__`` per field.
+_SET_RULE = PatternMatch.rule.__set__
+_SET_SENT_INDEX = PatternMatch.sent_index.__set__
+_SET_SPANS = PatternMatch.spans.__set__
+_SET_CNAME_FILLED = PatternMatch.cname_filled.__set__
 
-    Only live positions (see ``_live_positions``) are visited, so every
-    branch followed ends in at least one assignment.
+# The one completion of an empty suffix: no spans, no company fill.
+_COMPLETE = [((), 0)]
+
+
+def _rule_matches(rule: PatternRule, rows, companies, sent_index: int, out: list) -> None:
+    """Append every assignment of ``rule`` to the sentence to ``out``, in
+    order of start, then of each span's end.
+
+    ``rows`` are the rule's literal table rows (None for a variable or
+    ``@SKIP``) and ``companies[i]`` counts the company tokens before
+    position ``i``.  The completions of ``elements[i:]`` from position ``p``,
+    as (spans, filled company-name variables) pairs, are built once per
+    ``(i, p)`` from the next element's completions and shared by every
+    prefix that reaches that state.  Only live states (see
+    ``_live_positions``) reachable from a live start are built, and none
+    outlives the call.
     """
-    live = _live_positions(rule, rows, n)
-    widths = rule.min_widths
+    live = _live_positions(rule, rows, len(companies) - 1)
+    widths, is_cname = rule.min_widths, rule.is_cname
     last = len(rows)
-    results: list[tuple[tuple[int, int], ...]] = []
+    memo: dict[tuple[int, int], list] = {}
 
-    def extend(ei: int, pos: int, spans: tuple[tuple[int, int], ...]):
-        if ei == last:
-            results.append(spans)
-        elif rows[ei] is not None:
-            extend(ei + 1, pos + 1, spans + ((pos, pos + 1),))
+    def completions(i: int, p: int) -> list:
+        if i == last:
+            return _COMPLETE
+        done = memo.get((i, p))
+        if done is not None:
+            return done
+        done = []
+        add = done.append
+        if rows[i] is not None:
+            span = ((p, p + 1),)
+            for spans, c in completions(i + 1, p + 1):
+                add((span + spans, c))
         else:
-            ends = live[ei + 1]
-            for end in ends[bisect_left(ends, pos + widths[ei]):]:
-                extend(ei + 1, end, spans + ((pos, end),))
+            ends = live[i + 1]
+            below = companies[p] if is_cname[i] else None
+            for end in ends[bisect_left(ends, p + widths[i]):]:
+                span = ((p, end),)
+                filled = below is not None and companies[end] > below
+                for spans, c in completions(i + 1, end):
+                    add((span + spans, c + filled))
+        if i:
+            memo[i, p] = done
+        return done
 
+    new = object.__new__
     for start in live[0]:
-        extend(0, start, ())
-    return results
-
-
-def _build_match(sent_index: int, rule: PatternRule, spans, companies) -> PatternMatch:
-    """``companies[i]`` counts the company tokens before position ``i``."""
-    cname = 0
-    for i, _key, is_cname in rule.variables:
-        if is_cname:
-            lo, hi = spans[i]
-            cname += companies[hi] > companies[lo]
-    return PatternMatch(rule, sent_index, spans, cname)
+        for spans, c in completions(0, start):
+            m = new(PatternMatch)
+            _SET_RULE(m, rule)
+            _SET_SENT_INDEX(m, sent_index)
+            _SET_SPANS(m, spans)
+            _SET_CNAME_FILLED(m, c)
+            out.append(m)
+    # ``completions`` reaches itself through its closure; dropping the name
+    # breaks that cycle, so the memo is freed on return, not by the cyclic
+    # garbage collector.
+    del completions
 
 
 def index_prefilter(sentence, rule: PatternRule) -> bool:
@@ -373,7 +416,6 @@ def match_sentence(
     rules with an equal literal share its table row.
     """
     sentence = list(sentence)
-    n = len(sentence)
     sent_index = sentence[0].sent_index if sentence else 0
     companies = [0]
     for tok in sentence:
@@ -391,8 +433,7 @@ def match_sentence(
                 if row is None:
                     row = table[el] = [el.matches_token(t) for t in sentence]
             rows.append(row)
-        for spans in _enumerate_rule(rule, rows, n):
-            matches.append(_build_match(sent_index, rule, spans, companies))
+        _rule_matches(rule, rows, companies, sent_index, matches)
     return matches
 
 

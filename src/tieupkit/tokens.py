@@ -124,6 +124,12 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
             if len(parts) != 2 or not parts[1].strip():
                 raise ParseError("missing document id after #DOC", lineno, path)
             doc_id = parts[1].strip()
+            # The id names the document's output files, so it must be a
+            # plain file name that stays inside the output directory.
+            if doc_id in (".", "..") or "/" in doc_id or "\\" in doc_id:
+                raise ParseError(
+                    f"document id {doc_id!r} is not a plain file name", lineno, path
+                )
             doc_line = lineno
             continue
         if stripped == "#END":

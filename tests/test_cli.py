@@ -112,6 +112,23 @@ class TestExtract:
         assert code != 0
         assert "line 2" in err
 
+    @pytest.mark.parametrize("doc_id", ["../escaped", "sub/x", "..\\escaped", "..", "."])
+    def test_document_id_that_is_not_a_file_name_rejected_with_line(
+        self, tmp_path, capsys, doc_id
+    ):
+        corpus = tmp_path / "corpus.tok"
+        corpus.write_text(
+            f"#DOC fine\nX社\tcompany\n#END\n#DOC {doc_id}\nY社\tcompany\n#END\n", "utf-8"
+        )
+        out = tmp_path / "run" / "out"
+        code, _, err = run(capsys, "extract", "--corpus", str(corpus), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"{corpus}:line 4: document id {doc_id!r} is not a plain file name" in err
+        assert "Traceback" not in err
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p != corpus]
+        assert all(out in p.parents for p in written), written
+
     def test_dump_stages_written(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, _ = run(
@@ -239,6 +256,22 @@ class TestScore:
         total = [l for l in stdout.splitlines() if l.startswith("TOTAL")][0]
         und = float(total.split()[2])
         assert und > 0.0
+
+    def test_missing_response_directory_fails(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        code, stdout, err = run(capsys, "score", str(missing), str(DATA / "score_key"))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: response directory {missing} does not exist\n"
+
+    def test_empty_response_directory_warns_and_scores(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, stdout, err = run(capsys, "score", str(empty), str(DATA / "score_key"))
+        assert code == 0
+        assert "warning: no response for" in err
+        total = [l for l in stdout.splitlines() if l.startswith("TOTAL")][0]
+        assert total.split()[2] == "100.0"  # UND
 
     def test_response_without_key_counts_spurious(self, tmp_path, capsys):
         out = self.extract_to(tmp_path, capsys)

@@ -527,6 +527,36 @@ class TestEnumerationOrder:
         assert got == oracle_in_order(s, [rule])
         assert {cname for _, _, cname in got} == {1, 2}
 
+    def test_long_dense_sentences_equal_oracle_in_order(self):
+        # 20-40 tokens of four words: assignments far outnumber the
+        # (element, start) states, so completions are shared by many prefixes.
+        words = [("X社", "company"), ("は", "particle"), ("と", "particle"),
+                 ("提携", "verbal-nominal")]
+        vocab = [w for w, _ in words]
+        tags = ["company", "particle", "verbal-nominal"]
+        rng = random.Random(73)
+        shared = repeated_cname = adjacent = 0
+        for _ in range(60):
+            s = sent(*[rng.choice(words) for _ in range(rng.randint(20, 40))])
+            rule = random_rule(rng, vocab, tags)
+            kinds = [el.kind for el in rule.elements]
+            # The oracle tries every span of every variable; three keep it quick.
+            if kinds.count(ElementKind.LITERAL) < len(kinds) - 3:
+                continue
+            got = [(m.spans, m.cname_filled) for m in match_sentence(s, [rule])]
+            assert got == enumerate_in_order(s, rule)
+            states = {(i, span[0]) for spans, _ in got for i, span in enumerate(spans)}
+            shared += len(got) > len(states)
+            repeated_cname += any(
+                sum(el.name == name for el in rule.elements) > 1
+                for name in ("@CNAME_A", "@CNAME_B")
+            )
+            adjacent += any(
+                a is not ElementKind.LITERAL and b is not ElementKind.LITERAL
+                for a, b in zip(kinds, kinds[1:])
+            )
+        assert shared and repeated_cname and adjacent
+
 
 def dense_clause(length):
     """「P社 は Q社 と 提携 販売 設立 、」 repeated to ``length`` - 1 tokens,
@@ -610,6 +640,22 @@ class TestMatchLayout:
         rebuilt = PatternMatch(first.rule, first.sent_index, first.spans, first.cname_filled)
         assert rebuilt == first
         assert hash(rebuilt) == hash(first) == hash(("Jv1", 0, first.spans))
+
+    def test_matches_equal_their_dataclass_construction_and_stay_frozen(self):
+        rng = random.Random(79)
+        vocab, tags = TestEnumerationProperties.VOCAB, TestEnumerationProperties.TAGS
+        built = 0
+        for _ in range(200):
+            s = random_tokens(rng, vocab, tags)
+            rules = [random_rule(rng, vocab, tags) for _ in range(2)]
+            for m in match_sentence(s, rules, use_prefilter=False):
+                rebuilt = PatternMatch(m.rule, m.sent_index, m.spans, m.cname_filled)
+                assert m == rebuilt and hash(m) == hash(rebuilt)
+                for field in dataclasses.fields(PatternMatch):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(m, field.name, getattr(m, field.name))
+                built += 1
+        assert built > 100
 
 
 class TestSelectBest:

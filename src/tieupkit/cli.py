@@ -158,6 +158,8 @@ def run_score(response_dir: Path, key_dir: Path) -> int:
     try:
         if not response_dir.is_dir():
             raise TieupkitError(f"response directory {response_dir} does not exist")
+        if not key_dir.is_dir():
+            raise TieupkitError(f"key directory {key_dir} does not exist")
         key_files = sorted(key_dir.glob("*.tmpl"))
         if not key_files:
             raise TieupkitError(f"no *.tmpl files in {key_dir}")

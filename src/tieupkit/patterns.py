@@ -17,12 +17,12 @@ Elements:
                        the word carrying the ``:mode:POS`` tail.
 
 The index field names one literal element; a rule is attempted on a sentence
-only when some token could satisfy that literal.  Matching is exhaustive:
-every distinct assignment of elements to contiguous token spans is produced,
-with each distinct literal judged against each token once per sentence, and
-the selection step keeps one winner per concept group by, in order,
-most filled company-name variables, fewest consumed tokens, most matched
-variables and literals.
+only when some token could satisfy that literal.  Each distinct literal,
+prefilter included, is judged on a sentence once, in one pass over its tokens.
+Matching is exhaustive: every distinct assignment of elements to contiguous
+token spans is produced, and the selection step keeps one winner per concept
+group by, in order, most filled company-name variables, fewest consumed
+tokens, most matched variables and literals.
 
 Enumeration follows only branches that can still complete: a per-sentence
 table lists, for each element, the positions from which the rest of the rule
@@ -83,11 +83,14 @@ class PatternElement:
     def matches_token(self, tok: Token) -> bool:
         if self.kind is not ElementKind.LITERAL:
             raise ValueError("only literals match single tokens")
-        if tok.pos not in self.token_tags:
-            return False
+        return self.row((tok,))[0]
+
+    def row(self, sentence) -> list[bool]:
+        """The literal's verdict on each token of ``sentence``, in one pass."""
+        tags, alts = self.token_tags, self.alternatives
         if self.mode == "strict":
-            return tok.surface in self.alternatives
-        return any(alt in tok.surface for alt in self.alternatives)
+            return [t.pos in tags and t.surface in alts for t in sentence]
+        return [t.pos in tags and any(a in t.surface for a in alts) for t in sentence]
 
 
 @dataclass(frozen=True)
@@ -399,10 +402,18 @@ def _rule_matches(rule: PatternRule, rows, companies, sent_index: int, out: list
     del completions
 
 
-def index_prefilter(sentence, rule: PatternRule) -> bool:
-    """Cheap test: could any token satisfy the rule's index-field literal?"""
-    el = rule.index_element
-    return any(el.matches_token(t) for t in sentence)
+def _row(table: dict, el: PatternElement, sentence) -> list[bool]:
+    """``el``'s row, from ``table`` or built there on first use."""
+    row = table.get(el)
+    if row is None:
+        row = table[el] = el.row(sentence)
+    return row
+
+
+def index_prefilter(sentence, rule: PatternRule, table: dict | None = None) -> bool:
+    """Could any token satisfy the rule's index-field literal?  Its row is read
+    from, or added to, ``table``, the sentence's literal table, when given."""
+    return True in _row({} if table is None else table, rule.index_element, sentence)
 
 
 def match_sentence(
@@ -412,8 +423,9 @@ def match_sentence(
 ) -> list[PatternMatch]:
     """Every distinct assignment of every rule to the sentence.
 
-    Each distinct literal is judged against each token once per sentence:
-    rules with an equal literal share its table row.
+    Each distinct literal is judged against each token once per sentence,
+    the prefilter's index literal included: rules with an equal literal share
+    its table row.
     """
     sentence = list(sentence)
     sent_index = sentence[0].sent_index if sentence else 0
@@ -423,16 +435,12 @@ def match_sentence(
     table: dict[PatternElement, list[bool]] = {}
     matches: list[PatternMatch] = []
     for rule in rules:
-        if use_prefilter and not index_prefilter(sentence, rule):
+        if use_prefilter and not index_prefilter(sentence, rule, table):
             continue
-        rows = []
-        for el in rule.elements:
-            row = None
-            if el.kind is ElementKind.LITERAL:
-                row = table.get(el)
-                if row is None:
-                    row = table[el] = [el.matches_token(t) for t in sentence]
-            rows.append(row)
+        rows = [
+            _row(table, el, sentence) if el.kind is ElementKind.LITERAL else None
+            for el in rule.elements
+        ]
         _rule_matches(rule, rows, companies, sent_index, matches)
     return matches
 

@@ -3,12 +3,14 @@
 Input text arrives pre-segmented: one token per line as ``surface<TAB>pos``,
 blank lines between sentences, ``#DOC <id>`` / ``#END`` around each document.
 The POS vocabulary is open; the tags below have reserved meaning, everything
-else is carried through untouched.
+else is carried through untouched.  Recognition and grouping each emit every
+token once, at its final (sentence, token) index; one already there is reused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError
 
@@ -77,14 +79,19 @@ class DesignatorLexicon:
             if etype not in ENTITY_TAGS:
                 raise ValueError(f"unknown designator entity type: {etype}")
 
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Distinct designator lengths, longest first."""
+        return tuple(sorted({len(d) for d in self.entries if d}, reverse=True))
+
     def match(self, surface: str) -> str | None:
-        """Entity type if ``surface`` ends with (or equals) a designator."""
-        best = None
-        best_len = 0
-        for designator, etype in self.entries.items():
-            if surface.endswith(designator) and len(designator) > best_len:
-                best, best_len = etype, len(designator)
-        return best
+        """Type of the longest designator that ``surface`` ends with (or equals)."""
+        for n in self.lengths:
+            if n <= len(surface):
+                etype = self.entries.get(surface[-n:])
+                if etype is not None:
+                    return etype
+        return None
 
 
 def _make_sentences(raw: list[list[tuple[str, str]]]) -> tuple[tuple[Token, ...], ...]:
@@ -96,13 +103,11 @@ def _make_sentences(raw: list[list[tuple[str, str]]]) -> tuple[tuple[Token, ...]
     return tuple(sentences)
 
 
-def _reindex(doc_id: str, sentences: list[list[Token]]) -> Document:
-    out = []
-    for s, sent in enumerate(sentences):
-        out.append(
-            tuple(Token(tok.surface, tok.pos, s, t) for t, tok in enumerate(sent))
-        )
-    return Document(doc_id, tuple(out))
+def _placed(tok: Token, s: int, t: int) -> Token:
+    """``tok`` at position ``(s, t)``: itself when its indices already say so."""
+    if tok.tok_index == t and tok.sent_index == s:
+        return tok
+    return Token(tok.surface, tok.pos, s, t)
 
 
 def parse_token_file(text: str, path: str | None = None) -> list[Document]:
@@ -231,9 +236,8 @@ def recognize_names(doc: Document, lex: DesignatorLexicon) -> Document:
     """
     if not lex.entries:
         return doc
-    sentences: list[list[Token]] = []
-    for sent in doc.sentences:
-        toks = list(sent)
+    sentences: list[tuple[Token, ...]] = []
+    for s, toks in enumerate(doc.sentences):
         out: list[Token] = []
         i = 0
         while i < len(toks):
@@ -243,7 +247,7 @@ def recognize_names(doc: Document, lex: DesignatorLexicon) -> Document:
                 tok.pos in _ANCHOR_ELIGIBLE or tok.surface in lex.entries
             )
             if not anchored:
-                out.append(tok)
+                out.append(_placed(tok, s, len(out)))
                 i += 1
                 continue
             # Extend backward over tokens already emitted this sentence.
@@ -263,23 +267,22 @@ def recognize_names(doc: Document, lex: DesignatorLexicon) -> Document:
             # Forward extension may leave a different designator at the end;
             # the final surface decides the type so a second pass agrees.
             final_type = lex.match(surface) or etype
-            out.append(Token(surface, final_type, tok.sent_index, tok.tok_index))
+            out.append(Token(surface, final_type, s, start))
             i = j
-        sentences.append(out)
-    return _reindex(doc.doc_id, sentences)
+        sentences.append(tuple(out))
+    return Document(doc.doc_id, tuple(sentences))
 
 
 def group_segments(doc: Document) -> Document:
     """Join adjacent same-type entity tokens, bridging single ``・`` connectors."""
-    sentences: list[list[Token]] = []
-    for sent in doc.sentences:
-        toks = list(sent)
+    sentences: list[tuple[Token, ...]] = []
+    for s, toks in enumerate(doc.sentences):
         out: list[Token] = []
         i = 0
         while i < len(toks):
             tok = toks[i]
             if tok.pos not in ENTITY_TAGS:
-                out.append(tok)
+                out.append(_placed(tok, s, len(out)))
                 i += 1
                 continue
             surface = tok.surface
@@ -297,7 +300,9 @@ def group_segments(doc: Document) -> Document:
                     j += 2
                 else:
                     break
-            out.append(Token(surface, tok.pos, tok.sent_index, tok.tok_index))
+            if j > i + 1:
+                tok = Token(surface, tok.pos, s, len(out))
+            out.append(_placed(tok, s, len(out)))
             i = j
-        sentences.append(out)
-    return _reindex(doc.doc_id, sentences)
+        sentences.append(tuple(out))
+    return Document(doc.doc_id, tuple(sentences))

@@ -9,6 +9,15 @@ from itertools import combinations
 
 from tieupkit.patterns import ElementKind, PatternMatch, PatternRule
 from tieupkit.scoring import _pair_cor_count
+from tieupkit.tokens import (
+    _ANCHOR_ELIGIBLE,
+    CONNECTOR,
+    ENTITY_TAGS,
+    Document,
+    Token,
+    _backward_ok,
+    _forward_ok,
+)
 
 
 def lcs_by_enumeration(a: str, b: str) -> int:
@@ -268,3 +277,103 @@ def align_by_sorting(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[i
         used_resps.add(ri)
         pairs.append((ri, ki))
     return pairs
+
+
+def designator_by_scan(entries: dict[str, str], surface: str) -> str | None:
+    """The designator lexicon's former lookup: ``endswith`` against every
+    entry, the longest matching designator deciding."""
+    best = None
+    best_len = 0
+    for designator, etype in entries.items():
+        if surface.endswith(designator) and len(designator) > best_len:
+            best, best_len = etype, len(designator)
+    return best
+
+
+# Name recognition and grouping as they were before each output token got
+# its final indices when appended: both build every token with stale
+# indices, then ``_reindex`` builds each again.  The token helpers they call
+# are the package's own.
+
+
+def _reindex(doc_id: str, sentences: list[list[Token]]) -> Document:
+    out = []
+    for s, sent in enumerate(sentences):
+        out.append(
+            tuple(Token(tok.surface, tok.pos, s, t) for t, tok in enumerate(sent))
+        )
+    return Document(doc_id, tuple(out))
+
+
+def recognize_names_two_pass(doc: Document, lex) -> Document:
+    if not lex.entries:
+        return doc
+    sentences: list[list[Token]] = []
+    for sent in doc.sentences:
+        toks = list(sent)
+        out: list[Token] = []
+        i = 0
+        while i < len(toks):
+            tok = toks[i]
+            etype = lex.match(tok.surface)
+            anchored = etype is not None and (
+                tok.pos in _ANCHOR_ELIGIBLE or tok.surface in lex.entries
+            )
+            if not anchored:
+                out.append(tok)
+                i += 1
+                continue
+            # Extend backward over tokens already emitted this sentence.
+            start = len(out)
+            while start > 0 and _backward_ok(out[start - 1]):
+                start -= 1
+            # A run may not start on the connector itself.
+            while start < len(out) and out[start].surface == CONNECTOR:
+                start += 1
+            absorbed = out[start:]
+            del out[start:]
+            j = i + 1
+            while j < len(toks) and _forward_ok(toks[j]):
+                j += 1
+            surface = "".join(t.surface for t in absorbed)
+            surface += "".join(t.surface for t in toks[i:j])
+            # Forward extension may leave a different designator at the end;
+            # the final surface decides the type so a second pass agrees.
+            final_type = lex.match(surface) or etype
+            out.append(Token(surface, final_type, tok.sent_index, tok.tok_index))
+            i = j
+        sentences.append(out)
+    return _reindex(doc.doc_id, sentences)
+
+
+def group_segments_two_pass(doc: Document) -> Document:
+    sentences: list[list[Token]] = []
+    for sent in doc.sentences:
+        toks = list(sent)
+        out: list[Token] = []
+        i = 0
+        while i < len(toks):
+            tok = toks[i]
+            if tok.pos not in ENTITY_TAGS:
+                out.append(tok)
+                i += 1
+                continue
+            surface = tok.surface
+            j = i + 1
+            while j < len(toks):
+                if toks[j].pos == tok.pos:
+                    surface += toks[j].surface
+                    j += 1
+                elif (
+                    toks[j].surface == CONNECTOR
+                    and j + 1 < len(toks)
+                    and toks[j + 1].pos == tok.pos
+                ):
+                    surface += toks[j].surface + toks[j + 1].surface
+                    j += 2
+                else:
+                    break
+            out.append(Token(surface, tok.pos, tok.sent_index, tok.tok_index))
+            i = j
+        sentences.append(out)
+    return _reindex(doc.doc_id, sentences)

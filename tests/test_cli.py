@@ -264,6 +264,21 @@ class TestScore:
         assert stdout == ""
         assert err == f"error: response directory {missing} does not exist\n"
 
+    def test_missing_key_directory_fails(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        code, stdout, err = run(capsys, "score", str(DATA / "score_response"), str(missing))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: key directory {missing} does not exist\n"
+
+    def test_empty_key_directory_fails(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, stdout, err = run(capsys, "score", str(DATA / "score_response"), str(empty))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: no *.tmpl files in {empty}\n"
+
     def test_empty_response_directory_warns_and_scores(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

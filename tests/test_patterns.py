@@ -577,6 +577,74 @@ def literal_rows(s, rule):
     ]
 
 
+class TestLiteralRows:
+    """A literal's row is judged in one pass per sentence and shared with the
+    prefilter; both agree with the single-token judge."""
+
+    VOCAB = TestEnumerationProperties.VOCAB + ["業務提携", "提携解消"]
+    TAGS = TestEnumerationProperties.TAGS + ["person", "place", "NP"]
+
+    def test_rows_equal_oracle(self):
+        rng = random.Random(61)
+        modes = set()
+        for _ in range(300):
+            s = random_tokens(rng, self.VOCAB, self.TAGS)
+            rule = random_rule(rng, self.VOCAB, self.TAGS)
+            for el in rule.elements:
+                if el.kind is not ElementKind.LITERAL:
+                    continue
+                want = [
+                    literal_accepts(el.alternatives, el.mode, el.pos_tag, t.surface, t.pos)
+                    for t in s
+                ]
+                assert el.row(s) == want, (el, s)
+                modes.update((el.mode, el.pos_tag == "NP", v) for v in want)
+        text_modes = set()
+        for tag in ("NP", "VN", "noun"):
+            for mode in ("strict", "loose", ""):
+                (rule,) = parse_pattern_file(f"(L 1 提携|X社:{mode}:{tag})")
+                el = rule.elements[0]
+                for _ in range(30):
+                    s = random_tokens(rng, self.VOCAB, self.TAGS)
+                    assert el.row(s) == [
+                        literal_accepts(el.alternatives, mode or "strict", tag, t.surface, t.pos)
+                        for t in s
+                    ]
+                    text_modes.update((mode, tag, v) for v in el.row(s))
+        assert {(m, np, v) for m in ("strict", "loose") for np in (True, False)
+                for v in (True, False)} <= modes
+        assert {(m, "NP", True) for m in ("strict", "loose", "")} <= text_modes
+
+    def test_prefilter_with_and_without_shared_table(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            s = random_tokens(rng, self.VOCAB, self.TAGS)
+            rules = [random_rule(rng, self.VOCAB, self.TAGS) for _ in range(3)]
+            table = {}
+            for rule in rules:
+                el = rule.index_element
+                want = any(el.matches_token(t) for t in s)
+                assert index_prefilter(s, rule) == want
+                assert index_prefilter(s, rule, table) == want
+                assert table[el] == [el.matches_token(t) for t in s]
+            # A second round reads every verdict from the table.
+            assert [index_prefilter(s, r, table) for r in rules] == [
+                index_prefilter(s, r) for r in rules
+            ]
+
+    def test_prefilter_row_is_shared_with_the_rules(self):
+        rules = parse_pattern_file(
+            "(A 3 @CNAME_A は|が:strict:P 提携:loose:VN)\n(B 2 @X 提携:loose:VN)"
+        )
+        s = sent(("X社", "company"), ("は", "particle"), ("業務提携", "verbal-nominal"))
+        table = {}
+        assert index_prefilter(s, rules[0], table)
+        row = table[rules[0].index_element]
+        assert index_prefilter(s, rules[1], table)
+        assert table[rules[1].index_element] is row
+        assert len(table) == 1
+
+
 class TestLiveBranches:
     VOCAB = TestEnumerationProperties.VOCAB
     TAGS = TestEnumerationProperties.TAGS

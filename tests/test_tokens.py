@@ -16,6 +16,8 @@ from tieupkit.tokens import (
 )
 
 from conftest import load_doc
+from oracles import designator_by_scan, group_segments_two_pass, recognize_names_two_pass
+from test_fuzz_pipeline import random_doc
 
 
 def doc_of(*sentences):
@@ -197,3 +199,113 @@ class TestPipelineInvariants:
             for tok in out.tokens():
                 if (tok.surface, tok.pos) not in original:
                     assert tok.pos in {"company", "person", "place"}
+
+
+def with_indices_zero(doc):
+    """The same tokens, every one claiming position (0, 0)."""
+    return Document(
+        doc.doc_id,
+        tuple(tuple(Token(t.surface, t.pos) for t in sent) for sent in doc.sentences),
+    )
+
+
+def assert_indices_are_positions(doc):
+    for s, sent in enumerate(doc.sentences):
+        assert [(t.sent_index, t.tok_index) for t in sent] == [(s, t) for t in range(len(sent))]
+
+
+class TestSinglePass:
+    """Recognition and grouping give each token its final indices as they
+    emit it; the result equals the former rebuild-then-reindex passes."""
+
+    LEXICONS = [
+        COMPANY_LEX,
+        DesignatorLexicon({"社": "company", "氏": "person"}),
+        DesignatorLexicon({"社": "company", "株式会社": "company", "銀行": "company",
+                           "・": "place", "X": "person"}),
+    ]
+
+    def documents(self, seed):
+        rng = random.Random(seed)
+        docs = [random_doc(rng, f"fuzz{k}") for k in range(150)]
+        docs += list(random_docs(150, rng))
+        return docs + [with_indices_zero(doc) for doc in docs]
+
+    def test_equals_two_pass(self, resources):
+        stale = merged = 0
+        for lex in self.LEXICONS + [resources.designators]:
+            for doc in self.documents(23):
+                named = recognize_names(doc, lex)
+                assert named == recognize_names_two_pass(doc, lex)
+                assert_indices_are_positions(named)
+                grouped = group_segments(named)
+                assert grouped == group_segments_two_pass(named)
+                assert_indices_are_positions(grouped)
+                stale += any(
+                    (t.sent_index, t.tok_index) != (s, i)
+                    for s, sent in enumerate(doc.sentences)
+                    for i, t in enumerate(sent)
+                )
+                merged += len(list(grouped.tokens())) < len(list(doc.tokens()))
+        assert stale > 100 and merged > 100, (stale, merged)
+
+    def test_grouping_alone_equals_two_pass(self):
+        for doc in self.documents(29):
+            grouped = group_segments(doc)
+            assert grouped == group_segments_two_pass(doc)
+            assert_indices_are_positions(grouped)
+
+    def test_empty_lexicon_returns_document_unchanged(self):
+        lex = DesignatorLexicon({})
+        for doc in self.documents(31)[:20]:
+            assert recognize_names(doc, lex) is doc
+            assert recognize_names_two_pass(doc, lex) is doc
+
+    def test_tokens_already_in_place_are_reused(self):
+        doc = doc_of([("は", "particle"), ("メルク", "unknown"), ("社", "unknown"),
+                      ("と", "particle")])
+        out = group_segments(recognize_names(doc, COMPANY_LEX))
+        assert out.sentences[0][0] is doc.sentences[0][0]
+        assert out.sentences[0][2] == Token("と", "particle", 0, 2)
+
+
+class TestDesignatorLookup:
+    """Lookup by suffix length, longest first, equals the scan over every entry."""
+
+    ALPHABET = ["社", "会", "式", "株", "銀", "行", "氏", "X"]
+
+    def test_equals_linear_scan_on_random_lexicons(self):
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(400):
+            entries = {}
+            for _ in range(rng.randint(0, 6)):
+                designator = "".join(rng.choices(self.ALPHABET, k=rng.randint(1, 4)))
+                entries[designator] = rng.choice(["company", "person", "place"])
+            lex = DesignatorLexicon(entries)
+            longest = max(map(len, entries), default=0)
+            surfaces = ["".join(rng.choices(self.ALPHABET, k=rng.randint(1, 6)))
+                        for _ in range(20)]
+            surfaces += list(entries)
+            for surface in surfaces:
+                want = designator_by_scan(entries, surface)
+                assert lex.match(surface) == want, (entries, surface)
+                hits = [d for d in entries if surface.endswith(d)]
+                if not entries:
+                    seen.add("empty lexicon")
+                if len(hits) > 1:
+                    seen.add("nested designators")
+                if len(surface) < longest and want is not None:
+                    seen.add("surface shorter than the longest designator")
+                if surface in entries:
+                    seen.add("surface equals a designator")
+        assert len(seen) == 4, seen
+
+    def test_nested_designators_longest_wins(self):
+        lex = DesignatorLexicon({"社": "place", "株式会社": "company", "会社": "person"})
+        assert lex.match("日立株式会社") == "company"
+        assert lex.match("会社") == "person"
+        assert lex.match("社") == "place"
+        assert lex.match("株式") is None
+        assert DesignatorLexicon({}).match("社") is None
+        assert DesignatorLexicon({"": "company"}).match("社") is None

@@ -5,11 +5,16 @@ Adjacent noun-like tokens are concatenated at run time so a compound key
 word still matches after the segmenter split it apart; ``>`` / ``<`` anchors
 pin a key word to a run boundary so it cannot match inside a larger
 compound (>シリコン< matches the run シリコン but not 二酸化シリコン).
+
+Under every anchor form a key word is a substring of the run it matches, so
+a run holding no key word's first character is skipped without trying any;
+the lexicon keeps those characters in one set built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError
 from .tokens import (
@@ -33,6 +38,10 @@ class Keyword:
     anchor_begin: bool = False
     anchor_end: bool = False
 
+    def __post_init__(self):
+        if not self.text:
+            raise ValueError("empty keyword after stripping anchors")
+
     @classmethod
     def parse(cls, raw: str) -> "Keyword":
         begin = raw.startswith(">")
@@ -41,8 +50,6 @@ class Keyword:
         end = raw.endswith("<")
         if end:
             raw = raw[:-1]
-        if not raw:
-            raise ValueError("empty keyword after stripping anchors")
         return cls(raw, begin, end)
 
     def matches(self, run: str) -> bool:
@@ -66,6 +73,11 @@ class ConceptLexicon:
         names = [name for name, _ in self.entries]
         if len(names) != len(set(names)):
             raise ValueError("concept names must be unique")
+
+    @cached_property
+    def initials(self) -> frozenset[str]:
+        """First character of every key word."""
+        return frozenset(kw.text[0] for _, keywords in self.entries for kw in keywords)
 
 
 @dataclass(frozen=True)
@@ -112,16 +124,15 @@ def compound_runs(sentence: list[Token] | tuple[Token, ...]) -> list[tuple[str, 
     """
     runs: list[tuple[str, int, int]] = []
     i = 0
-    toks = list(sentence)
-    while i < len(toks):
-        if toks[i].pos in NOUN_LIKE:
+    while i < len(sentence):
+        if sentence[i].pos in NOUN_LIKE:
             j = i
-            while j < len(toks) and toks[j].pos in NOUN_LIKE:
+            while j < len(sentence) and sentence[j].pos in NOUN_LIKE:
                 j += 1
-            runs.append(("".join(t.surface for t in toks[i:j]), i, j - i))
+            runs.append(("".join(t.surface for t in sentence[i:j]), i, j - i))
             i = j
         else:
-            runs.append((toks[i].surface, i, 1))
+            runs.append((sentence[i].surface, i, 1))
             i += 1
     return runs
 
@@ -134,7 +145,10 @@ def find_concepts(
         return []
     sent_index = sentence[0].sent_index
     hits: list[ConceptHit] = []
+    initials = lex.initials
     for run, start, _count in compound_runs(sentence):
+        if initials.isdisjoint(run):
+            continue
         for name, keywords in lex.entries:
             for kw in keywords:
                 if kw.matches(run):

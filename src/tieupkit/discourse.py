@@ -49,16 +49,29 @@ class RegistryEntry:
 
 @dataclass
 class CompanyRegistry:
+    """Entries in text order, plus two indexes of the non-alias ones: the first
+    at each position, and each sentence's in order.  Entries join them when
+    passed to the constructor or added by ``_append_entry``; unification
+    rewrites only entity ids, so it leaves them valid."""
+
     entries: list[RegistryEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._at: dict[tuple[int, int], RegistryEntry] = {}
+        self._in_sentence: dict[int, list[RegistryEntry]] = {}
+        for e in self.entries:
+            self._index(e)
+
+    def _index(self, e: RegistryEntry) -> None:
+        if e.alias_of is None:
+            self._at.setdefault(e.position, e)
+            self._in_sentence.setdefault(e.position[0], []).append(e)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def entry_at(self, position: tuple[int, int]) -> RegistryEntry | None:
-        for e in self.entries:
-            if e.position == position and e.alias_of is None:
-                return e
-        return None
+        return self._at.get(position)
 
     def is_company_reference(self, entry: RegistryEntry) -> bool:
         """Company-tagged, or unified with an entry that is.
@@ -78,10 +91,8 @@ class CompanyRegistry:
     def companies_in_sentence(self, sent_index: int) -> list[RegistryEntry]:
         return [
             e
-            for e in self.entries
-            if e.alias_of is None
-            and e.position[0] == sent_index
-            and self.is_company_reference(e)
+            for e in self._in_sentence.get(sent_index, ())
+            if self.is_company_reference(e)
         ]
 
     def canonical_string(self, entity_id: int) -> str:
@@ -108,9 +119,9 @@ def _english_words(s: str) -> list[str]:
 
 def _append_entry(reg: CompanyRegistry, string: str, pos: str, position, alias_of=None):
     index = len(reg.entries) + 1
-    reg.entries.append(
-        RegistryEntry(index, string, pos, _is_english_word(string), index, position, alias_of)
-    )
+    entry = RegistryEntry(index, string, pos, _is_english_word(string), index, position, alias_of)
+    reg.entries.append(entry)
+    reg._index(entry)
 
 
 def build_registry(

@@ -18,7 +18,9 @@ Elements:
 
 The index field names one literal element; a rule is attempted on a sentence
 only when some token could satisfy that literal.  Each distinct literal,
-prefilter included, is judged on a sentence once, in one pass over its tokens.
+prefilter included, is judged on a sentence once, in one pass over its tokens;
+the sentence's literal table keys each row by the literal's cached
+(alternatives, mode, POS) tuple.
 Matching is exhaustive: every distinct assignment of elements to contiguous
 token spans is produced, and the selection step keeps one winner per concept
 group by, in order, most filled company-name variables, fewest consumed
@@ -71,6 +73,12 @@ class PatternElement:
     alternatives: tuple[str, ...] = ()
     mode: str = "strict"
     pos_tag: str = ""
+
+    @cached_property
+    def row_key(self) -> tuple:
+        """The literal's key in a sentence's literal table: everything its
+        row depends on, as a plain tuple that hashes without Python code."""
+        return (self.alternatives, self.mode, self.pos_tag)
 
     @cached_property
     def token_tags(self) -> frozenset[str]:
@@ -404,9 +412,10 @@ def _rule_matches(rule: PatternRule, rows, companies, sent_index: int, out: list
 
 def _row(table: dict, el: PatternElement, sentence) -> list[bool]:
     """``el``'s row, from ``table`` or built there on first use."""
-    row = table.get(el)
+    key = el.row_key
+    row = table.get(key)
     if row is None:
-        row = table[el] = el.row(sentence)
+        row = table[key] = el.row(sentence)
     return row
 
 
@@ -424,15 +433,15 @@ def match_sentence(
     """Every distinct assignment of every rule to the sentence.
 
     Each distinct literal is judged against each token once per sentence,
-    the prefilter's index literal included: rules with an equal literal share
-    its table row.
+    the prefilter's index literal included: rules whose literals have equal
+    alternatives, mode and POS tag share its table row.
     """
     sentence = list(sentence)
     sent_index = sentence[0].sent_index if sentence else 0
     companies = [0]
     for tok in sentence:
         companies.append(companies[-1] + (tok.pos == POS_COMPANY))
-    table: dict[PatternElement, list[bool]] = {}
+    table: dict[tuple, list[bool]] = {}
     matches: list[PatternMatch] = []
     for rule in rules:
         if use_prefilter and not index_prefilter(sentence, rule, table):

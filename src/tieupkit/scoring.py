@@ -118,22 +118,7 @@ _CLOSED_SLOTS = ("STATUS", "TYPE", "WARNING")
 
 def _fills(obj: EntityObject | TieUpObject) -> list[tuple[str, str]]:
     """Flatten an object into (slot, value) fills; refs use ENTITY:n form."""
-    if isinstance(obj, EntityObject):
-        fills = []
-        if obj.name:
-            fills.append(("NAME", obj.name))
-        fills.extend(("ALIASES", a) for a in obj.aliases)
-        if obj.entity_type:
-            fills.append(("TYPE", obj.entity_type))
-        return fills
-    fills = [("ENTITIES", f"ENTITY:{r}") for r in obj.entity_refs]
-    fills.extend(("JV-COMPANY", v) for v in obj.jv_company)
-    fills.extend(("ACTIVITY", v) for v in obj.activities)
-    if obj.status:
-        fills.append(("STATUS", obj.status))
-    if obj.warning:
-        fills.append(("WARNING", obj.warning))
-    return fills
+    return [(slot, v) for slot, values in _slot_values(obj, None).items() for v in values]
 
 
 def _normalize(value: str) -> str:
@@ -145,16 +130,23 @@ def _is_partial(a: str, b: str) -> bool:
     return a != b and (a in b or b in a)
 
 
-def _slot_values(obj, entity_map: dict[int, int] | None):
-    """slot -> list of comparable values, mapping response refs via alignment."""
-    out: dict[str, list[str]] = {}
-    for slot, value in _fills(obj):
-        if slot == "ENTITIES" and entity_map is not None:
-            ref = int(value.split(":")[1])
-            mapped = entity_map.get(ref)
-            value = f"ENTITY:{mapped}" if mapped is not None else f"unaligned:{ref}"
-        out.setdefault(slot, []).append(value)
-    return out
+def _slot_values(obj, entity_map: dict[int, int] | None) -> dict[str, list[str]]:
+    """slot -> list of comparable values, read off the object's fields; with
+    ``entity_map``, response refs are mapped through the entity alignment."""
+    if isinstance(obj, EntityObject):
+        slots = (("NAME", obj.name and [obj.name]), ("ALIASES", obj.aliases),
+                 ("TYPE", obj.entity_type and [obj.entity_type]))
+    else:
+        refs = obj.entity_refs
+        if entity_map is None:
+            ents = [f"ENTITY:{r}" for r in refs]
+        else:
+            ents = [f"ENTITY:{entity_map[r]}" if r in entity_map else f"unaligned:{r}"
+                    for r in refs]
+        slots = (("ENTITIES", ents), ("JV-COMPANY", obj.jv_company),
+                 ("ACTIVITY", obj.activities), ("STATUS", obj.status and [obj.status]),
+                 ("WARNING", obj.warning and [obj.warning]))
+    return {slot: list(values) for slot, values in slots if values}
 
 
 @dataclass(frozen=True)
@@ -390,9 +382,7 @@ class ScoreReport:
         return "\n".join(lines)
 
     def format_table(self) -> str:
-        header = f"{'DOC':<16}" + "".join(f"{name:>8}" for name in
-                                          ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "P&R"))
-        lines = [header]
+        lines = [_TABLE_HEADER]
         for doc in self.documents:
             lines.append(_format_row(doc.doc_id, doc.metrics))
         lines.append(_format_row("TOTAL", self.total_metrics))
@@ -401,6 +391,11 @@ class ScoreReport:
     def format(self) -> str:
         listing = self.format_listing()
         return (listing + "\n\n" if listing else "") + self.format_table()
+
+
+_TABLE_HEADER = f"{'DOC':<16}" + "".join(
+    f"{name:>8}" for name in ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "P&R")
+)
 
 
 def _format_row(label: str, metrics: Metrics) -> str:

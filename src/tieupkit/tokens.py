@@ -84,8 +84,15 @@ class DesignatorLexicon:
         """Distinct designator lengths, longest first."""
         return tuple(sorted({len(d) for d in self.entries if d}, reverse=True))
 
+    @cached_property
+    def finals(self) -> frozenset[str]:
+        """Last character of every designator."""
+        return frozenset(d[-1] for d in self.entries if d)
+
     def match(self, surface: str) -> str | None:
         """Type of the longest designator that ``surface`` ends with (or equals)."""
+        if surface[-1:] not in self.finals:
+            return None
         for n in self.lengths:
             if n <= len(surface):
                 etype = self.entries.get(surface[-n:])
@@ -123,10 +130,10 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
         if doc_id is None:
             if not stripped:
                 continue
-            if not stripped.startswith("#DOC"):
-                raise ParseError("expected '#DOC <id>' header", lineno, path)
             parts = stripped.split(None, 1)
-            if len(parts) != 2 or not parts[1].strip():
+            if parts[0] != "#DOC":
+                raise ParseError("expected '#DOC <id>' header", lineno, path)
+            if len(parts) != 2:
                 raise ParseError("missing document id after #DOC", lineno, path)
             doc_id = parts[1].strip()
             # The id names the document's output files, so it must be a
@@ -154,6 +161,9 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
             continue
         fields = line.split("\t")
         if len(fields) != 2:
+            if stripped.split(None, 1)[0] == "#DOC":
+                msg = f"document {doc_id!r} from line {doc_line} not terminated by #END"
+                raise ParseError(msg, lineno, path)
             raise ParseError(
                 f"expected 'surface<TAB>pos', got {len(fields)} field(s)", lineno, path
             )

@@ -8,7 +8,9 @@ implementations under test, apart from the per-pair count that
 from itertools import combinations
 
 from tieupkit.patterns import ElementKind, PatternMatch, PatternRule
+from tieupkit.concepts import ConceptHit, compound_runs
 from tieupkit.scoring import _pair_cor_count
+from tieupkit.templates import EntityObject
 from tieupkit.tokens import (
     _ANCHOR_ELIGIBLE,
     CONNECTOR,
@@ -190,6 +192,21 @@ def concept_hits_by_scan(sentence, lex) -> set[tuple[str, int]]:
             for name, keywords in lex.entries:
                 if any(kw.matches(run) for kw in keywords):
                     hits.add((name, start))
+    return hits
+
+
+def find_concepts_ungated(sentence, lex) -> list:
+    """The concept search's former loop: every key word tried on every run."""
+    if not sentence:
+        return []
+    sent_index = sentence[0].sent_index
+    hits = []
+    for run, start, _count in compound_runs(sentence):
+        for name, keywords in lex.entries:
+            for kw in keywords:
+                if kw.matches(run):
+                    hits.append(ConceptHit(name, sent_index, run, kw, start))
+                    break
     return hits
 
 
@@ -377,3 +394,56 @@ def group_segments_two_pass(doc: Document) -> Document:
             i = j
         sentences.append(out)
     return _reindex(doc.doc_id, sentences)
+
+
+def fills_by_fields(obj) -> list[tuple[str, str]]:
+    """The scorer's former ``_fills``: (slot, value) per fill, built field by
+    field; references in ``ENTITY:n`` form."""
+    if isinstance(obj, EntityObject):
+        fills = []
+        if obj.name:
+            fills.append(("NAME", obj.name))
+        fills.extend(("ALIASES", a) for a in obj.aliases)
+        if obj.entity_type:
+            fills.append(("TYPE", obj.entity_type))
+        return fills
+    fills = [("ENTITIES", f"ENTITY:{r}") for r in obj.entity_refs]
+    fills.extend(("JV-COMPANY", v) for v in obj.jv_company)
+    fills.extend(("ACTIVITY", v) for v in obj.activities)
+    if obj.status:
+        fills.append(("STATUS", obj.status))
+    if obj.warning:
+        fills.append(("WARNING", obj.warning))
+    return fills
+
+
+def slot_values_by_fills(obj, entity_map):
+    """The scorer's former slot table: the object's fills, each reference
+    parsed back out of its ``ENTITY:n`` form to be mapped."""
+    out = {}
+    for slot, value in fills_by_fields(obj):
+        if slot == "ENTITIES" and entity_map is not None:
+            ref = int(value.split(":")[1])
+            mapped = entity_map.get(ref)
+            value = f"ENTITY:{mapped}" if mapped is not None else f"unaligned:{ref}"
+        out.setdefault(slot, []).append(value)
+    return out
+
+
+def entry_at_by_scan(reg, position):
+    """The registry's former lookup: the first non-alias entry at ``position``."""
+    for e in reg.entries:
+        if e.position == position and e.alias_of is None:
+            return e
+    return None
+
+
+def companies_in_sentence_by_scan(reg, sent_index: int) -> list:
+    """Non-alias company references of one sentence, by a scan of every entry."""
+    return [
+        e
+        for e in reg.entries
+        if e.alias_of is None
+        and e.position[0] == sent_index
+        and reg.is_company_reference(e)
+    ]

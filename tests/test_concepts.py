@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tieupkit.concepts import (
+    Keyword,
     compound_runs,
     find_concepts,
     load_concept_lexicon,
@@ -10,7 +11,7 @@ from tieupkit.concepts import (
 from tieupkit.errors import ParseError
 from tieupkit.tokens import Token
 
-from oracles import concept_hits_by_scan
+from oracles import concept_hits_by_scan, find_concepts_ungated
 
 
 def sent(*pairs):
@@ -160,3 +161,59 @@ class TestProperties:
                     assert h.matched_run.startswith(h.keyword.text)
                 if h.keyword.anchor_end:
                     assert h.matched_run.endswith(h.keyword.text)
+
+
+class TestInitialGate:
+    """Skipping runs that hold no key word's first character changes no hit."""
+
+    ALPHABET = "提携解消販売シ"
+    TAGS = ["noun", "verbal-nominal", "company", "particle", "punct"]
+
+    def random_lexicon(self, rng):
+        lines = []
+        for i in range(rng.randint(1, 4)):
+            words = []
+            for _ in range(rng.randint(1, 3)):
+                text = "".join(rng.choices(self.ALPHABET[:4], k=rng.randint(1, 3)))
+                words.append(rng.choice(["", ">"]) + text + rng.choice(["", "<"]))
+            lines.append(f"(C{i} {' '.join(words)})")
+        return load_concept_lexicon("\n".join(lines))
+
+    def random_sentence(self, rng):
+        return sent(*[
+            ("".join(rng.choices(self.ALPHABET, k=rng.randint(1, 3))), rng.choice(self.TAGS))
+            for _ in range(rng.randint(0, 8))
+        ])
+
+    def test_equals_ungated_loop(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(600):
+            lex = self.random_lexicon(rng)
+            s = self.random_sentence(rng)
+            got = find_concepts(s, lex)
+            want = find_concepts_ungated(s, lex)
+            assert got == want, (lex, s)
+            firsts = [kw.text[0] for _, kws in lex.entries for kw in kws]
+            if len(firsts) > len(set(firsts)):
+                seen.add("key words sharing an initial")
+            seen.update((h.keyword.anchor_begin, h.keyword.anchor_end) for h in got)
+            hit_runs = {h.run_start for h in got}
+            for run, start, _count in compound_runs(s):
+                if lex.initials.isdisjoint(run):
+                    seen.add("run skipped")
+                elif start not in hit_runs:
+                    seen.add("run with an initial but no key word")
+        assert seen == {
+            "key words sharing an initial", "run skipped", "run with an initial but no key word",
+            (False, False), (True, False), (False, True), (True, True),
+        }
+
+    def test_initials_are_every_first_character(self):
+        lex = load_concept_lexicon("(A >提携< 解消)\n(B 提案<)")
+        assert lex.initials == {"提", "解"}
+        assert load_concept_lexicon("").initials == frozenset()
+        assert find_concepts(sent(("提携", "noun")), load_concept_lexicon("")) == []
+        # The gate reads every key word's first character, so none is empty.
+        with pytest.raises(ValueError):
+            Keyword("")

@@ -15,7 +15,7 @@ from tieupkit.pipeline import extract_document
 from tieupkit.tokens import Document, Token
 
 from conftest import load_doc
-from oracles import lcs_by_enumeration
+from oracles import companies_in_sentence_by_scan, entry_at_by_scan, lcs_by_enumeration
 
 
 def registry_from(*items):
@@ -130,6 +130,60 @@ class TestUnification:
                     # Either the plain containment branch or, for an
                     # English-word source, exact equality.
                     assert common == len(e.string)
+
+
+class TestRegistryIndexes:
+    """Position and sentence lookups equal scans over every entry, before and
+    after unification rewrites the entity ids."""
+
+    NAMES = ["日立製作所", "日立", "メルク社", "Merck社", "IBM Japan", "IBM", "ソニー", "ソ",
+             "新日本製鉄", "新日鉄", "NTT", "日本電信電話 (NTT)"]
+    TAGS = ["company", "company", "unknown", "person", "place"]
+
+    def random_registry(self, rng):
+        surfaces = []
+        for _ in range(rng.randint(0, 14)):
+            # Positions may repeat: the first non-alias entry there wins.
+            position = (rng.randrange(4), rng.randrange(5))
+            surfaces.append((rng.choice(self.NAMES), rng.choice(self.TAGS), position))
+        return build_registry(surfaces=surfaces)
+
+    def assert_lookups_equal_scans(self, reg):
+        for s in range(5):
+            assert reg.companies_in_sentence(s) == companies_in_sentence_by_scan(reg, s)
+            for t in range(6):
+                want = entry_at_by_scan(reg, (s, t))
+                assert reg.entry_at((s, t)) is want
+                if want is None or not reg.is_company_reference(want):
+                    assert reg.company_entry_at((s, t)) is None
+                else:
+                    assert reg.company_entry_at((s, t)) is want
+
+    def test_equal_to_scans(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(400):
+            reg = self.random_registry(rng)
+            self.assert_lookups_equal_scans(reg)
+            before = [reg.is_company_reference(e) for e in reg.entries]
+            unify_company_references(reg)
+            self.assert_lookups_equal_scans(reg)
+            if before != [reg.is_company_reference(e) for e in reg.entries]:
+                seen.add("unification made a company reference")
+            for e in reg.entries:
+                if e.alias_of is not None:
+                    seen.add("alias at its parent's position")
+                elif entry_at_by_scan(reg, e.position) is not e:
+                    seen.add("a later entry at a taken position")
+        assert len(seen) == 3, seen
+
+    def test_constructed_registry_is_indexed(self):
+        built = registry_from(("メルク社", "company", (0, 1)), ("Merck社", "company", (1, 0)))
+        reg = type(built)(list(built.entries))
+        assert reg == built
+        assert reg.entry_at((1, 0)) is built.entries[1]
+        assert reg.entry_at((1, 1)) is None
+        assert reg.companies_in_sentence(1) == [built.entries[1]]
 
 
 def doc_of(*sentences):

@@ -626,7 +626,7 @@ class TestLiteralRows:
                 want = any(el.matches_token(t) for t in s)
                 assert index_prefilter(s, rule) == want
                 assert index_prefilter(s, rule, table) == want
-                assert table[el] == [el.matches_token(t) for t in s]
+                assert table[el.row_key] == [el.matches_token(t) for t in s]
             # A second round reads every verdict from the table.
             assert [index_prefilter(s, r, table) for r in rules] == [
                 index_prefilter(s, r) for r in rules
@@ -639,10 +639,23 @@ class TestLiteralRows:
         s = sent(("X社", "company"), ("は", "particle"), ("業務提携", "verbal-nominal"))
         table = {}
         assert index_prefilter(s, rules[0], table)
-        row = table[rules[0].index_element]
+        row = table[rules[0].index_element.row_key]
         assert index_prefilter(s, rules[1], table)
-        assert table[rules[1].index_element] is row
+        assert table[rules[1].index_element.row_key] is row
         assert len(table) == 1
+
+    def test_literals_differing_in_mode_or_tag_keep_their_own_rows(self):
+        rules = parse_pattern_file(
+            "(S 1 提携:strict:VN)\n(L 1 提携:loose:VN)\n(N 1 提携:loose:N)\n(P 1 提携::VN)"
+        )
+        s = sent(("業務提携", "verbal-nominal"), ("提携", "verbal-nominal"))
+        table = {}
+        assert [index_prefilter(s, r, table) for r in rules] == [True, True, False, True]
+        assert [table[r.index_element.row_key] for r in rules] == [
+            [False, True], [True, True], [False, False], [False, True]
+        ]
+        assert len(table) == 3
+        assert {m.rule_name for m in match_sentence(s, rules)} == {"S", "L", "P"}
 
 
 class TestLiveBranches:

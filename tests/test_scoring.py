@@ -4,6 +4,7 @@ from fractions import Fraction
 from tieupkit.scoring import (
     ScoreCounts,
     _align_type,
+    _fills,
     _slot_values,
     align_and_count,
     compute_metrics,
@@ -12,7 +13,7 @@ from tieupkit.scoring import (
 )
 from tieupkit.templates import EntityObject, TemplateGraph, TieUpObject, parse_templates
 
-from oracles import align_by_sorting, exhaustive_align_cor
+from oracles import align_by_sorting, exhaustive_align_cor, fills_by_fields, slot_values_by_fills
 from test_templates import SAMPLE, random_graph
 
 
@@ -291,6 +292,30 @@ class TestIndexedAlignment:
             response = perturb(response, rng)
         response = shuffle_objects(renumber_entities(response, rng), rng)
         self.assert_same_pairs(response, key)
+
+
+class TestSlotTables:
+    """Slot tables read from the object fields equal those parsed back out of
+    the flattened fills, and flattening them gives those fills."""
+
+    def test_equal_to_tables_from_fills(self):
+        rng = random.Random(151)
+        graphs = [random_graph(rng) for _ in range(300)]
+        graphs += [wide_graph(rng, 8, 6, shared=rng.random() < 0.5) for _ in range(30)]
+        graphs.append(SAMPLE)
+        graphs.append(TemplateGraph("d", (TieUpObject(1, ()),), (EntityObject(1, ""),)))
+        seen = set()
+        for g in graphs:
+            ids = [e.object_id for e in g.entities]
+            entity_map = {i: rng.randint(1, 9) for i in ids if rng.random() < 0.6}
+            for obj in g.entities + g.tieups:
+                assert _fills(obj) == fills_by_fields(obj)
+                for mapping in (None, {}, entity_map):
+                    got = _slot_values(obj, mapping)
+                    assert got == slot_values_by_fills(obj, mapping), (obj, mapping)
+                    assert list(got) == list(slot_values_by_fills(obj, mapping))
+                    seen.update(v.split(":")[0] for v in got.get("ENTITIES", ()))
+        assert seen == {"ENTITY", "unaligned"}
 
 
 def wide_graph(rng, n_entities: int, n_tieups: int, shared: bool) -> TemplateGraph:

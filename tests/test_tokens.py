@@ -54,6 +54,23 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_token_file("#DOC d1\nX社\tcompany\n")
 
+    def test_header_word_must_be_exactly_doc(self):
+        with pytest.raises(ParseError, match="expected '#DOC <id>' header") as err:
+            parse_token_file("#DOCX a\nX\tnoun\n#END\n")
+        assert err.value.line == 1
+        with pytest.raises(ParseError, match="missing document id"):
+            parse_token_file("#DOC\nX\tnoun\n#END\n")
+        assert parse_token_file("#DOC\ta\nX\tnoun\n#END\n")[0].doc_id == "a"
+
+    def test_doc_header_inside_open_document_names_it(self):
+        with pytest.raises(ParseError, match="document 'a' from line 2 not terminated by #END") as err:
+            parse_token_file("\n#DOC a\nx\tnoun\n#DOC b\ny\tnoun\n#END\n")
+        assert err.value.line == 4
+
+    def test_doc_token_line_stays_a_token(self):
+        (doc,) = parse_token_file("#DOC a\n#DOC\tnoun\n#END\n")
+        assert [(t.surface, t.pos) for t in doc.sentences[0]] == [("#DOC", "noun")]
+
     def test_worked_passage_has_two_sentences(self):
         doc = load_doc("tanabe_merck")
         assert len(doc.sentences) == 2
@@ -299,7 +316,9 @@ class TestDesignatorLookup:
                     seen.add("surface shorter than the longest designator")
                 if surface in entries:
                     seen.add("surface equals a designator")
-        assert len(seen) == 4, seen
+                if entries and not any(d[-1] == surface[-1] for d in entries):
+                    seen.add("last character is no designator's")
+        assert len(seen) == 5, seen
 
     def test_nested_designators_longest_wins(self):
         lex = DesignatorLexicon({"社": "place", "株式会社": "company", "会社": "person"})

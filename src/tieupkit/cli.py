@@ -21,7 +21,7 @@ from . import discourse as disc
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
 from .config import discourse_config_from, read_kv_config
-from .errors import TieupkitError
+from .errors import ParseError, TieupkitError
 from .pipeline import (
     ExtractionResources,
     ExtractionResult,
@@ -52,10 +52,21 @@ def _packaged(name: str) -> str:
     return (importlib_resources.files("tieupkit.data") / name).read_text("utf-8")
 
 
+def _read_text(path: Path) -> str:
+    """A user file's text; a byte that is not UTF-8 is a ParseError at its line."""
+    data = path.read_bytes()
+    try:
+        # Every reader splits with str.splitlines, so newlines need no translating.
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, str(path)) from None
+
+
 def _read(path: Path | None, default_name: str) -> tuple[str, str]:
     if path is None:
         return _packaged(default_name), f"<packaged {default_name}>"
-    return path.read_text("utf-8"), str(path)
+    return _read_text(path), str(path)
 
 
 def load_resources(config: RunConfig | None = None) -> ExtractionResources:
@@ -124,71 +135,53 @@ def _dump_text(result: ExtractionResult, stage: str) -> str:
 
 
 def run_extract(config: RunConfig) -> int:
-    try:
-        resources = load_resources(config)
-        docs = []
-        for path in _corpus_files(config.corpus):
-            docs.extend(tokens_mod.parse_token_file(path.read_text("utf-8"), str(path)))
-        seen_ids = set()
-        for doc in docs:
-            if doc.doc_id in seen_ids:
-                raise TieupkitError(f"duplicate document id {doc.doc_id!r} in corpus")
-            seen_ids.add(doc.doc_id)
-    except (TieupkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    resources = load_resources(config)
+    docs = []
+    for path in _corpus_files(config.corpus):
+        docs.extend(tokens_mod.parse_token_file(_read_text(path), str(path)))
+    seen_ids = set()
+    for doc in docs:
+        if doc.doc_id in seen_ids:
+            raise TieupkitError(f"duplicate document id {doc.doc_id!r} in corpus")
+        seen_ids.add(doc.doc_id)
 
     config.out.mkdir(parents=True, exist_ok=True)
     extract = extract_document_no_discourse if config.no_discourse else extract_document
-    try:
-        for doc in docs:
-            result = extract(doc, resources)
-            _atomic_write(config.out / f"{doc.doc_id}.tmpl",
-                          serialize_templates(result.graph))
-            for stage in config.dump:
-                _atomic_write(config.out / f"{doc.doc_id}.{stage}.txt",
-                              _dump_text(result, stage))
-    except (TieupkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for doc in docs:
+        result = extract(doc, resources)
+        _atomic_write(config.out / f"{doc.doc_id}.tmpl", serialize_templates(result.graph))
+        for stage in config.dump:
+            _atomic_write(config.out / f"{doc.doc_id}.{stage}.txt", _dump_text(result, stage))
     return 0
 
 
 def run_score(response_dir: Path, key_dir: Path) -> int:
-    try:
-        if not response_dir.is_dir():
-            raise TieupkitError(f"response directory {response_dir} does not exist")
-        if not key_dir.is_dir():
-            raise TieupkitError(f"key directory {key_dir} does not exist")
-        key_files = sorted(key_dir.glob("*.tmpl"))
-        if not key_files:
-            raise TieupkitError(f"no *.tmpl files in {key_dir}")
-        pairs = []
-        for key_path in key_files:
-            doc_id = key_path.stem
-            key_graph = parse_templates(key_path.read_text("utf-8"), doc_id, str(key_path))
-            resp_path = response_dir / key_path.name
-            if resp_path.exists():
-                resp_graph = parse_templates(
-                    resp_path.read_text("utf-8"), doc_id, str(resp_path)
-                )
-            else:
-                print(f"warning: no response for {doc_id}; counting all fills missing",
-                      file=sys.stderr)
-                resp_graph = parse_templates("", doc_id)
-            pairs.append((doc_id, resp_graph, key_graph))
-        for resp_path in sorted(response_dir.glob("*.tmpl")):
-            if not (key_dir / resp_path.name).exists():
-                doc_id = resp_path.stem
-                print(f"warning: response {doc_id} has no answer key; counting all "
-                      f"fills spurious", file=sys.stderr)
-                resp_graph = parse_templates(
-                    resp_path.read_text("utf-8"), doc_id, str(resp_path)
-                )
-                pairs.append((doc_id, resp_graph, parse_templates("", doc_id)))
-    except (TieupkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if not response_dir.is_dir():
+        raise TieupkitError(f"response directory {response_dir} does not exist")
+    if not key_dir.is_dir():
+        raise TieupkitError(f"key directory {key_dir} does not exist")
+    key_files = sorted(key_dir.glob("*.tmpl"))
+    if not key_files:
+        raise TieupkitError(f"no *.tmpl files in {key_dir}")
+    pairs = []
+    for key_path in key_files:
+        doc_id = key_path.stem
+        key_graph = parse_templates(_read_text(key_path), doc_id, str(key_path))
+        resp_path = response_dir / key_path.name
+        if resp_path.exists():
+            resp_graph = parse_templates(_read_text(resp_path), doc_id, str(resp_path))
+        else:
+            print(f"warning: no response for {doc_id}; counting all fills missing",
+                  file=sys.stderr)
+            resp_graph = parse_templates("", doc_id)
+        pairs.append((doc_id, resp_graph, key_graph))
+    for resp_path in sorted(response_dir.glob("*.tmpl")):
+        if not (key_dir / resp_path.name).exists():
+            doc_id = resp_path.stem
+            print(f"warning: response {doc_id} has no answer key; counting all "
+                  f"fills spurious", file=sys.stderr)
+            resp_graph = parse_templates(_read_text(resp_path), doc_id, str(resp_path))
+            pairs.append((doc_id, resp_graph, parse_templates("", doc_id)))
 
     report = score_documents(pairs)
     print(report.format())
@@ -198,7 +191,7 @@ def run_score(response_dir: Path, key_dir: Path) -> int:
 def _build_run_config(args) -> RunConfig:
     file_values: dict[str, str] = {}
     if args.config:
-        file_values = read_kv_config(Path(args.config).read_text("utf-8"), args.config)
+        file_values = read_kv_config(_read_text(Path(args.config)), args.config)
 
     def pick(name: str, flag_value):
         if flag_value not in (None, [], False):
@@ -267,14 +260,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "extract":
-        try:
+    config = None
+    try:
+        if args.command == "extract":
             config = _build_run_config(args)
-        except (TieupkitError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return run_extract(config)
-    return run_score(args.response_dir, args.key_dir)
+            return run_extract(config)
+        return run_score(args.response_dir, args.key_dir)
+    except (TieupkitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # 2 for a configuration that could not be built, 1 for any other fault.
+        return 2 if args.command == "extract" and config is None else 1
 
 
 if __name__ == "__main__":

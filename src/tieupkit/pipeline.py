@@ -10,7 +10,6 @@ template generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from . import concepts as concepts_mod
 from . import discourse as disc
@@ -35,11 +34,6 @@ class ExtractionResources:
 
     def concept_label(self, group: str) -> str:
         return self.concept_map.get(group, group)
-
-    @cached_property
-    def index_positions(self) -> dict[str, int]:
-        """Rule name -> span position of its index field (names are unique)."""
-        return {rule.name: rule.index_field - 1 for rule in self.rules}
 
 
 @dataclass
@@ -87,13 +81,14 @@ def _match_instances(doc, winners, reg, resources) -> list[disc.ConceptInstance]
     the companies named in the ``@CNAME`` spans."""
     instances = []
     for m in winners:
-        sentence = doc.sentences[m.sent_index]
+        sentence, rule = doc.sentences[m.sent_index], m.rule
         label = resources.concept_label(m.group)
         partner_ids: set[int] = set()
         bindings: dict[str, str] = {}
-        for name, span in m.bindings.items():
-            if not name.startswith(patterns_mod.CNAME_PREFIX):
+        for i, name in rule.variables:
+            if not rule.is_cname[i]:
                 continue
+            span = m.spans[i]
             bindings[name] = "".join(t.surface for t in sentence[span[0] : span[1]])
             partner_ids.update(_span_company_ids(sentence, span, reg))
             if "_CREATED" in name:
@@ -101,7 +96,7 @@ def _match_instances(doc, winners, reg, resources) -> list[disc.ConceptInstance]
                 if created:
                     bindings["created"] = created
         if label == "ECONOMIC-ACTIVITY":
-            lo, hi = m.spans[resources.index_positions[m.rule_name]]
+            lo, hi = m.spans[rule.index_field - 1]
             bindings["activity"] = "".join(t.surface for t in sentence[lo:hi])
         instances.append(
             disc.ConceptInstance(
@@ -126,9 +121,10 @@ def _with_pronoun_subjects(
     for m, inst in zip(winners, instances):
         s = m.sent_index
         subject_ids = set(inst.partner_ids)
-        for name, (lo, hi) in m.bindings.items():
-            if not name.startswith(patterns_mod.CNAME_PREFIX):
+        for i, _ in m.rule.variables:
+            if not m.rule.is_cname[i]:
                 continue
+            lo, hi = m.spans[i]
             for t in range(lo, hi):
                 referents = pronoun_refs.get((s, t))
                 if referents is not None and reg.company_entry_at((s, t)) is None:

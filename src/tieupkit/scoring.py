@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .templates import EntityObject, TemplateGraph, TieUpObject
+from .templates import LAYOUT, EntityObject, TemplateGraph, TieUpObject
 
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
@@ -133,20 +133,17 @@ def _is_partial(a: str, b: str) -> bool:
 def _slot_values(obj, entity_map: dict[int, int] | None) -> dict[str, list[str]]:
     """slot -> list of comparable values, read off the object's fields; with
     ``entity_map``, response refs are mapped through the entity alignment."""
-    if isinstance(obj, EntityObject):
-        slots = (("NAME", obj.name and [obj.name]), ("ALIASES", obj.aliases),
-                 ("TYPE", obj.entity_type and [obj.entity_type]))
-    else:
-        refs = obj.entity_refs
-        if entity_map is None:
-            ents = [f"ENTITY:{r}" for r in refs]
-        else:
-            ents = [f"ENTITY:{entity_map[r]}" if r in entity_map else f"unaligned:{r}"
-                    for r in refs]
-        slots = (("ENTITIES", ents), ("JV-COMPANY", obj.jv_company),
-                 ("ACTIVITY", obj.activities), ("STATUS", obj.status and [obj.status]),
-                 ("WARNING", obj.warning and [obj.warning]))
-    return {slot: list(values) for slot, values in slots if values}
+    out = {}
+    for slot, (attr, multi) in LAYOUT[type(obj)][1].items():
+        value = getattr(obj, attr)
+        if slot == "ENTITIES" and entity_map is not None:
+            value = [f"ENTITY:{entity_map[r]}" if r in entity_map else f"unaligned:{r}"
+                     for r in value]
+        elif slot == "ENTITIES":
+            value = [f"ENTITY:{r}" for r in value]
+        if value:
+            out[slot] = list(value) if multi else [value]
+    return out
 
 
 @dataclass(frozen=True)

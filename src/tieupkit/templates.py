@@ -31,14 +31,6 @@ STATUS_DISSOLVED = "DISSOLVED"
 
 WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 
-# Slots whose values split on whitespace; all others take the rest of the line
-# and may appear once per object.
-_MULTI_VALUED = {"ENTITIES", "ALIASES", "ACTIVITY", "JV-COMPANY"}
-_SLOTS = {
-    "TIE_UP": {"ENTITIES", "JV-COMPANY", "ACTIVITY", "STATUS", "WARNING"},
-    "ENTITY": {"NAME", "ALIASES", "TYPE"},
-}
-
 _HEADER_RE = re.compile(r"^<([A-Z_]+)-(\d+)>\s*:=\s*$")
 _REF_RE = re.compile(r"^<([A-Z_]+)-(\d+)>$")
 
@@ -46,7 +38,7 @@ _REF_RE = re.compile(r"^<([A-Z_]+)-(\d+)>$")
 @dataclass(frozen=True)
 class EntityObject:
     object_id: int
-    name: str  # earliest surface of the coreference class
+    name: str = ""  # earliest surface of the coreference class
     aliases: tuple[str, ...] = ()
     entity_type: str | None = None
 
@@ -54,7 +46,7 @@ class EntityObject:
 @dataclass(frozen=True)
 class TieUpObject:
     object_id: int
-    entity_refs: tuple[int, ...]
+    entity_refs: tuple[int, ...] = ()
     jv_company: tuple[str, ...] = ()
     activities: tuple[str, ...] = ()
     status: str | None = None
@@ -66,6 +58,27 @@ class TemplateGraph:
     doc_id: str
     tieups: tuple[TieUpObject, ...] = ()
     entities: tuple[EntityObject, ...] = ()
+
+
+# The one statement of the block layout, read by the writer, the parser and
+# the scorer: per object class, its header type and, in output order, each
+# slot's object field and whether it is multi-valued (a tuple, written
+# space-separated; other slots hold one string and may appear once).
+LAYOUT = {
+    TieUpObject: ("TIE_UP", {
+        "ENTITIES": ("entity_refs", True),  # entity numbers, as <ENTITY-n>
+        "JV-COMPANY": ("jv_company", True),
+        "ACTIVITY": ("activities", True),
+        "STATUS": ("status", False),
+        "WARNING": ("warning", False),
+    }),
+    EntityObject: ("ENTITY", {
+        "NAME": ("name", False),
+        "ALIASES": ("aliases", True),
+        "TYPE": ("entity_type", False),
+    }),
+}
+_BY_TYPE = {kind: (cls, slots) for cls, (kind, slots) in LAYOUT.items()}
 
 
 def generate_templates(
@@ -134,31 +147,20 @@ def generate_templates(
 def serialize_templates(graph: TemplateGraph) -> str:
     """Deterministic block text; refuses graphs with dangling references."""
     entity_ids = {e.object_id for e in graph.entities}
-    blocks: list[str] = []
     for t in graph.tieups:
         for ref in t.entity_refs:
             if ref not in entity_ids:
                 raise DanglingReferenceError(f"<ENTITY-{ref}>")
-        lines = [f"<TIE_UP-{t.object_id}> :="]
-        if t.entity_refs:
-            lines.append("  ENTITIES: " + " ".join(f"<ENTITY-{r}>" for r in t.entity_refs))
-        if t.jv_company:
-            lines.append("  JV-COMPANY: " + " ".join(t.jv_company))
-        if t.activities:
-            lines.append("  ACTIVITY: " + " ".join(t.activities))
-        if t.status:
-            lines.append(f"  STATUS: {t.status}")
-        if t.warning:
-            lines.append(f"  WARNING: {t.warning}")
-        blocks.append("\n".join(lines))
-    for e in graph.entities:
-        lines = [f"<ENTITY-{e.object_id}> :="]
-        if e.name:
-            lines.append(f"  NAME: {e.name}")
-        if e.aliases:
-            lines.append("  ALIASES: " + " ".join(e.aliases))
-        if e.entity_type:
-            lines.append(f"  TYPE: {e.entity_type}")
+    blocks: list[str] = []
+    for obj in (*graph.tieups, *graph.entities):
+        kind, slots = LAYOUT[type(obj)]
+        lines = [f"<{kind}-{obj.object_id}> :="]
+        for slot, (attr, multi) in slots.items():
+            value = getattr(obj, attr)
+            if value:
+                if slot == "ENTITIES":
+                    value = [f"<ENTITY-{r}>" for r in value]
+                lines.append(f"  {slot}: " + (" ".join(value) if multi else value))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
@@ -169,8 +171,9 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
     Every ENTITIES reference must name an entity the text defines, once per
     tie-up.
     """
-    objects: list[tuple[str, int, dict[str, list]]] = []
-    current: tuple[str, int, dict[str, list]] | None = None
+    # (type, number, object field -> value), in file order.
+    objects: list[tuple[str, int, dict[str, object]]] = []
+    current: tuple[str, int, dict[str, object]] | None = None
     seen_headers: set[tuple[str, int]] = set()
     references: list[tuple[int, int]] = []  # (entity number, line), in file order
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -179,7 +182,7 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         header = _HEADER_RE.match(line.strip())
         if header:
             kind_id = (header.group(1), int(header.group(2)))
-            if kind_id[0] not in _SLOTS:
+            if kind_id[0] not in _BY_TYPE:
                 raise ParseError(f"unknown object type {kind_id[0]!r}", lineno, path)
             if kind_id in seen_headers:
                 raise ParseError(
@@ -188,6 +191,7 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
             seen_headers.add(kind_id)
             current = (*kind_id, {})
             objects.append(current)
+            known = _BY_TYPE[kind_id[0]][1]
             continue
         if current is None:
             raise ParseError("slot line before any object header", lineno, path)
@@ -198,13 +202,14 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         value = value.strip()
         if not value:
             raise ParseError(f"slot {slot} has no value", lineno, path)
-        if slot not in _SLOTS[current[0]]:
+        if slot not in known:
             raise ParseError(f"unknown {current[0]} slot {slot}", lineno, path)
-        if slot not in _MULTI_VALUED and slot in current[2]:
+        attr, multi = known[slot]
+        if not multi and attr in current[2]:
             raise ParseError(f"slot {slot} given twice", lineno, path)
-        values = value.split() if slot in _MULTI_VALUED else [value]
+        values = value.split() if multi else [value]
         if slot == "ENTITIES":
-            refs = current[2].setdefault(slot, [])
+            refs = list(current[2].get(attr, ()))
             for ref in values:
                 m = _REF_RE.match(ref)
                 if not m or m.group(1) != "ENTITY":
@@ -216,35 +221,17 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
                     )
                 refs.append(number)
                 references.append((number, lineno))
+            current[2][attr] = tuple(refs)
             continue
-        current[2].setdefault(slot, []).extend(values)
+        current[2][attr] = current[2].get(attr, ()) + tuple(values) if multi else value
 
     defined = {object_id for kind, object_id, _ in objects if kind == "ENTITY"}
     for number, lineno in references:
         if number not in defined:
             raise ParseError(f"reference to undefined <ENTITY-{number}>", lineno, path)
 
-    tieups = []
-    entities = []
-    for kind, object_id, slots in objects:
-        if kind == "TIE_UP":
-            tieups.append(
-                TieUpObject(
-                    object_id=object_id,
-                    entity_refs=tuple(slots.get("ENTITIES", [])),
-                    jv_company=tuple(slots.get("JV-COMPANY", [])),
-                    activities=tuple(slots.get("ACTIVITY", [])),
-                    status=slots.get("STATUS", [None])[0],
-                    warning=slots.get("WARNING", [None])[0],
-                )
-            )
-        else:
-            entities.append(
-                EntityObject(
-                    object_id=object_id,
-                    name=slots.get("NAME", [""])[0],
-                    aliases=tuple(slots.get("ALIASES", [])),
-                    entity_type=slots.get("TYPE", [None])[0],
-                )
-            )
-    return TemplateGraph(doc_id, tuple(tieups), tuple(entities))
+    built: dict[type, list] = {cls: [] for cls in LAYOUT}
+    for kind, object_id, fields in objects:
+        cls = _BY_TYPE[kind][0]
+        built[cls].append(cls(object_id, **fields))
+    return TemplateGraph(doc_id, tuple(built[TieUpObject]), tuple(built[EntityObject]))

@@ -137,8 +137,8 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
                 raise ParseError("missing document id after #DOC", lineno, path)
             doc_id = parts[1].strip()
             # The id names the document's output files, so it must be a
-            # plain file name that stays inside the output directory.
-            if doc_id in (".", "..") or "/" in doc_id or "\\" in doc_id:
+            # plain file name, one the OS accepts, inside the output directory.
+            if doc_id in (".", "..") or any(c in doc_id for c in "/\\\0"):
                 raise ParseError(
                     f"document id {doc_id!r} is not a plain file name", lineno, path
                 )

@@ -10,7 +10,8 @@ from itertools import combinations
 from tieupkit.patterns import ElementKind, PatternMatch, PatternRule
 from tieupkit.concepts import ConceptHit, compound_runs
 from tieupkit.scoring import _pair_cor_count
-from tieupkit.templates import EntityObject
+from tieupkit.errors import DanglingReferenceError
+from tieupkit.templates import EntityObject, TemplateGraph, TieUpObject
 from tieupkit.tokens import (
     _ANCHOR_ELIGIBLE,
     CONNECTOR,
@@ -447,3 +448,85 @@ def companies_in_sentence_by_scan(reg, sent_index: int) -> list:
         and e.position[0] == sent_index
         and reg.is_company_reference(e)
     ]
+
+
+def serialize_templates_by_fields(graph: TemplateGraph) -> str:
+    """The former writer: every slot written out by hand, field by field."""
+    entity_ids = {e.object_id for e in graph.entities}
+    blocks: list[str] = []
+    for t in graph.tieups:
+        for ref in t.entity_refs:
+            if ref not in entity_ids:
+                raise DanglingReferenceError(f"<ENTITY-{ref}>")
+        lines = [f"<TIE_UP-{t.object_id}> :="]
+        if t.entity_refs:
+            lines.append("  ENTITIES: " + " ".join(f"<ENTITY-{r}>" for r in t.entity_refs))
+        if t.jv_company:
+            lines.append("  JV-COMPANY: " + " ".join(t.jv_company))
+        if t.activities:
+            lines.append("  ACTIVITY: " + " ".join(t.activities))
+        if t.status:
+            lines.append(f"  STATUS: {t.status}")
+        if t.warning:
+            lines.append(f"  WARNING: {t.warning}")
+        blocks.append("\n".join(lines))
+    for e in graph.entities:
+        lines = [f"<ENTITY-{e.object_id}> :="]
+        if e.name:
+            lines.append(f"  NAME: {e.name}")
+        if e.aliases:
+            lines.append("  ALIASES: " + " ".join(e.aliases))
+        if e.entity_type:
+            lines.append(f"  TYPE: {e.entity_type}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+# The parser's former table of slots whose values split on whitespace.
+MULTI_VALUED_SLOTS = {"ENTITIES", "ALIASES", "ACTIVITY", "JV-COMPANY"}
+
+
+def slot_lists_by_lines(text: str) -> list[tuple[str, int, dict[str, list]]]:
+    """(object type, number, slot -> values) per object of well-formed
+    template text, as the parser collects them before building objects;
+    ENTITIES values are entity numbers."""
+    objects = []
+    for line in text.splitlines():
+        if line.startswith("<"):
+            kind, number = line[1 : line.index(">")].rsplit("-", 1)
+            objects.append((kind, int(number), {}))
+        elif line:
+            slot, value = line.strip().split(":", 1)
+            values = value.split() if slot in MULTI_VALUED_SLOTS else [value.strip()]
+            if slot == "ENTITIES":
+                values = [int(v[len("<ENTITY-") : -1]) for v in values]
+            objects[-1][2].setdefault(slot, []).extend(values)
+    return objects
+
+
+def graph_by_fields(objects, doc_id: str) -> TemplateGraph:
+    """The parser's former object construction, every field named by hand."""
+    tieups = []
+    entities = []
+    for kind, object_id, slots in objects:
+        if kind == "TIE_UP":
+            tieups.append(
+                TieUpObject(
+                    object_id=object_id,
+                    entity_refs=tuple(slots.get("ENTITIES", [])),
+                    jv_company=tuple(slots.get("JV-COMPANY", [])),
+                    activities=tuple(slots.get("ACTIVITY", [])),
+                    status=slots.get("STATUS", [None])[0],
+                    warning=slots.get("WARNING", [None])[0],
+                )
+            )
+        else:
+            entities.append(
+                EntityObject(
+                    object_id=object_id,
+                    name=slots.get("NAME", [""])[0],
+                    aliases=tuple(slots.get("ALIASES", [])),
+                    entity_type=slots.get("TYPE", [None])[0],
+                )
+            )
+    return TemplateGraph(doc_id, tuple(tieups), tuple(entities))

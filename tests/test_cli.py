@@ -112,7 +112,9 @@ class TestExtract:
         assert code != 0
         assert "line 2" in err
 
-    @pytest.mark.parametrize("doc_id", ["../escaped", "sub/x", "..\\escaped", "..", "."])
+    @pytest.mark.parametrize(
+        "doc_id", ["../escaped", "sub/x", "..\\escaped", "..", ".", "a\x00b"]
+    )
     def test_document_id_that_is_not_a_file_name_rejected_with_line(
         self, tmp_path, capsys, doc_id
     ):
@@ -128,6 +130,52 @@ class TestExtract:
         assert "Traceback" not in err
         written = [p for p in tmp_path.rglob("*") if p.is_file() and p != corpus]
         assert all(out in p.parents for p in written), written
+
+    def test_corpus_byte_not_utf8_reported_with_line(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.tok"
+        corpus.write_bytes("#DOC d\nX社\tcompany\n".encode() + b"Y\xff\tcompany\n#END\n")
+        code, _, err = run(
+            capsys, "extract", "--corpus", str(corpus), "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {corpus}:line 3: byte 0xff is not UTF-8")
+        assert "Traceback" not in err
+
+    def test_patterns_byte_not_utf8_reported_with_line(self, tmp_path, capsys):
+        patterns = tmp_path / "bad.pat"
+        patterns.write_bytes(b"# rules\n\xe6\n")
+        code, _, err = run(
+            capsys,
+            "extract",
+            "--corpus", str(DATA / "corpus" / "tanabe_merck.tok"),
+            "--patterns", str(patterns),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {patterns}:line 2: byte 0xe6 is not UTF-8")
+        assert "Traceback" not in err
+
+    def test_config_byte_not_utf8_reported_with_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"out = x\n\x80 = y\n")
+        code, _, err = run(capsys, "extract", "--config", str(config))
+        assert code == 2
+        assert err.startswith(f"error: {config}:line 2: byte 0x80 is not UTF-8")
+        assert "Traceback" not in err
+
+    def test_out_naming_a_regular_file_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", "utf-8")
+        code, _, err = run(
+            capsys,
+            "extract",
+            "--corpus", str(DATA / "corpus" / "tanabe_merck.tok"),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert out.read_text("utf-8") == "not a directory\n"
 
     def test_dump_stages_written(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -308,6 +356,17 @@ class TestScore:
         total = [l for l in stdout.splitlines() if l.startswith("TOTAL")][0]
         assert total.split()[1:] == ["70.0", "25.0", "25.0", "50.0", "37.5", "37.5", "37.5"]
 
+    @pytest.mark.parametrize("side", ["response", "key"])
+    def test_template_byte_not_utf8_reported_with_line(self, tmp_path, capsys, side):
+        for name in ("response", "key"):
+            (tmp_path / name).mkdir()
+            name_line = b"  NAME: X\xc3\n" if name == side else "  NAME: X社\n".encode()
+            (tmp_path / name / "d.tmpl").write_bytes(b"<ENTITY-1> :=\n" + name_line)
+        code, _, err = run(capsys, "score", str(tmp_path / "response"), str(tmp_path / "key"))
+        assert code == 1
+        bad = tmp_path / side / "d.tmpl"
+        assert err.startswith(f"error: {bad}:line 2: byte 0xc3 is not UTF-8")
+        assert "Traceback" not in err
 
     def test_misspelled_key_slot_fails_with_line(self, tmp_path, capsys):
         keys = tmp_path / "keys"

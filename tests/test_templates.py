@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -22,6 +23,7 @@ from tieupkit.templates import (
 from tieupkit.tokens import Document, Token
 
 from conftest import load_doc
+from oracles import graph_by_fields, serialize_templates_by_fields, slot_lists_by_lines
 
 
 def doc_of(*sentences):
@@ -143,6 +145,42 @@ class TestSerialization:
         for _ in range(100):
             graph = random_graph(rng)
             assert parse_templates(serialize_templates(graph), graph.doc_id) == graph
+
+    def test_layout_table_writes_and_reads_as_the_field_by_field_code(self):
+        from test_scoring import wide_graph
+
+        rng = random.Random(157)
+        graphs = [random_graph(rng) for _ in range(300)]
+        graphs += [wide_graph(rng, 8, 6, shared=rng.random() < 0.5) for _ in range(30)]
+        # Every empty / None / present combination of every field.
+        tieup_options = {
+            "entity_refs": ((), (1,), (1, 2)),
+            "jv_company": ((), ("合弁会社",), ("合弁会社", "新会社")),
+            "activities": ((), ("開発",), ("開発", "製造")),
+            "status": (None, "", "EXISTING"),
+            "warning": (None, "", "UNDER-SPECIFIED"),
+        }
+        entity_options = {
+            "name": (None, "", "X社"),
+            "aliases": ((), ("ベンツ",), ("ベンツ", "メルク")),
+            "entity_type": (None, "", "COMPANY"),
+        }
+        entity_fields = [dict(zip(entity_options, c)) for c in product(*entity_options.values())]
+        for n, combo in enumerate(product(*tieup_options.values())):
+            tieup = TieUpObject(1, **dict(zip(tieup_options, combo)))
+            entity = EntityObject(1, **entity_fields[n % len(entity_fields)])
+            graphs.append(TemplateGraph("d", (tieup,), (entity, EntityObject(2, "Y社"))))
+        graphs.append(TemplateGraph("d"))
+        for g in graphs:
+            text = serialize_templates_by_fields(g)
+            assert serialize_templates(g) == text
+            assert parse_templates(text, "d") == graph_by_fields(slot_lists_by_lines(text), "d")
+
+        dangling = TemplateGraph("d", (TieUpObject(1, (1,)), TieUpObject(2, (3, 4))),
+                                 (EntityObject(1, "X社"),))
+        for write in (serialize_templates, serialize_templates_by_fields):
+            with pytest.raises(DanglingReferenceError, match="<ENTITY-3>"):
+                write(dangling)
 
     def test_parse_rejects_slot_before_header(self):
         from tieupkit.errors import ParseError

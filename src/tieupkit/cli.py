@@ -198,8 +198,14 @@ def _build_run_config(args) -> RunConfig:
             return flag_value
         return file_values.get(name)
 
-    corpus = pick("corpus", args.corpus)
-    out = pick("out", args.out)
+    def opt_path(name: str, flag_value) -> Path | None:
+        value = pick(name, flag_value)
+        if value and "\0" in value:
+            raise TieupkitError(f"{name} path {value!r} holds a NUL byte")
+        return Path(value) if value else None
+
+    corpus = opt_path("corpus", args.corpus)
+    out = opt_path("out", args.out)
     if not corpus or not out:
         raise TieupkitError("both --corpus and --out are required (flag or config)")
 
@@ -210,13 +216,9 @@ def _build_run_config(args) -> RunConfig:
         if stage not in DUMP_STAGES:
             raise TieupkitError(f"unknown dump stage {stage!r}")
 
-    def opt_path(name: str, flag_value) -> Path | None:
-        value = pick(name, flag_value)
-        return Path(value) if value else None
-
     config = RunConfig(
-        corpus=Path(corpus),
-        out=Path(out),
+        corpus=corpus,
+        out=out,
         concepts=opt_path("concepts", args.concepts),
         patterns=opt_path("patterns", args.patterns),
         designators=opt_path("designators", args.designators),

@@ -319,6 +319,8 @@ def segment_discourse(
     Only instances naming at least two partner ids count as tie-up
     mentions; everything else stays in the current segment.  With no
     tie-up mention at all the whole document is one unlabeled segment.
+    Every segment covers the sentence of its first mention, so tie-ups with
+    different partners first mentioned in one sentence share it.
     """
     nsent = len(doc.sentences)
     mentions = sorted(
@@ -328,17 +330,16 @@ def segment_discourse(
     if not mentions:
         return [DiscourseSegment(0, max(nsent - 1, 0), frozenset(), "unlabeled")]
 
-    bounds: list[tuple[int, frozenset[int]]] = []
+    bounds: list[tuple[int, frozenset[int]]] = []  # (first mention's sentence, ids)
     for c in mentions:
-        if not bounds:
-            bounds.append((0, c.partner_ids))
-        elif c.partner_ids != bounds[-1][1]:
+        if not bounds or c.partner_ids != bounds[-1][1]:
             bounds.append((c.sent_index, c.partner_ids))
 
     segments: list[DiscourseSegment] = []
     seen: list[frozenset[int]] = []
-    for k, (start, ids) in enumerate(bounds):
-        end = bounds[k + 1][0] - 1 if k + 1 < len(bounds) else nsent - 1
+    for k, (first, ids) in enumerate(bounds):
+        start = first if k else 0
+        end = max(first, bounds[k + 1][0] - 1) if k + 1 < len(bounds) else nsent - 1
         label = "type-II" if ids in seen else "type-I"
         seen.append(ids)
         segments.append(DiscourseSegment(start, end, ids, label))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .templates import LAYOUT, EntityObject, TemplateGraph, TieUpObject
 
@@ -58,19 +59,15 @@ class Metrics:
     undefined: frozenset[str] = frozenset()  # metrics whose ratio was 0/0
 
     def as_percentages(self) -> dict[str, float]:
-        return {
-            name: round_percent(value)
-            for name, value in zip(
-                METRIC_NAMES,
-                (self.err, self.und, self.ovg, self.sub, self.rec, self.pre, self.pr),
-            )
-        }
+        values = (self.err, self.und, self.ovg, self.sub, self.rec, self.pre, self.pr)
+        return dict(zip(METRIC_NAMES, map(round_percent, values)))
 
 
 def round_percent(value: Fraction) -> float:
     """Percentage rounded half-up to one decimal (0.6375 -> 63.8)."""
-    tenths, rest = divmod(1000 * value.numerator, value.denominator)
-    if 2 * rest >= value.denominator:
+    num, den = value.as_integer_ratio()
+    tenths, rest = divmod(1000 * num, den)
+    if 2 * rest >= den:
         tenths += 1
     return tenths / 10
 
@@ -88,17 +85,17 @@ def compute_metrics(counts: ScoreCounts) -> Metrics:
         return Fraction(num, den)
 
     c = counts
-    total = c.cor + c.par + c.inc + c.mis + c.spu
-    err = ratio("ERR", 2 * c.inc + c.par + 2 * c.mis + 2 * c.spu, 2 * total)
-    und = ratio("UND", c.mis, c.possible)
-    ovg = ratio("OVG", c.spu, c.actual)
+    possible, actual = c.possible, c.actual
+    err = ratio("ERR", 2 * c.inc + c.par + 2 * c.mis + 2 * c.spu, 2 * (possible + c.spu))
+    und = ratio("UND", c.mis, possible)
+    ovg = ratio("OVG", c.spu, actual)
     sub = ratio("SUB", 2 * c.inc + c.par, 2 * (c.cor + c.par + c.inc))
-    rec = ratio("REC", 2 * c.cor + c.par, 2 * c.possible)
-    pre = ratio("PRE", 2 * c.cor + c.par, 2 * c.actual)
-    if rec or pre:
+    rec = ratio("REC", 2 * c.cor + c.par, 2 * possible)
+    pre = ratio("PRE", 2 * c.cor + c.par, 2 * actual)
+    if c.cor or c.par:
         # f_measure(rec, pre) reduced: both ratios share the numerator
         # 2·COR + PAR, and COR + PAR > 0 here, so possible, actual > 0.
-        pr = Fraction(2 * c.cor + c.par, c.possible + c.actual)
+        pr = Fraction(2 * c.cor + c.par, possible + actual)
     else:
         pr = Fraction(0)
         undefined.add("PR")
@@ -121,12 +118,8 @@ def _fills(obj: EntityObject | TieUpObject) -> list[tuple[str, str]]:
     return [(slot, v) for slot, values in _slot_values(obj, None).items() for v in values]
 
 
-def _normalize(value: str) -> str:
-    return " ".join(value.split())
-
-
 def _is_partial(a: str, b: str) -> bool:
-    a, b = _normalize(a), _normalize(b)
+    a, b = " ".join(a.split()), " ".join(b.split())  # whitespace normalized
     return a != b and (a in b or b in a)
 
 
@@ -146,8 +139,7 @@ def _slot_values(obj, entity_map: dict[int, int] | None) -> dict[str, list[str]]
     return out
 
 
-@dataclass(frozen=True)
-class FillScore:
+class FillScore(NamedTuple):
     """One scored fill: where it sat, what was compared, how it landed."""
 
     kind: str  # ENTITY | TIE_UP
@@ -159,12 +151,16 @@ class FillScore:
 
 
 def _score_pair(kind, label, resp_slots, key_slots) -> list[FillScore]:
-    # Slot tables are shared by every pair an object joins, so the value
-    # lists are copied before they are consumed here and in _pair_cor_count.
     records = []
-    for slot in sorted(set(resp_slots) | set(key_slots)):
-        resp_vals = list(resp_slots.get(slot, []))
-        key_vals = list(key_slots.get(slot, []))
+    for slot in sorted(resp_slots.keys() | key_slots.keys()):
+        resp_vals = resp_slots.get(slot, [])
+        key_vals = key_slots.get(slot, [])
+        if resp_vals == key_vals:
+            records.extend([FillScore(kind, label, slot, v, v, "COR") for v in key_vals])
+            continue
+        # Slot tables are shared by every pair an object joins, so the value
+        # lists are copied before they are consumed.
+        resp_vals, key_vals = list(resp_vals), list(key_vals)
         # Exact matches first.
         for kv in list(key_vals):
             if kv in resp_vals:
@@ -192,11 +188,15 @@ def _score_pair(kind, label, resp_slots, key_slots) -> list[FillScore]:
 def _pair_cor_count(resp_slots, key_slots) -> int:
     cor = 0
     for slot, key_vals in key_slots.items():
-        resp_vals = list(resp_slots.get(slot, []))
-        for kv in key_vals:
-            if kv in resp_vals:
-                cor += 1
-                resp_vals.remove(kv)
+        resp_vals = resp_slots.get(slot)
+        if resp_vals == key_vals:
+            cor += len(key_vals)
+        elif resp_vals:
+            resp_vals = list(resp_vals)
+            for kv in key_vals:
+                if kv in resp_vals:
+                    cor += 1
+                    resp_vals.remove(kv)
     return cor
 
 
@@ -207,83 +207,82 @@ def _align_type(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, i
     id, response id) and taking each pair whose two objects are still free,
     provided object ids are unique within each side (``parse_templates``
     rejects duplicates and ``generate_templates`` numbers objects 1..n).
-    Without visiting every pair: COR splits into a closed part from
-    ``_CLOSED_SLOTS``, fixed per pair of signatures (closed-value tuples),
-    and an open part, nonzero only for linked pairs, which share an open
-    (slot, value).  One COR level at a time, from the highest, each free key
-    in id order takes its lowest-id free candidate: a linked response at
-    that level, or the first free response of each signature group whose
-    closed part equals the level.  That response is never linked to the
-    key: a linked pair's COR exceeds its closed part, so at that higher
-    level the key took a response or the response was taken.
+    Without visiting every pair: COR splits into a closed part, the number
+    of (slot, value) pairs two signatures share (closed slots hold one value
+    each), and an open part, nonzero only for linked pairs, which share a
+    value.  One COR level at a time, from the highest, each free key in id
+    order takes its lowest-id free candidate: a linked response at that
+    level, or the first free response of each signature group whose closed
+    part equals the level.  Were that response linked to the key at a
+    higher COR, the key or the response would have been taken there.
     """
-    key_index: dict[tuple[str, str], list[int]] = {}
+    key_index: dict[str, list[int]] = {}  # open value -> keys holding it
+    key_sigs = []
     for ki, slots in enumerate(key_slots):
+        sig = []
         for slot, values in slots.items():
-            if slot not in _CLOSED_SLOTS:
+            if slot in _CLOSED_SLOTS:
+                sig.append((slot, values[0]))
+            else:
                 for value in values:
-                    key_index.setdefault((slot, value), []).append(ki)
-    linked: list[dict[int, int]] = [{} for _ in key_objs]  # ki -> {ri: COR}
-    for ri, slots in enumerate(resp_slots):
-        keys = {
-            ki
-            for slot, values in slots.items()
-            if slot not in _CLOSED_SLOTS
-            for value in values
-            for ki in key_index.get((slot, value), ())
-        }
-        for ki in keys:
-            linked[ki][ri] = _pair_cor_count(slots, key_slots[ki])
+                    key_index.setdefault(value, []).append(ki)
+        key_sigs.append(tuple(sig))
 
-    resp_ids = [obj.object_id for obj in resp_objs]
-    resp_sigs = [_signature(slots) for slots in resp_slots]
-    groups: dict[tuple, list[int]] = {}  # signature -> free responses, id order
-    for ri in sorted(range(len(resp_objs)), key=resp_ids.__getitem__):
-        groups.setdefault(resp_sigs[ri], []).append(ri)
-    key_sigs = [_signature(slots) for slots in key_slots]
+    # Responses go by their position in id order: a lower position is a lower id.
+    order = sorted(range(len(resp_objs)), key=lambda ri: resp_objs[ri].object_id)
+    resp_sigs = []
+    groups: dict[tuple, list[int]] = {}  # signature -> free positions, in order
+    linked: list[dict[int, int]] = [{} for _ in key_objs]  # ki -> {position: COR}, in order
+    levels = set()
+    for pos, ri in enumerate(order):
+        slots = resp_slots[ri]
+        sig = []
+        for slot, values in slots.items():
+            if slot in _CLOSED_SLOTS:
+                sig.append((slot, values[0]))
+            else:
+                for value in values:
+                    for ki in key_index.get(value, ()):
+                        links = linked[ki]
+                        if pos not in links:
+                            links[pos] = cor = _pair_cor_count(slots, key_slots[ki])
+                            levels.add(cor)
+        resp_sigs.append(tuple(sig))
+        groups.setdefault(resp_sigs[-1], []).append(pos)
     # Key signature -> (closed COR, group) for every response group.
-    closed = {
-        ks: [
-            (_pair_cor_count(dict(rs), dict(ks)), members)
-            for rs, members in groups.items()
-        ]
-        for ks in set(key_sigs)
-    }
-    levels = {cor for offers in closed.values() for cor, _ in offers}
-    for links in linked:
-        levels.update(links.values())
+    closed: dict[tuple, list[tuple[int, list[int]]]] = {}
+    for ks in key_sigs:
+        if ks not in closed:
+            offers = closed[ks] = []
+            for rs, members in groups.items():
+                cor = sum(map(rs.__contains__, ks))
+                offers.append((cor, members))
+                levels.add(cor)
 
     free_keys = sorted(range(len(key_objs)), key=lambda ki: key_objs[ki].object_id)
     taken: set[int] = set()
     pairs = []
     for level in sorted(levels, reverse=True):
-        if not free_keys:
-            break
         still_free = []
         for ki in free_keys:
-            links = linked[ki]
-            candidates = [
-                (resp_ids[ri], ri)
-                for ri, cor in links.items()
-                if cor == level and ri not in taken
-            ]
+            best = None
+            for pos, cor in linked[ki].items():
+                if cor == level and pos not in taken:
+                    best = pos
+                    break
             for cor, members in closed[key_sigs[ki]]:
-                if cor == level and members:
-                    candidates.append((resp_ids[members[0]], members[0]))
-            if not candidates:
+                if cor == level and members and (best is None or members[0] < best):
+                    best = members[0]
+            if best is None:
                 still_free.append(ki)
                 continue
-            _rid, ri = min(candidates)
-            taken.add(ri)
-            groups[resp_sigs[ri]].remove(ri)
-            pairs.append((ri, ki))
+            taken.add(best)
+            groups[resp_sigs[best]].remove(best)
+            pairs.append((order[best], ki))
         free_keys = still_free
+        if not free_keys or len(taken) == len(resp_objs):
+            break
     return pairs
-
-
-def _signature(slots) -> tuple:
-    """An object's closed-slot values, the only ones its closed COR reads."""
-    return tuple((slot, tuple(slots[slot])) for slot in _CLOSED_SLOTS if slot in slots)
 
 
 def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
@@ -331,10 +330,10 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
 
 
 def tally(records: list[FillScore]) -> ScoreCounts:
-    counts = ScoreCounts()
+    n = {"COR": 0, "PAR": 0, "INC": 0, "MIS": 0, "SPU": 0}  # ScoreCounts order
     for r in records:
-        setattr(counts, r.category.lower(), getattr(counts, r.category.lower()) + 1)
-    return counts
+        n[r.category] += 1
+    return ScoreCounts(*n.values())
 
 
 def align_and_count(response: TemplateGraph, key: TemplateGraph) -> ScoreCounts:
@@ -393,11 +392,11 @@ class ScoreReport:
 _TABLE_HEADER = f"{'DOC':<16}" + "".join(
     f"{name:>8}" for name in ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "P&R")
 )
+_ROW = "%-16s" + "%8.1f" * len(METRIC_NAMES)
 
 
 def _format_row(label: str, metrics: Metrics) -> str:
-    pct = metrics.as_percentages()
-    return f"{label:<16}" + "".join(f"{pct[name]:>8.1f}" for name in METRIC_NAMES)
+    return _ROW % (label, *metrics.as_percentages().values())
 
 
 def score_documents(

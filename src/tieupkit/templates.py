@@ -173,57 +173,56 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
     """
     # (type, number, object field -> value), in file order.
     objects: list[tuple[str, int, dict[str, object]]] = []
-    current: tuple[str, int, dict[str, object]] | None = None
     seen_headers: set[tuple[str, int]] = set()
     references: list[tuple[int, int]] = []  # (entity number, line), in file order
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        line = line.strip()
+        if not line:
             continue
-        header = _HEADER_RE.match(line.strip())
+        header = _HEADER_RE.match(line) if line[0] == "<" else None
         if header:
-            kind_id = (header.group(1), int(header.group(2)))
-            if kind_id[0] not in _BY_TYPE:
-                raise ParseError(f"unknown object type {kind_id[0]!r}", lineno, path)
-            if kind_id in seen_headers:
-                raise ParseError(
-                    f"duplicate object <{kind_id[0]}-{kind_id[1]}>", lineno, path
-                )
-            seen_headers.add(kind_id)
-            current = (*kind_id, {})
-            objects.append(current)
-            known = _BY_TYPE[kind_id[0]][1]
+            kind, object_id = header.group(1), int(header.group(2))
+            if kind not in _BY_TYPE:
+                raise ParseError(f"unknown object type {kind!r}", lineno, path)
+            if (kind, object_id) in seen_headers:
+                raise ParseError(f"duplicate object <{kind}-{object_id}>", lineno, path)
+            seen_headers.add((kind, object_id))
+            fields: dict[str, object] = {}
+            objects.append((kind, object_id, fields))
+            known = _BY_TYPE[kind][1]
             continue
-        if current is None:
+        if not objects:
             raise ParseError("slot line before any object header", lineno, path)
-        slot, sep, value = line.strip().partition(":")
-        if not sep or not slot.strip():
-            raise ParseError(f"malformed slot line: {line.strip()!r}", lineno, path)
+        slot, sep, value = line.partition(":")
         slot = slot.strip()
+        if not sep or not slot:
+            raise ParseError(f"malformed slot line: {line!r}", lineno, path)
         value = value.strip()
         if not value:
             raise ParseError(f"slot {slot} has no value", lineno, path)
         if slot not in known:
-            raise ParseError(f"unknown {current[0]} slot {slot}", lineno, path)
+            raise ParseError(f"unknown {kind} slot {slot}", lineno, path)
         attr, multi = known[slot]
-        if not multi and attr in current[2]:
-            raise ParseError(f"slot {slot} given twice", lineno, path)
-        values = value.split() if multi else [value]
-        if slot == "ENTITIES":
-            refs = list(current[2].get(attr, ()))
-            for ref in values:
+        if not multi:
+            if attr in fields:
+                raise ParseError(f"slot {slot} given twice", lineno, path)
+            fields[attr] = value
+        elif slot == "ENTITIES":
+            refs = list(fields.get(attr, ()))
+            for ref in value.split():
                 m = _REF_RE.match(ref)
                 if not m or m.group(1) != "ENTITY":
                     raise ParseError(f"bad entity reference {ref!r}", lineno, path)
                 number = int(m.group(2))
                 if number in refs:
                     raise ParseError(
-                        f"<ENTITY-{number}> repeated in <TIE_UP-{current[1]}>", lineno, path
+                        f"<ENTITY-{number}> repeated in <TIE_UP-{object_id}>", lineno, path
                     )
                 refs.append(number)
                 references.append((number, lineno))
-            current[2][attr] = tuple(refs)
-            continue
-        current[2][attr] = current[2].get(attr, ()) + tuple(values) if multi else value
+            fields[attr] = tuple(refs)
+        else:
+            fields[attr] = fields.get(attr, ()) + tuple(value.split())
 
     defined = {object_id for kind, object_id, _ in objects if kind == "ENTITY"}
     for number, lineno in references:

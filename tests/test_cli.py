@@ -163,6 +163,21 @@ class TestExtract:
         assert err.startswith(f"error: {config}:line 2: byte 0x80 is not UTF-8")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key", ["corpus", "out", "concepts", "patterns", "designators", "concept_map"]
+    )
+    def test_config_path_holding_nul_rejected(self, tmp_path, capsys, key):
+        values = {"corpus": str(DATA / "corpus" / "tanabe_merck.tok"),
+                  "out": str(tmp_path / "out")}
+        values[key] = "p\0q"
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), "utf-8")
+        code, _, err = run(capsys, "extract", "--config", str(config))
+        assert code == 2
+        assert err == f"error: {key} path 'p\\x00q' holds a NUL byte\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_out_naming_a_regular_file_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("not a directory\n", "utf-8")
@@ -355,6 +370,14 @@ class TestScore:
         assert code == 0
         total = [l for l in stdout.splitlines() if l.startswith("TOTAL")][0]
         assert total.split()[1:] == ["70.0", "25.0", "25.0", "50.0", "37.5", "37.5", "37.5"]
+
+    def test_fixture_pair_report_is_the_golden_text(self, capsys):
+        # The whole report, listing and table, byte for byte.
+        code, stdout, _ = run(
+            capsys, "score", str(DATA / "score_response"), str(DATA / "score_key")
+        )
+        assert code == 0
+        assert stdout == (DATA / "score_report.txt").read_text("utf-8")
 
     @pytest.mark.parametrize("side", ["response", "key"])
     def test_template_byte_not_utf8_reported_with_line(self, tmp_path, capsys, side):

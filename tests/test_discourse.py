@@ -12,7 +12,7 @@ from tieupkit.discourse import (
     unify_company_references,
 )
 from tieupkit.pipeline import extract_document
-from tieupkit.tokens import Document, Token
+from tieupkit.tokens import Document, Token, parse_document
 
 from conftest import load_doc
 from oracles import companies_in_sentence_by_scan, entry_at_by_scan, lcs_by_enumeration
@@ -326,13 +326,54 @@ class TestSegmentation:
                 for _ in range(rng.randint(0, 5))
             ]
             segs = segment_discourse(doc, mentions)
-            covered = []
-            for seg in segs:
-                covered.extend(range(seg.start, seg.end + 1))
-            assert covered == sorted(covered)
-            assert len(covered) == len(set(covered))
+            assert segs[0].start == 0 and segs[-1].end == nsent - 1
+            for seg, after in zip(segs, segs[1:]):
+                # In order and disjoint, except that tie-ups first mentioned
+                # in one sentence share it.
+                assert seg.start <= seg.end
+                assert after.start == seg.end + 1 or (
+                    after.start == seg.end
+                    and any(m.sent_index == seg.end and m.partner_ids == seg.tieup_ids
+                            for m in mentions)
+                )
             for m in mentions:
                 assert any(seg.covers(m.sent_index) for seg in segs)
+            # Each segment covers the sentence of its first mention.
+            for seg in segs:
+                if seg.tieup_ids:
+                    assert any(seg.covers(m.sent_index) and m.partner_ids == seg.tieup_ids
+                               for m in mentions)
+
+    def test_tieups_first_mentioned_in_one_sentence_share_it(self):
+        doc = self.make_doc(3)
+        segs = segment_discourse(
+            doc, [tieup(1, {1, 2}), tieup(1, {3, 4}), tieup(1, {5, 6}), tieup(2, {7, 8})]
+        )
+        assert [(s.start, s.end, set(s.tieup_ids)) for s in segs] == [
+            (0, 1, {1, 2}),
+            (1, 1, {3, 4}),
+            (1, 1, {5, 6}),
+            (2, 2, {7, 8}),
+        ]
+
+    def test_second_tieup_in_one_sentence_keeps_its_sentence(self, resources):
+        # Two tie-ups with different partners first mentioned in the second
+        # sentence: each segment covers that sentence.
+        text = "\n".join([
+            "#DOC d",
+            "A社\tcompany", "は\tparticle", "B社\tcompany", "と\tparticle",
+            "提携\tverbal-nominal", "し\tverb", "た\tother", "。\tpunct", "",
+            "C社\tcompany", "は\tparticle", "D社\tcompany", "と\tparticle",
+            "提携\tverbal-nominal", "し\tverb", "、\tpunct",
+            "E社\tcompany", "は\tparticle", "F社\tcompany", "の\tparticle",
+            "開発\tverbal-nominal", "を\tparticle", "行う\tverb", "。\tpunct",
+            "#END", "",
+        ])
+        result = extract_document(parse_document(text), resources)
+        names = result.registry.canonical_string
+        assert [
+            (s.start, s.end, sorted(names(i) for i in s.tieup_ids)) for s in result.segments
+        ] == [(0, 0, ["A社", "B社"]), (1, 1, ["C社", "D社"]), (1, 1, ["E社", "F社"])]
 
 
 class TestMerging:

@@ -1,7 +1,9 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 from tieupkit.scoring import (
+    FillScore,
     ScoreCounts,
     _align_type,
     _fills,
@@ -10,9 +12,12 @@ from tieupkit.scoring import (
     compute_metrics,
     round_percent,
     score_documents,
+    score_fills,
+    tally,
 )
 from tieupkit.templates import EntityObject, TemplateGraph, TieUpObject, parse_templates
 
+import oracles
 from oracles import align_by_sorting, exhaustive_align_cor, fills_by_fields, slot_values_by_fills
 from test_templates import SAMPLE, random_graph
 
@@ -292,6 +297,82 @@ class TestIndexedAlignment:
             response = perturb(response, rng)
         response = shuffle_objects(renumber_entities(response, rng), rng)
         self.assert_same_pairs(response, key)
+
+    def test_same_pairs_when_values_cross_slots(self):
+        # A value held by two slots, or twice by one, links pairs that share
+        # no open (slot, value); their counts still decide.
+        rng = random.Random(173)
+        for _ in range(2000):
+            response, key = crossed_graph(rng), shuffle_objects(crossed_graph(rng), rng)
+            self.assert_same_pairs(response, key)
+
+
+class TestSameScoresAsBefore:
+    """Fill records, counts and report text equal those of the former scorer
+    kept in ``tests/oracles.py``."""
+
+    def test_records_counts_and_report_text(self):
+        rng = random.Random(167)
+        pairs = []
+        for n in range(2000):
+            key = shuffle_objects(random_graph(rng), rng)
+            if n % 4 == 0:
+                response = random_graph(rng)
+            elif n % 4 == 1:
+                response = shuffle_objects(renumber_entities(perturb(key, rng), rng), rng)
+            elif n % 4 == 2:
+                response = key
+            else:
+                response, key = crossed_graph(rng), crossed_graph(rng)
+            pairs.append((f"d{n}", response, key))
+        for n in range(20):
+            key = wide_graph(rng, 12, 8, shared=True)
+            pairs.append((f"w{n}", shuffle_objects(perturb(key, rng), rng), key))
+        # A registry-sized graph against a renumbered, perturbed copy.
+        key = wide_graph(rng, 300, 100, shared=False)
+        response = key
+        for _ in range(20):
+            response = perturb(response, rng)
+        pairs.append(("r", shuffle_objects(renumber_entities(response, rng), rng), key))
+
+        fields = ("kind", "label", "slot", "key_value", "resp_value", "category")
+        assert FillScore._fields == fields
+        for _doc_id, response, key in pairs:
+            got = score_fills(response, key)
+            want = oracles.score_fills(response, key)
+            assert [tuple(r) for r in got] == [tuple(getattr(w, f) for f in fields) for w in want]
+            assert astuple(tally(got)) == astuple(oracles.tally(want))
+        for i in range(0, len(pairs), 7):
+            chunk = pairs[i : i + 7]
+            assert score_documents(chunk).format() == oracles.score_documents(chunk).format()
+
+
+def crossed_graph(rng) -> TemplateGraph:
+    """Names that are other entities' aliases or jv companies, multi-valued
+    slots that hold a value twice, and values that are substrings of others."""
+    pool = ["A社", "B社", "A社X", "A社  X"]
+    entities = tuple(
+        EntityObject(
+            i,
+            rng.choice(pool),
+            tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))),
+            rng.choice(["COMPANY", "PERSON", None]),
+        )
+        for i in range(1, rng.randint(0, 4) + 1)
+    )
+    tieups = tuple(
+        TieUpObject(
+            i,
+            tuple(sorted(rng.sample(range(1, len(entities) + 1),
+                                    rng.randint(0, min(2, len(entities)))))),
+            jv_company=tuple(rng.choice(pool) for _ in range(rng.randint(0, 2))),
+            activities=tuple(rng.choice(["販売", "開発"]) for _ in range(rng.randint(0, 3))),
+            status=rng.choice(["EXISTING", "DISSOLVED", None]),
+            warning=rng.choice([None, "UNDER-SPECIFIED"]),
+        )
+        for i in range(1, rng.randint(0, 3) + 1)
+    )
+    return TemplateGraph("d", tieups, entities)
 
 
 class TestSlotTables:

@@ -10,7 +10,7 @@ from tieupkit.discourse import (
     build_registry,
     unify_company_references,
 )
-from tieupkit.errors import DanglingReferenceError
+from tieupkit.errors import DanglingReferenceError, ParseError
 from tieupkit.pipeline import extract_document
 from tieupkit.templates import (
     EntityObject,
@@ -22,8 +22,9 @@ from tieupkit.templates import (
 )
 from tieupkit.tokens import Document, Token
 
-from conftest import load_doc
+from conftest import DATA, load_doc
 from oracles import graph_by_fields, serialize_templates_by_fields, slot_lists_by_lines
+from oracles import parse_templates as parse_templates_before
 
 
 def doc_of(*sentences):
@@ -307,6 +308,62 @@ class TestSerialization:
             "<TIE_UP-2> :=\n  ENTITIES: <ENTITY-1>\n" + entities
         )
         assert [t.entity_refs for t in parse_templates(text, "d").tieups] == [(1, 2), (1,)]
+
+
+# Characters and fragments the parser fuzz inserts: header, slot and
+# reference syntax, whitespace that ``str.strip`` removes, and characters
+# ``str.splitlines`` breaks lines at.
+FUZZ_CHARS = "<>:-_ 0123456789AEINTYｰ社\t\n\r\x0b\x1c\x85\u3000\u2028\x00٣"
+FUZZ_PIECES = [
+    "<ENTITY-1>", "<ENTITY-2> :=", "<TIE_UP-1> :=", "<ENTITY-01>", "<ENTITY-١>",
+    "<FOO-1> :=", "  NAME: X社", "  NAME:", "  ENTITIES: <ENTITY-9>", ": v",
+    "  STATUS: EXISTING", "  ALIASES: a a", "  TYPE : COMPANY", "<TIE_UP-1>:=",
+]
+
+
+def mutate(text: str, rng) -> str:
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(6)
+        i = rng.randint(0, len(text))
+        if op == 0 and text:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice(FUZZ_CHARS) + text[i:]
+        elif op == 2 and text:
+            text = text[:i] + rng.choice(FUZZ_CHARS) + text[i + 1:]
+        elif op == 3:
+            text = text[:i] + rng.choice(FUZZ_PIECES) + text[i:]
+        else:
+            lines = text.split("\n")
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if op == 4:
+                lines.insert(a, lines[b])
+            else:
+                lines[a], lines[b] = lines[b], lines[a]
+            text = "\n".join(lines)
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, "d", path="m.tmpl")
+    except ParseError as err:
+        return ("ParseError", str(err), err.line)
+
+
+def test_parser_agrees_with_the_former_parser_on_mutated_files():
+    rng = random.Random(163)
+    texts = [p.read_text("utf-8") for p in sorted(DATA.glob("*/*.tmpl"))]
+    assert len(texts) == 6  # golden, score_key and score_response files
+    parsed = 0
+    for n in range(6000):
+        text = mutate(texts[n % len(texts)], rng)
+        got = parse_outcome(parse_templates, text)
+        assert got == parse_outcome(parse_templates_before, text), text
+        parsed += isinstance(got, TemplateGraph)
+    # Both outcomes are exercised.
+    assert parsed > 500 and 6000 - parsed > 1000
+
 
 def random_graph(rng, doc_id="d"):
     names = ["田辺製薬", "エー・メルク社", "X社", "Y社", "新日本製鉄", "ソニー", "IBM"]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import concepts as concepts_mod
 from . import discourse as disc
@@ -35,8 +35,7 @@ from .templates import parse_templates, serialize_templates
 DUMP_STAGES = ("matches", "topics", "registry", "segments")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     corpus: Path
     out: Path
     concepts: Path | None = None

@@ -8,13 +8,12 @@ compound (>シリコン< matches the run シリコン but not 二酸化シリコ
 
 Under every anchor form a key word is a substring of the run it matches, so
 a run holding no key word's first character is skipped without trying any;
-the lexicon keeps those characters in one set built on first use.
+the lexicon keeps those characters in one set built with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError
 from .tokens import (
@@ -32,15 +31,19 @@ NOUN_LIKE = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Keyword:
+class _KeywordFields(NamedTuple):
     text: str
     anchor_begin: bool = False
     anchor_end: bool = False
 
-    def __post_init__(self):
-        if not self.text:
+
+class Keyword(_KeywordFields):
+    __slots__ = ()
+
+    def __new__(cls, text: str, anchor_begin: bool = False, anchor_end: bool = False):
+        if not text:
             raise ValueError("empty keyword after stripping anchors")
+        return tuple.__new__(cls, (text, anchor_begin, anchor_end))
 
     @classmethod
     def parse(cls, raw: str) -> "Keyword":
@@ -65,23 +68,20 @@ class Keyword:
         return (">" if self.anchor_begin else "") + self.text + ("<" if self.anchor_end else "")
 
 
-@dataclass(frozen=True)
 class ConceptLexicon:
-    entries: tuple[tuple[str, tuple[Keyword, ...]], ...]
+    """Concepts and their key words, with the first character of every key word."""
 
-    def __post_init__(self):
-        names = [name for name, _ in self.entries]
+    __slots__ = ("entries", "initials")
+
+    def __init__(self, entries: tuple[tuple[str, tuple[Keyword, ...]], ...]):
+        names = [name for name, _ in entries]
         if len(names) != len(set(names)):
             raise ValueError("concept names must be unique")
-
-    @cached_property
-    def initials(self) -> frozenset[str]:
-        """First character of every key word."""
-        return frozenset(kw.text[0] for _, keywords in self.entries for kw in keywords)
+        self.entries = entries
+        self.initials = frozenset(kw.text[0] for _, keywords in entries for kw in keywords)
 
 
-@dataclass(frozen=True)
-class ConceptHit:
+class ConceptHit(NamedTuple):
     concept_name: str
     sent_index: int
     matched_run: str

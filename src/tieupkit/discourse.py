@@ -15,15 +15,14 @@ cluster when their subjects intersect its partners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .tokens import Document, POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN
 
 _CANDIDATE_TAGS = frozenset({POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN})
 
 
-@dataclass(frozen=True)
-class DiscourseConfig:
+class DiscourseConfig(NamedTuple):
     """Pronoun inventory and subject-marker set (configurable)."""
 
     pronoun_both: str = "両社"
@@ -36,31 +35,49 @@ class DiscourseConfig:
         return frozenset({self.pronoun_both, self.pronoun_near, self.pronoun_self})
 
 
-@dataclass
 class RegistryEntry:
-    index: int  # 1-based registry position
-    string: str
-    pos: str
-    eg: bool  # surface is solely ASCII letters
-    entity_id: int
-    position: tuple[int, int]  # (sent_index, tok_index) of the source token
-    alias_of: int | None = None  # parent index for derived English-word entries
+    """One registered string; unification rewrites its ``entity_id``."""
+
+    __slots__ = ("index", "string", "pos", "eg", "entity_id", "position", "alias_of")
+
+    def __init__(
+        self,
+        index: int,  # 1-based registry position
+        string: str,
+        pos: str,
+        eg: bool,  # surface is solely ASCII letters
+        entity_id: int,
+        position: tuple[int, int],  # (sent_index, tok_index) of the source token
+        alias_of: int | None = None,  # parent index for derived English-word entries
+    ):
+        self.index = index
+        self.string = string
+        self.pos = pos
+        self.eg = eg
+        self.entity_id = entity_id
+        self.position = position
+        self.alias_of = alias_of
 
 
-@dataclass
 class CompanyRegistry:
     """Entries in text order, plus two indexes of the non-alias ones: the first
     at each position, and each sentence's in order.  Entries join them when
     passed to the constructor or added by ``_append_entry``; unification
     rewrites only entity ids, so it leaves them valid."""
 
-    entries: list[RegistryEntry] = field(default_factory=list)
+    __slots__ = ("entries", "_at", "_in_sentence")
 
-    def __post_init__(self):
+    def __init__(self, entries: list[RegistryEntry] | None = None):
+        self.entries = [] if entries is None else entries
         self._at: dict[tuple[int, int], RegistryEntry] = {}
         self._in_sentence: dict[int, list[RegistryEntry]] = {}
         for e in self.entries:
             self._index(e)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     def _index(self, e: RegistryEntry) -> None:
         if e.alias_of is None:
@@ -206,8 +223,7 @@ def unify_company_references(reg: CompanyRegistry) -> CompanyRegistry:
     return reg
 
 
-@dataclass(frozen=True)
-class TopicState:
+class TopicState(NamedTuple):
     """Per-sentence topic company ids, with inheritance marks."""
 
     topics: tuple[frozenset[int], ...]
@@ -239,8 +255,7 @@ def track_topics(
     return TopicState(tuple(topics), tuple(inherited))
 
 
-@dataclass(frozen=True)
-class PronounReference:
+class PronounReference(NamedTuple):
     position: tuple[int, int]
     surface: str
     referent_ids: frozenset[int]
@@ -285,23 +300,39 @@ def resolve_pronouns(
     return refs
 
 
-@dataclass(frozen=True)
-class ConceptInstance:
-    """One recognized concept occurrence, normalized for merging."""
-
+class _ConceptInstanceFields(NamedTuple):
     concept: str
     sent_index: int
     source: str  # "concept-search" | "pattern"
-    bindings: dict[str, str] = field(default_factory=dict)
-    subject_ids: frozenset[int] = frozenset()
-    partner_ids: frozenset[int] = frozenset()
+    bindings: dict[str, str]
+    subject_ids: frozenset[int]
+    partner_ids: frozenset[int]
+
+
+class ConceptInstance(_ConceptInstanceFields):
+    """One recognized concept occurrence, normalized for merging; ``bindings``
+    defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        concept: str,
+        sent_index: int,
+        source: str,
+        bindings: dict[str, str] | None = None,
+        subject_ids: frozenset[int] = frozenset(),
+        partner_ids: frozenset[int] = frozenset(),
+    ):
+        if bindings is None:
+            bindings = {}
+        return tuple.__new__(cls, (concept, sent_index, source, bindings, subject_ids, partner_ids))
 
     def __hash__(self):
         return hash((self.concept, self.sent_index, self.source, tuple(sorted(self.bindings.items()))))
 
 
-@dataclass(frozen=True)
-class DiscourseSegment:
+class DiscourseSegment(NamedTuple):
     start: int  # sentence range, inclusive
     end: int
     tieup_ids: frozenset[int]
@@ -346,14 +377,23 @@ def segment_discourse(
     return segments
 
 
-@dataclass
 class TieUpCluster:
-    """Everything merged into one tie-up relationship."""
+    """Everything merged into one tie-up relationship; the two lists default
+    to fresh ones."""
 
-    segment: DiscourseSegment
-    tieup_ids: frozenset[int]
-    attached: list[ConceptInstance] = field(default_factory=list)
-    diagnostics: list[ConceptInstance] = field(default_factory=list)
+    __slots__ = ("segment", "tieup_ids", "attached", "diagnostics")
+
+    def __init__(
+        self,
+        segment: DiscourseSegment,
+        tieup_ids: frozenset[int],
+        attached: list[ConceptInstance] | None = None,
+        diagnostics: list[ConceptInstance] | None = None,
+    ):
+        self.segment = segment
+        self.tieup_ids = tieup_ids
+        self.attached = [] if attached is None else attached
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def merge_concepts(

@@ -19,8 +19,8 @@ Elements:
 The index field names one literal element; a rule is attempted on a sentence
 only when some token could satisfy that literal.  Each distinct literal,
 prefilter included, is judged on a sentence once, in one pass over its tokens;
-the sentence's literal table keys each row by the literal's cached
-(alternatives, mode, POS) tuple.
+the sentence's literal table keys each row by the literal's
+(alternatives, mode, POS) tuple, built with the element.
 Matching is exhaustive: every distinct assignment of elements to contiguous
 token spans is produced, and the selection step keeps one winner per concept
 group by, in order, most filled company-name variables, fewest consumed
@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError
 from .tokens import ENTITY_TAGS, POS_COMPANY, Token
@@ -66,27 +65,37 @@ class ElementKind(Enum):
     LITERAL = "literal"
 
 
-@dataclass(frozen=True)
 class PatternElement:
-    kind: ElementKind
-    name: str | None = None
-    alternatives: tuple[str, ...] = ()
-    mode: str = "strict"
-    pos_tag: str = ""
+    """One rule element.  A literal also carries ``row_key``, its key in a
+    sentence's literal table (everything its row depends on, as a plain
+    tuple that hashes without Python code), and ``token_tags``, the token
+    tags it accepts (``NP`` also takes grouped name units)."""
 
-    @cached_property
-    def row_key(self) -> tuple:
-        """The literal's key in a sentence's literal table: everything its
-        row depends on, as a plain tuple that hashes without Python code."""
-        return (self.alternatives, self.mode, self.pos_tag)
+    __slots__ = ("kind", "name", "alternatives", "mode", "pos_tag", "row_key", "token_tags")
 
-    @cached_property
-    def token_tags(self) -> frozenset[str]:
-        """Token tags a literal accepts; ``NP`` also takes grouped name units."""
-        tags = {_TAG_ALIASES.get(self.pos_tag, self.pos_tag)}
-        if self.pos_tag == "NP":
+    def __init__(
+        self,
+        kind: ElementKind,
+        name: str | None = None,
+        alternatives: tuple[str, ...] = (),
+        mode: str = "strict",
+        pos_tag: str = "",
+    ):
+        self.kind = kind
+        self.name = name
+        self.alternatives = alternatives
+        self.mode = mode
+        self.pos_tag = pos_tag
+        self.row_key = (alternatives, mode, pos_tag)
+        tags = {_TAG_ALIASES.get(pos_tag, pos_tag)}
+        if pos_tag == "NP":
             tags |= ENTITY_TAGS
-        return frozenset(tags)
+        self.token_tags = frozenset(tags)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.name, self.row_key) == (other.kind, other.name, other.row_key)
 
     def matches_token(self, tok: Token) -> bool:
         if self.kind is not ElementKind.LITERAL:
@@ -101,55 +110,51 @@ class PatternElement:
         return [t.pos in tags and any(a in t.surface for a in alts) for t in sentence]
 
 
-@dataclass(frozen=True)
 class PatternRule:
-    name: str
-    index_field: int
-    elements: tuple[PatternElement, ...]
+    """A named element sequence with its index field, and what matching reads
+    of it per element, derived once:
 
-    @cached_property
-    def group(self) -> str:
-        """Rule name with trailing decimal digits stripped."""
-        return re.sub(r"\d+$", "", self.name)
+    - ``group``: the name with trailing decimal digits stripped;
+    - ``elements_matched``: variables and literals, the elements every match
+      fills;
+    - ``min_widths``: fewest tokens each element takes, ``@SKIP`` none, the
+      rest one;
+    - ``is_cname``: whether each element is a company-name variable;
+    - ``variables``: (element position, binding key) per variable, repeated
+      names getting '#n' suffixes from the second on.
+    """
+
+    __slots__ = (
+        "name", "index_field", "elements",
+        "group", "elements_matched", "min_widths", "is_cname", "variables",
+    )
+
+    def __init__(self, name: str, index_field: int, elements: tuple[PatternElement, ...]):
+        self.name = name
+        self.index_field = index_field
+        self.elements = elements
+        self.group = re.sub(r"\d+$", "", name)
+        self.elements_matched = sum(el.kind is not ElementKind.SKIP for el in elements)
+        self.min_widths = tuple(int(el.kind is not ElementKind.SKIP) for el in elements)
+        self.is_cname = tuple(
+            el.kind is ElementKind.VARIABLE and el.name.startswith(CNAME_PREFIX)
+            for el in elements
+        )
+        seen: dict[str, int] = {}
+        layout = []
+        for i, el in enumerate(elements):
+            if el.kind is ElementKind.VARIABLE:
+                seen[el.name] = n = seen.get(el.name, 0) + 1
+                key = el.name if n == 1 else f"{el.name}#{n}"
+                layout.append((i, key))
+        self.variables = tuple(layout)
 
     @property
     def index_element(self) -> PatternElement:
         return self.elements[self.index_field - 1]
 
-    @cached_property
-    def elements_matched(self) -> int:
-        """Variables and literals, the elements every match fills."""
-        return sum(el.kind is not ElementKind.SKIP for el in self.elements)
 
-    @cached_property
-    def min_widths(self) -> tuple[int, ...]:
-        """Fewest tokens each element takes: ``@SKIP`` none, the rest one."""
-        return tuple(int(el.kind is not ElementKind.SKIP) for el in self.elements)
-
-    @cached_property
-    def is_cname(self) -> tuple[bool, ...]:
-        """Per element: is it a company-name variable?"""
-        return tuple(
-            el.kind is ElementKind.VARIABLE and el.name.startswith(CNAME_PREFIX)
-            for el in self.elements
-        )
-
-    @cached_property
-    def variables(self) -> tuple[tuple[int, str], ...]:
-        """(element position, binding key) per variable; repeated names get
-        '#n' suffixes from the second on."""
-        seen: dict[str, int] = {}
-        layout = []
-        for i, el in enumerate(self.elements):
-            if el.kind is ElementKind.VARIABLE:
-                seen[el.name] = n = seen.get(el.name, 0) + 1
-                key = el.name if n == 1 else f"{el.name}#{n}"
-                layout.append((i, key))
-        return tuple(layout)
-
-
-@dataclass(frozen=True, slots=True)
-class PatternMatch:
+class PatternMatch(NamedTuple):
     """One assignment of a rule's elements to token spans.
 
     Only the rule, the spans and the company count are stored; everything
@@ -341,14 +346,6 @@ def _live_positions(rule: PatternRule, rows, n: int) -> list:
     return live
 
 
-# Slot setters of the frozen ``PatternMatch``: calling them on a bare
-# ``object.__new__`` instance builds a match without the dataclass
-# ``__init__`` and its ``object.__setattr__`` per field.
-_SET_RULE = PatternMatch.rule.__set__
-_SET_SENT_INDEX = PatternMatch.sent_index.__set__
-_SET_SPANS = PatternMatch.spans.__set__
-_SET_CNAME_FILLED = PatternMatch.cname_filled.__set__
-
 # The one completion of an empty suffix: no spans, no company fill.
 _COMPLETE = [((), 0)]
 
@@ -395,15 +392,10 @@ def _rule_matches(rule: PatternRule, rows, companies, sent_index: int, out: list
             memo[i, p] = done
         return done
 
-    new = object.__new__
+    add = out.append
     for start in live[0]:
         for spans, c in completions(0, start):
-            m = new(PatternMatch)
-            _SET_RULE(m, rule)
-            _SET_SENT_INDEX(m, sent_index)
-            _SET_SPANS(m, spans)
-            _SET_CNAME_FILLED(m, c)
-            out.append(m)
+            add(PatternMatch(rule, sent_index, spans, c))
     # ``completions`` reaches itself through its closure; dropping the name
     # breaks that cycle, so the memo is freed on return, not by the cyclic
     # garbage collector.

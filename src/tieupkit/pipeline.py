@@ -9,7 +9,7 @@ template generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import concepts as concepts_mod
 from . import discourse as disc
@@ -22,22 +22,37 @@ from .tokens import Document
 _CREATED_TAIL_TAGS = concepts_mod.NOUN_LIKE
 
 
-@dataclass
-class ExtractionResources:
-    """Parsed lexicons and rules shared across documents."""
-
+class _ExtractionResourcesFields(NamedTuple):
     designators: tokens_mod.DesignatorLexicon
     concept_lexicon: concepts_mod.ConceptLexicon
     rules: list[patterns_mod.PatternRule]
-    concept_map: dict[str, str] = field(default_factory=dict)
-    discourse: disc.DiscourseConfig = disc.DiscourseConfig()
+    concept_map: dict[str, str]
+    discourse: disc.DiscourseConfig
+
+
+class ExtractionResources(_ExtractionResourcesFields):
+    """Parsed lexicons and rules shared across documents; ``concept_map``
+    defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        designators: tokens_mod.DesignatorLexicon,
+        concept_lexicon: concepts_mod.ConceptLexicon,
+        rules: list[patterns_mod.PatternRule],
+        concept_map: dict[str, str] | None = None,
+        discourse: disc.DiscourseConfig = disc.DiscourseConfig(),
+    ):
+        if concept_map is None:
+            concept_map = {}
+        return tuple.__new__(cls, (designators, concept_lexicon, rules, concept_map, discourse))
 
     def concept_label(self, group: str) -> str:
         return self.concept_map.get(group, group)
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     graph: TemplateGraph
     document: Document  # after name recognition and grouping
     registry: disc.CompanyRegistry
@@ -130,7 +145,7 @@ def _with_pronoun_subjects(
                 if referents is not None and reg.company_entry_at((s, t)) is None:
                     subject_ids.update(referents)
         out.append(
-            replace(inst, subject_ids=frozenset(subject_ids) or topics.for_sentence(s))
+            inst._replace(subject_ids=frozenset(subject_ids) or topics.for_sentence(s))
         )
     return out
 

@@ -12,7 +12,6 @@ printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -21,13 +20,15 @@ from .templates import LAYOUT, EntityObject, TemplateGraph, TieUpObject
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
 
-@dataclass
 class ScoreCounts:
-    cor: int = 0
-    par: int = 0
-    inc: int = 0
-    mis: int = 0
-    spu: int = 0
+    __slots__ = ("cor", "par", "inc", "mis", "spu")
+
+    def __init__(self, cor: int = 0, par: int = 0, inc: int = 0, mis: int = 0, spu: int = 0):
+        self.cor = cor
+        self.par = par
+        self.inc = inc
+        self.mis = mis
+        self.spu = spu
 
     def __add__(self, other: "ScoreCounts") -> "ScoreCounts":
         return ScoreCounts(
@@ -47,8 +48,7 @@ class ScoreCounts:
         return self.cor + self.par + self.inc + self.spu
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     err: Fraction
     und: Fraction
     ovg: Fraction
@@ -341,17 +341,18 @@ def align_and_count(response: TemplateGraph, key: TemplateGraph) -> ScoreCounts:
     return tally(score_fills(response, key))
 
 
-@dataclass
-class DocumentScore:
+class DocumentScore(NamedTuple):
     doc_id: str
     fills: list[FillScore]
     counts: ScoreCounts
     metrics: Metrics
 
 
-@dataclass
 class ScoreReport:
-    documents: list[DocumentScore] = field(default_factory=list)
+    __slots__ = ("documents",)
+
+    def __init__(self, documents: list[DocumentScore] | None = None):
+        self.documents = [] if documents is None else documents
 
     @property
     def total_counts(self) -> ScoreCounts:

@@ -20,7 +20,7 @@ slots space-separated, blank line between objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .discourse import CompanyRegistry, TieUpCluster
 from .errors import DanglingReferenceError, ParseError
@@ -31,20 +31,20 @@ STATUS_DISSOLVED = "DISSOLVED"
 
 WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 
+# ``\d`` takes any Unicode decimal digit; ``_object_number`` then accepts
+# only the spelling ``str`` gives the number.
 _HEADER_RE = re.compile(r"^<([A-Z_]+)-(\d+)>\s*:=\s*$")
 _REF_RE = re.compile(r"^<([A-Z_]+)-(\d+)>$")
 
 
-@dataclass(frozen=True)
-class EntityObject:
+class EntityObject(NamedTuple):
     object_id: int
     name: str = ""  # earliest surface of the coreference class
     aliases: tuple[str, ...] = ()
     entity_type: str | None = None
 
 
-@dataclass(frozen=True)
-class TieUpObject:
+class TieUpObject(NamedTuple):
     object_id: int
     entity_refs: tuple[int, ...] = ()
     jv_company: tuple[str, ...] = ()
@@ -53,8 +53,7 @@ class TieUpObject:
     warning: str | None = None
 
 
-@dataclass(frozen=True)
-class TemplateGraph:
+class TemplateGraph(NamedTuple):
     doc_id: str
     tieups: tuple[TieUpObject, ...] = ()
     entities: tuple[EntityObject, ...] = ()
@@ -165,6 +164,17 @@ def serialize_templates(graph: TemplateGraph) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
+def _object_number(kind: str, digits: str, lineno: int, path: str | None) -> int:
+    """The number in ``<kind-digits>``, written in ASCII digits with no leading zero."""
+    number = int(digits)
+    if str(number) != digits:
+        raise ParseError(
+            f"object number in <{kind}-{digits}> must be ASCII digits with no leading zero",
+            lineno, path,
+        )
+    return number
+
+
 def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> TemplateGraph:
     """Parse block text back into a graph; inverse of serialization.
 
@@ -181,7 +191,8 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
             continue
         header = _HEADER_RE.match(line) if line[0] == "<" else None
         if header:
-            kind, object_id = header.group(1), int(header.group(2))
+            kind = header.group(1)
+            object_id = _object_number(kind, header.group(2), lineno, path)
             if kind not in _BY_TYPE:
                 raise ParseError(f"unknown object type {kind!r}", lineno, path)
             if (kind, object_id) in seen_headers:
@@ -213,7 +224,7 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
                 m = _REF_RE.match(ref)
                 if not m or m.group(1) != "ENTITY":
                     raise ParseError(f"bad entity reference {ref!r}", lineno, path)
-                number = int(m.group(2))
+                number = _object_number("ENTITY", m.group(2), lineno, path)
                 if number in refs:
                     raise ParseError(
                         f"<ENTITY-{number}> repeated in <TIE_UP-{object_id}>", lineno, path

@@ -9,8 +9,7 @@ token once, at its final (sentence, token) index; one already there is reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -43,20 +42,23 @@ _ANCHOR_ELIGIBLE = frozenset({POS_UNKNOWN, POS_COMPANY, POS_PERSON, POS_PLACE})
 CONNECTOR = "・"
 
 
-@dataclass(frozen=True)
-class Token:
+class _TokenFields(NamedTuple):
     surface: str
     pos: str
     sent_index: int = 0
     tok_index: int = 0
 
-    def __post_init__(self):
-        if not self.surface:
+
+class Token(_TokenFields):
+    __slots__ = ()
+
+    def __new__(cls, surface: str, pos: str, sent_index: int = 0, tok_index: int = 0):
+        if not surface:
             raise ValueError("token surface must be non-empty")
+        return tuple.__new__(cls, (surface, pos, sent_index, tok_index))
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     sentences: tuple[tuple[Token, ...], ...]
 
@@ -68,26 +70,21 @@ class Document:
         return "".join(t.surface for t in self.tokens())
 
 
-@dataclass(frozen=True)
 class DesignatorLexicon:
-    """Designator surfaces (社, 氏, ...) mapped to an entity type."""
+    """Designator surfaces (社, 氏, ...) mapped to an entity type, with the
+    distinct designator lengths, longest first, and every designator's last
+    character."""
 
-    entries: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("entries", "lengths", "finals")
 
-    def __post_init__(self):
-        for etype in self.entries.values():
+    def __init__(self, entries: dict[str, str] | None = None):
+        entries = {} if entries is None else entries
+        for etype in entries.values():
             if etype not in ENTITY_TAGS:
                 raise ValueError(f"unknown designator entity type: {etype}")
-
-    @cached_property
-    def lengths(self) -> tuple[int, ...]:
-        """Distinct designator lengths, longest first."""
-        return tuple(sorted({len(d) for d in self.entries if d}, reverse=True))
-
-    @cached_property
-    def finals(self) -> frozenset[str]:
-        """Last character of every designator."""
-        return frozenset(d[-1] for d in self.entries if d)
+        self.entries = entries
+        self.lengths = tuple(sorted({len(d) for d in entries if d}, reverse=True))
+        self.finals = frozenset(d[-1] for d in entries if d)
 
     def match(self, surface: str) -> str | None:
         """Type of the longest designator that ``surface`` ends with (or equals)."""

@@ -1,0 +1,138 @@
+"""Record types: immutable records are NamedTuples, mutable ones plain slotted
+classes, and importing the package loads no dataclass machinery."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tieupkit
+from tieupkit.cli import RunConfig
+from tieupkit.concepts import Keyword
+from tieupkit.discourse import (
+    CompanyRegistry,
+    ConceptInstance,
+    DiscourseConfig,
+    DiscourseSegment,
+    TieUpCluster,
+    merge_concepts,
+)
+from tieupkit.pipeline import ExtractionResources, extract_document
+from tieupkit.scoring import ScoreReport, score_documents
+from tieupkit.tokens import Token
+
+from conftest import load_doc
+
+# Run in a fresh isolated interpreter: prints the modules the import and
+# resource loading added.
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import tieupkit, tieupkit.cli
+tieupkit.cli.load_resources()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclass_machinery():
+    src = str(Path(tieupkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_PROBE, src],
+        capture_output=True, text=True, check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "tieupkit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def records(resources):
+    """One instance of every immutable record type."""
+    result = extract_document(load_doc("tanabe_merck"), resources)
+    graph = result.graph
+    report = score_documents([("d", graph, graph)])
+    instances = {
+        "Token": result.document.sentences[0][0],
+        "Document": result.document,
+        "ConceptHit": result.hits[0],
+        "Keyword": result.hits[0].keyword,
+        "DiscourseConfig": resources.discourse,
+        "TopicState": result.topics,
+        "PronounReference": result.pronouns[0],
+        "ConceptInstance": result.instances[0],
+        "DiscourseSegment": result.segments[0],
+        "PatternMatch": result.winners[0],
+        "Metrics": report.documents[0].metrics,
+        "DocumentScore": report.documents[0],
+        "EntityObject": graph.entities[0],
+        "TieUpObject": graph.tieups[0],
+        "TemplateGraph": graph,
+        "ExtractionResources": resources,
+        "ExtractionResult": result,
+        "RunConfig": RunConfig(Path("in"), Path("out")),
+    }
+    for name, record in instances.items():
+        assert type(record).__name__ == name
+    return instances
+
+
+def test_immutable_records_refuse_assignment(records):
+    for name, record in records.items():
+        assert not hasattr(record, "__dict__"), name
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_replace_keeps_the_record_type(records):
+    inst = records["ConceptInstance"]
+    changed = inst._replace(subject_ids=frozenset({99}))
+    assert type(changed) is ConceptInstance
+    assert changed.subject_ids == frozenset({99})
+    assert changed.bindings is inst.bindings
+    assert changed[:3] == inst[:3]
+
+
+def test_checked_records_still_refuse_empty_text():
+    with pytest.raises(ValueError, match="token surface must be non-empty"):
+        Token("", "noun")
+    with pytest.raises(ValueError, match="empty keyword"):
+        Keyword("")
+    with pytest.raises(ValueError, match="empty keyword"):
+        Keyword.parse("><")
+    assert Token("X社", "company", 1, 2) == Token(surface="X社", pos="company",
+                                                   sent_index=1, tok_index=2)
+    assert repr(Token("X社", "company")) == (
+        "Token(surface='X社', pos='company', sent_index=0, tok_index=0)"
+    )
+    assert str(Keyword.parse(">提携<")) == ">提携<"
+
+
+def test_defaults_are_never_shared():
+    seg = DiscourseSegment(0, 0, frozenset({1, 2}))
+    first, second = TieUpCluster(seg, seg.tieup_ids), TieUpCluster(seg, seg.tieup_ids)
+    assert first.attached is not second.attached
+    assert first.diagnostics is not second.diagnostics
+    assert first.attached is not first.diagnostics
+    assert ScoreReport().documents is not ScoreReport().documents
+    assert CompanyRegistry().entries is not CompanyRegistry().entries
+    a, b = ConceptInstance("X", 0, "pattern"), ConceptInstance("X", 0, "pattern")
+    assert a.bindings == {} and a.bindings is not b.bindings
+    rules = []
+    made = [ExtractionResources(None, None, rules) for _ in range(2)]
+    assert made[0].concept_map == {} and made[0].concept_map is not made[1].concept_map
+    assert made[0].discourse == DiscourseConfig()
+
+
+def test_merging_into_default_built_clusters_stays_apart():
+    seg = DiscourseSegment(0, 1, frozenset({1, 2}))
+    attached = ConceptInstance("X", 0, "pattern", subject_ids=frozenset({1}))
+    orphan = ConceptInstance("Y", 1, "pattern", subject_ids=frozenset({3}))
+    first = merge_concepts(seg, [attached, orphan])
+    second = merge_concepts(seg, [])
+    assert first.attached == [attached] and first.diagnostics == [orphan]
+    assert second.attached == [] and second.diagnostics == []

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -295,7 +296,7 @@ class TestSerialization:
         entities = "\n<ENTITY-1> :=\n  NAME: X社\n\n<ENTITY-2> :=\n  NAME: Y社\n"
         for entities_lines, line in [
             ("  ENTITIES: <ENTITY-1> <ENTITY-1>\n", 2),
-            ("  ENTITIES: <ENTITY-1> <ENTITY-2>\n  ENTITIES: <ENTITY-01>\n", 3),
+            ("  ENTITIES: <ENTITY-1> <ENTITY-2>\n  ENTITIES: <ENTITY-1>\n", 3),
         ]:
             text = "<TIE_UP-1> :=\n" + entities_lines + entities
             with pytest.raises(ParseError) as err:
@@ -308,6 +309,39 @@ class TestSerialization:
             "<TIE_UP-2> :=\n  ENTITIES: <ENTITY-1>\n" + entities
         )
         assert [t.entity_refs for t in parse_templates(text, "d").tieups] == [(1, 2), (1,)]
+
+    def test_object_numbers_take_only_their_canonical_spelling(self):
+        entities = "<ENTITY-1> :=\n  NAME: X社\n\n<ENTITY-2> :=\n  NAME: Y社\n"
+        for digits in ("01", "00", "١", "٣", "１", "1٣"):
+            written = f"<ENTITY-{digits}>"
+            message = f"object number in {written} must be ASCII digits with no leading zero"
+            # A definition: before or after the entity it would duplicate.
+            for text, line in [
+                (f"{written} :=\n  NAME: Z社\n\n" + entities, 1),
+                (entities + f"\n{written} :=\n  NAME: Z社\n", 7),
+            ]:
+                with pytest.raises(ParseError) as err:
+                    parse_templates(text, "d", path="bad.tmpl")
+                assert err.value.line == line
+                assert str(err.value) == f"bad.tmpl:line {line}: {message}"
+            # A reference, alone or after a canonical one.
+            for refs in (written, f"<ENTITY-2> {written}"):
+                text = f"<TIE_UP-1> :=\n  ENTITIES: {refs}\n\n" + entities
+                with pytest.raises(ParseError) as err:
+                    parse_templates(text, "d", path="bad.tmpl")
+                assert str(err.value) == f"bad.tmpl:line 2: {message}"
+        # Other object types are held to the same spelling.
+        with pytest.raises(ParseError, match="in <TIE_UP-01> must be ASCII digits"):
+            parse_templates("<TIE_UP-01> :=\n  STATUS: EXISTING\n", "d")
+        # Canonical spellings, zero and many digits included, still parse.
+        text = (
+            "<TIE_UP-10> :=\n  ENTITIES: <ENTITY-0> <ENTITY-120>\n\n"
+            "<ENTITY-0> :=\n  NAME: X社\n\n<ENTITY-120> :=\n  NAME: Y社\n"
+        )
+        graph = parse_templates(text, "d")
+        assert [t.object_id for t in graph.tieups] == [10]
+        assert graph.tieups[0].entity_refs == (0, 120)
+        assert [e.object_id for e in graph.entities] == [0, 120]
 
 
 # Characters and fragments the parser fuzz inserts: header, slot and
@@ -351,18 +385,34 @@ def parse_outcome(parse, text):
         return ("ParseError", str(err), err.line)
 
 
+NUMBER_ERROR = re.compile(
+    r"m\.tmpl:line \d+: object number in (<[A-Z_]+-(\d+)>) must be ASCII digits with no leading zero"
+)
+
+
 def test_parser_agrees_with_the_former_parser_on_mutated_files():
+    # The former parser read any decimal digits as an object number; the
+    # parser now refuses every spelling but ``str(number)``.  Where it does,
+    # the error names a spelling that is on its line and is not canonical;
+    # everywhere else the two parsers agree.
     rng = random.Random(163)
     texts = [p.read_text("utf-8") for p in sorted(DATA.glob("*/*.tmpl"))]
     assert len(texts) == 6  # golden, score_key and score_response files
-    parsed = 0
+    parsed = refused = 0
     for n in range(6000):
         text = mutate(texts[n % len(texts)], rng)
         got = parse_outcome(parse_templates, text)
-        assert got == parse_outcome(parse_templates_before, text), text
+        number_error = not isinstance(got, TemplateGraph) and NUMBER_ERROR.fullmatch(got[1])
+        if number_error:
+            written, digits = number_error.groups()
+            assert written in text.splitlines()[got[2] - 1], text
+            assert str(int(digits)) != digits, text
+            refused += 1
+        else:
+            assert got == parse_outcome(parse_templates_before, text), text
         parsed += isinstance(got, TemplateGraph)
-    # Both outcomes are exercised.
-    assert parsed > 500 and 6000 - parsed > 1000
+    # Every outcome is exercised.
+    assert parsed > 500 and 6000 - parsed - refused > 1000 and refused >= 5
 
 
 def random_graph(rng, doc_id="d"):

@@ -7,8 +7,6 @@ two directories of template files and prints one metrics row per document
 and a TOTAL row over the pooled counts.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -47,10 +45,6 @@ class RunConfig(NamedTuple):
     discourse: disc.DiscourseConfig = disc.DiscourseConfig()
 
 
-def _packaged(name: str) -> str:
-    return (importlib_resources.files("tieupkit.data") / name).read_text("utf-8")
-
-
 def _read_text(path: Path) -> str:
     """A user file's text; a byte that is not UTF-8 is a ParseError at its line."""
     data = path.read_bytes()
@@ -62,9 +56,10 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, str(path)) from None
 
 
-def _read(path: Path | None, default_name: str) -> tuple[str, str]:
+def _read(path: Path | None, default_name: str, packaged) -> tuple[str, str]:
+    """The user's file, or ``default_name`` from the packaged data directory."""
     if path is None:
-        return _packaged(default_name), f"<packaged {default_name}>"
+        return (packaged / default_name).read_text("utf-8"), f"<packaged {default_name}>"
     return _read_text(path), str(path)
 
 
@@ -72,10 +67,11 @@ def load_resources(config: RunConfig | None = None) -> ExtractionResources:
     """Parse the configured lexicons and rules; packaged defaults when None."""
     if config is None:
         config = RunConfig(corpus=Path("."), out=Path("."))
-    designator_text, designator_path = _read(config.designators, "designators.lex")
-    concept_text, concept_path = _read(config.concepts, "concepts.lex")
-    pattern_text, pattern_path = _read(config.patterns, "patterns.pat")
-    map_text, map_path = _read(config.concept_map, "concept_map.tsv")
+    packaged = importlib_resources.files("tieupkit.data")
+    designator_text, designator_path = _read(config.designators, "designators.lex", packaged)
+    concept_text, concept_path = _read(config.concepts, "concepts.lex", packaged)
+    pattern_text, pattern_path = _read(config.patterns, "patterns.pat", packaged)
+    map_text, map_path = _read(config.concept_map, "concept_map.tsv", packaged)
     return ExtractionResources(
         designators=tokens_mod.load_designator_lexicon(designator_text, designator_path),
         concept_lexicon=concepts_mod.load_concept_lexicon(concept_text, concept_path),

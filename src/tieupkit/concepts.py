@@ -11,8 +11,6 @@ a run holding no key word's first character is skipped without trying any;
 the lexicon keeps those characters in one set built with it.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ParseError

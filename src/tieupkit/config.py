@@ -1,7 +1,5 @@
 """Plain key-value config files (``key = value``, ``#`` comments)."""
 
-from __future__ import annotations
-
 from .discourse import DiscourseConfig
 from .errors import ParseError
 

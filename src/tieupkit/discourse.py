@@ -13,8 +13,6 @@ different partner-id set appears, and concepts merge into a segment's
 cluster when their subjects intersect its partners.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .tokens import Document, POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN

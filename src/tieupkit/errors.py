@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one reader of numbers in input files."""
 
 
 class TieupkitError(Exception):
@@ -30,3 +30,24 @@ class DanglingReferenceError(TieupkitError):
     def __init__(self, ref: str):
         self.ref = ref
         super().__init__(f"dangling object reference: {ref}")
+
+
+# Longest number any file format takes: every number then fits in 64 bits,
+# and ``int`` never sees a string long enough to be slow or refused.
+MAX_DIGITS = 18
+
+
+def read_number(digits: str, what: str, line: int | None, path: str | None) -> int:
+    """``digits`` as an int: ASCII digits, no sign, underscore or leading zero,
+    at most MAX_DIGITS of them.  ``what`` names the number in the error, with
+    ``{}`` where its spelling goes."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            what.format(digits[:MAX_DIGITS] + "...") + f" has more than {MAX_DIGITS} digits",
+            line, path,
+        )
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+        raise ParseError(
+            what.format(digits) + " must be ASCII digits with no leading zero", line, path
+        )
+    return int(digits)

@@ -36,14 +36,12 @@ state, plus one match per assignment; a sentence it cannot match costs
 linear time.
 """
 
-from __future__ import annotations
-
 import re
 from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, read_number
 from .tokens import ENTITY_TAGS, POS_COMPANY, Token
 
 SKIP_NAME = "@SKIP"
@@ -268,10 +266,7 @@ def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
         if name in names:
             raise ParseError(f"duplicate rule name {name!r}", lineno, path)
         names.add(name)
-        try:
-            index_field = int(words[1])
-        except ValueError:
-            raise ParseError(f"index field {words[1]!r} is not a number", lineno, path)
+        index_field = read_number(words[1], "index field {}", lineno, path)
 
         elements: list[PatternElement] = []
         pending: list[str] = []

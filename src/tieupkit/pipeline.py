@@ -7,8 +7,6 @@ tracking, discourse segmentation, pronoun resolution, concept merging,
 template generation.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import concepts as concepts_mod

@@ -5,17 +5,19 @@ score correct; entities are aligned before tie-ups so that reference slots
 can be judged by whether the referenced objects ended up aligned.  Each
 fill lands in one of five categories: correct, partially correct (one value
 a substring of the other after whitespace normalization), incorrect,
-missing, spurious.  The seven summary measures are computed in exact
-rational arithmetic and rounded half-up to one decimal percent only when
-printed.
+missing, spurious.  The seven summary measures are stated once, as integer
+(numerator, denominator) pairs: ``compute_metrics`` builds exact Fractions
+from them, and the report table rounds them half-up to one decimal percent
+straight from the integers.  ``fractions`` is imported on first use, since
+extraction never builds a Fraction.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .templates import LAYOUT, EntityObject, TemplateGraph, TieUpObject
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
@@ -49,13 +51,13 @@ class ScoreCounts:
 
 
 class Metrics(NamedTuple):
-    err: Fraction
-    und: Fraction
-    ovg: Fraction
-    sub: Fraction
-    rec: Fraction
-    pre: Fraction
-    pr: Fraction
+    err: "Fraction"
+    und: "Fraction"
+    ovg: "Fraction"
+    sub: "Fraction"
+    rec: "Fraction"
+    pre: "Fraction"
+    pr: "Fraction"
     undefined: frozenset[str] = frozenset()  # metrics whose ratio was 0/0
 
     def as_percentages(self) -> dict[str, float]:
@@ -63,50 +65,71 @@ class Metrics(NamedTuple):
         return dict(zip(METRIC_NAMES, map(round_percent, values)))
 
 
-def round_percent(value: Fraction) -> float:
-    """Percentage rounded half-up to one decimal (0.6375 -> 63.8)."""
-    num, den = value.as_integer_ratio()
+def _ratios(c: ScoreCounts) -> tuple[tuple[int, int], ...]:
+    """The seven measures as (numerator, denominator) pairs, in METRIC_NAMES
+    order; a 0 denominator marks a 0/0 measure.  Numerators carrying a PAR/2
+    term arrive doubled, over a doubled denominator."""
+    possible, actual = c.possible, c.actual
+    right = 2 * c.cor + c.par
+    return (
+        (2 * c.inc + c.par + 2 * c.mis + 2 * c.spu, 2 * (possible + c.spu)),
+        (c.mis, possible),
+        (c.spu, actual),
+        (2 * c.inc + c.par, 2 * (c.cor + c.par + c.inc)),
+        (right, 2 * possible),
+        (right, 2 * actual),
+        # f_measure(REC, PRE) reduced: both share the numerator 2·COR + PAR,
+        # and when it is nonzero, so are possible and actual.
+        (right, possible + actual if right else 0),
+    )
+
+
+def _percent(num: int, den: int) -> float:
+    """num/den as a percentage rounded half-up to one decimal; 0 when den is 0."""
+    if not den:
+        return 0.0
     tenths, rest = divmod(1000 * num, den)
     if 2 * rest >= den:
         tenths += 1
     return tenths / 10
 
 
+def round_percent(value: "Fraction") -> float:
+    """Percentage rounded half-up to one decimal (0.6375 -> 63.8)."""
+    return _percent(*value.as_integer_ratio())
+
+
+_fraction = None  # fractions.Fraction, once a metric has needed it
+
+
+def _fraction_type():
+    """``fractions.Fraction``, imported the first time a metric is built; an
+    import statement in ``compute_metrics`` would add a fifth to each call."""
+    global _fraction
+    if _fraction is None:
+        from fractions import Fraction as _fraction
+    return _fraction
+
+
 def compute_metrics(counts: ScoreCounts) -> Metrics:
     """The error-based and recall/precision-based measures; 0/0 is 0, flagged."""
-    undefined: set[str] = set()
-
-    def ratio(name: str, num: int, den: int) -> Fraction:
-        # Numerators carrying a PAR/2 term arrive pre-doubled with a doubled
-        # denominator, keeping everything in one exact Fraction.
-        if den == 0:
-            undefined.add(name)
-            return Fraction(0)
-        return Fraction(num, den)
-
-    c = counts
-    possible, actual = c.possible, c.actual
-    err = ratio("ERR", 2 * c.inc + c.par + 2 * c.mis + 2 * c.spu, 2 * (possible + c.spu))
-    und = ratio("UND", c.mis, possible)
-    ovg = ratio("OVG", c.spu, actual)
-    sub = ratio("SUB", 2 * c.inc + c.par, 2 * (c.cor + c.par + c.inc))
-    rec = ratio("REC", 2 * c.cor + c.par, 2 * possible)
-    pre = ratio("PRE", 2 * c.cor + c.par, 2 * actual)
-    if c.cor or c.par:
-        # f_measure(rec, pre) reduced: both ratios share the numerator
-        # 2·COR + PAR, and COR + PAR > 0 here, so possible, actual > 0.
-        pr = Fraction(2 * c.cor + c.par, possible + actual)
-    else:
-        pr = Fraction(0)
-        undefined.add("PR")
-    return Metrics(err, und, ovg, sub, rec, pre, pr, frozenset(undefined))
+    Fraction = _fraction_type()
+    values = []
+    undefined = []
+    for name, (num, den) in zip(METRIC_NAMES, _ratios(counts)):
+        if den:
+            values.append(Fraction(num, den))
+        else:
+            values.append(Fraction(0))
+            undefined.append(name)
+    return Metrics(*values, frozenset(undefined))
 
 
-def f_measure(rec: Fraction, pre: Fraction) -> Fraction:
+def f_measure(rec: "Fraction", pre: "Fraction") -> "Fraction":
     """2·rec·pre / (rec + pre), built as one Fraction from integers."""
     a, b = rec.numerator, rec.denominator
     c, d = pre.numerator, pre.denominator
-    return Fraction(2 * a * c, a * d + c * b)
+    return _fraction_type()(2 * a * c, a * d + c * b)
 
 
 # Slots with a fixed vocabulary; every other slot is open.
@@ -381,8 +404,8 @@ class ScoreReport:
     def format_table(self) -> str:
         lines = [_TABLE_HEADER]
         for doc in self.documents:
-            lines.append(_format_row(doc.doc_id, doc.metrics))
-        lines.append(_format_row("TOTAL", self.total_metrics))
+            lines.append(_format_row(doc.doc_id, doc.counts))
+        lines.append(_format_row("TOTAL", self.total_counts))
         return "\n".join(lines)
 
     def format(self) -> str:
@@ -396,8 +419,9 @@ _TABLE_HEADER = f"{'DOC':<16}" + "".join(
 _ROW = "%-16s" + "%8.1f" * len(METRIC_NAMES)
 
 
-def _format_row(label: str, metrics: Metrics) -> str:
-    return _ROW % (label, *metrics.as_percentages().values())
+def _format_row(label: str, counts: ScoreCounts) -> str:
+    """One table row, rounded from the counts without building a Fraction."""
+    return _ROW % (label, *[_percent(num, den) for num, den in _ratios(counts)])
 
 
 def score_documents(

@@ -17,13 +17,11 @@ lines, object references written as ``<TYPE-n>``, values of multi-valued
 slots space-separated, blank line between objects.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 
 from .discourse import CompanyRegistry, TieUpCluster
-from .errors import DanglingReferenceError, ParseError
+from .errors import DanglingReferenceError, ParseError, read_number
 from .tokens import Document
 
 STATUS_EXISTING = "EXISTING"
@@ -31,8 +29,8 @@ STATUS_DISSOLVED = "DISSOLVED"
 
 WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 
-# ``\d`` takes any Unicode decimal digit; ``_object_number`` then accepts
-# only the spelling ``str`` gives the number.
+# ``\d`` takes any Unicode decimal digit; ``read_number`` then accepts only
+# the spelling ``str`` gives the number.
 _HEADER_RE = re.compile(r"^<([A-Z_]+)-(\d+)>\s*:=\s*$")
 _REF_RE = re.compile(r"^<([A-Z_]+)-(\d+)>$")
 
@@ -164,17 +162,6 @@ def serialize_templates(graph: TemplateGraph) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def _object_number(kind: str, digits: str, lineno: int, path: str | None) -> int:
-    """The number in ``<kind-digits>``, written in ASCII digits with no leading zero."""
-    number = int(digits)
-    if str(number) != digits:
-        raise ParseError(
-            f"object number in <{kind}-{digits}> must be ASCII digits with no leading zero",
-            lineno, path,
-        )
-    return number
-
-
 def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> TemplateGraph:
     """Parse block text back into a graph; inverse of serialization.
 
@@ -192,7 +179,8 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         header = _HEADER_RE.match(line) if line[0] == "<" else None
         if header:
             kind = header.group(1)
-            object_id = _object_number(kind, header.group(2), lineno, path)
+            what = f"object number in <{kind}-{{}}>"
+            object_id = read_number(header.group(2), what, lineno, path)
             if kind not in _BY_TYPE:
                 raise ParseError(f"unknown object type {kind!r}", lineno, path)
             if (kind, object_id) in seen_headers:
@@ -224,7 +212,7 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
                 m = _REF_RE.match(ref)
                 if not m or m.group(1) != "ENTITY":
                     raise ParseError(f"bad entity reference {ref!r}", lineno, path)
-                number = _object_number("ENTITY", m.group(2), lineno, path)
+                number = read_number(m.group(2), "object number in <ENTITY-{}>", lineno, path)
                 if number in refs:
                     raise ParseError(
                         f"<ENTITY-{number}> repeated in <TIE_UP-{object_id}>", lineno, path

@@ -7,8 +7,6 @@ else is carried through untouched.  Recognition and grouping each emit every
 token once, at its final (sentence, token) index; one already there is reused.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import ParseError

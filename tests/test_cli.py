@@ -415,6 +415,18 @@ class TestScore:
         assert "d1.tmpl:line 2: reference to undefined <ENTITY-9>" in err
         assert "Traceback" not in err
 
+    def test_key_object_number_past_the_digit_limit_fails_with_line(self, tmp_path, capsys):
+        keys = tmp_path / "keys"
+        keys.mkdir()
+        (keys / "d1.tmpl").write_text(f"<ENTITY-{'1' * 5000}> :=\n  NAME: X社\n", "utf-8")
+        code, stdout, err = run(capsys, "score", str(keys), str(keys))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert "d1.tmpl:line 1: object number in <ENTITY-111111111111111111...>" in err
+        assert "Traceback" not in err
+
+
 class TestArgs:
     def test_missing_required_flags(self, capsys):
         code = main(["extract"])

@@ -81,6 +81,22 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_pattern_file("(R 2 @SKIP)")
 
+    def test_index_takes_only_its_canonical_spelling(self):
+        # int() reads each of these as 1, or as a number too long for it.
+        for spelling in ("١", "１", "+1", "0_1", "1_", "01", "1" * 19, "9" * 5000):
+            text = f"(A 1 設立:loose:VN)\n(B {spelling}\n  設立:loose:VN)"
+            with pytest.raises(ParseError) as err:
+                parse_pattern_file(text, path="rules.pat")
+            assert err.value.line == 2, spelling
+            assert str(err.value).startswith("rules.pat:line 2: index field "), spelling
+        with pytest.raises(ParseError, match=r"line 1: index field \+1 must be ASCII digits"):
+            parse_pattern_file("(R +1 設立:loose:VN)")
+        with pytest.raises(ParseError, match=r"index field 1{18}\.\.\. has more than 18 digits"):
+            parse_pattern_file(f"(R {'1' * 5000} 設立:loose:VN)")
+        # An 18-digit index is read, and is then out of range.
+        with pytest.raises(ParseError, match=f"index field {'1' * 18} out of range 1..1"):
+            parse_pattern_file(f"(R {'1' * 18} 設立:loose:VN)")
+
     def test_index_must_be_literal(self):
         with pytest.raises(ParseError):
             parse_pattern_file("(R 1 @X 設立:loose:VN)")

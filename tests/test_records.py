@@ -25,7 +25,8 @@ from tieupkit.tokens import Token
 from conftest import load_doc
 
 # Run in a fresh isolated interpreter: prints the modules the import and
-# resource loading added.
+# resource loading added, then the types of the first metrics computed and
+# whether ``fractions`` was loaded by then.
 IMPORT_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -33,18 +34,35 @@ before = set(sys.modules)
 import tieupkit, tieupkit.cli
 tieupkit.cli.load_resources()
 print(" ".join(sorted(set(sys.modules) - before)))
+metrics = tieupkit.compute_metrics(tieupkit.ScoreCounts(3, 1, 1, 1, 1))
+loaded = "fractions" in sys.modules
+from fractions import Fraction
+print(all(type(value) is Fraction for value in metrics[:7]), loaded)
 """
 
 
-def test_import_loads_no_dataclass_machinery():
+@pytest.fixture(scope="module")
+def import_probe():
     src = str(Path(tieupkit.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-I", "-c", IMPORT_PROBE, src],
         capture_output=True, text=True, check=True,
     )
-    added = set(proc.stdout.split())
+    added, metrics = proc.stdout.splitlines()
+    return set(added.split()), metrics
+
+
+def test_import_loads_no_dataclass_machinery(import_probe):
+    added, _ = import_probe
     assert "tieupkit.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_fractions_load_on_first_metrics(import_probe):
+    # Extraction never builds a Fraction, so start-up does not pay for one.
+    added, metrics = import_probe
+    assert not added & {"fractions", "decimal"}
+    assert metrics == "True True"
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from tieupkit.scoring import (
     ScoreCounts,
     _align_type,
     _fills,
+    _format_row,
     _slot_values,
     align_and_count,
     compute_metrics,
@@ -70,6 +71,27 @@ class TestMetrics:
 
     def random_counts(self, rng):
         return ScoreCounts(*[rng.randint(0, 30) for _ in range(5)])
+
+    def test_rows_from_counts_equal_rows_from_fractions(self):
+        # Every all-zero and single-category vector, then random ones: small,
+        # large, and with random categories zeroed.
+        vectors = [(0,) * 5] + [
+            tuple(n if i == j else 0 for i in range(5)) for j in range(5) for n in (1, 2, 7)
+        ]
+        rng = random.Random(167)
+        while len(vectors) < 10_000:
+            top = rng.choice((3, 30, 1000, 10**9))
+            vectors.append(tuple(
+                0 if rng.random() < 0.3 else rng.randint(0, top) for _ in range(5)
+            ))
+        for counts in vectors:
+            label = f"d{rng.randrange(100)}"
+            reference = oracles.compute_metrics(oracles.ScoreCounts(*counts))
+            row = _format_row(label, ScoreCounts(*counts))
+            assert row == oracles._format_row(label, reference), counts
+            # The Fractions agree with the oracle's too, undefined flags included.
+            metrics = compute_metrics(ScoreCounts(*counts))
+            assert tuple(metrics) == tuple(reference.__dict__.values()), counts
 
     def test_identities_and_bounds(self):
         rng = random.Random(89)

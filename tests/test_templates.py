@@ -343,6 +343,21 @@ class TestSerialization:
         assert graph.tieups[0].entity_refs == (0, 120)
         assert [e.object_id for e in graph.entities] == [0, 120]
 
+    def test_object_numbers_past_the_digit_limit_are_refused_with_line(self):
+        # 5,000 digits is past int()'s own limit, which raised a ValueError.
+        entities = "<ENTITY-1> :=\n  NAME: X社\n"
+        for digits in ("1" * 19, "9" * 5000):
+            message = f"object number in <ENTITY-{digits[:18]}...> has more than 18 digits"
+            for text, line in [
+                (f"<ENTITY-{digits}> :=\n  NAME: Z社\n", 1),
+                (f"<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1> <ENTITY-{digits}>\n\n" + entities, 2),
+            ]:
+                with pytest.raises(ParseError) as err:
+                    parse_templates(text, "d", path="bad.tmpl")
+                assert str(err.value) == f"bad.tmpl:line {line}: {message}"
+        graph = parse_templates(f"<ENTITY-{'9' * 18}> :=\n  NAME: Z社\n", "d")
+        assert graph.entities[0].object_id == 10**18 - 1
+
 
 # Characters and fragments the parser fuzz inserts: header, slot and
 # reference syntax, whitespace that ``str.strip`` removes, and characters

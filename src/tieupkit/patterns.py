@@ -29,16 +29,19 @@ tokens, most matched variables and literals.
 Enumeration follows only branches that can still complete: a per-sentence
 table lists, for each element, the positions from which the rest of the rule
 can still match.  The completions of the rule from each reachable (element,
-position) state are built once and shared by every prefix that reaches the
-state, so assignments share their suffixes.  A rule then costs its length
-times the sentence length, plus one entry per completion of each reachable
-state, plus one match per assignment; a sentence it cannot match costs
-linear time.
+position) state past the first are built once and shared by every prefix
+that reaches the state; each match is built at its start from a span of the
+first element and one such completion, so no root completion list is built.
+A rule then costs its length times the sentence length, plus one entry per
+completion of each reachable state, plus one match per assignment; a
+sentence it cannot match costs linear time.
 """
 
 import re
 from bisect import bisect_left
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParseError, read_number
@@ -155,8 +158,8 @@ class PatternRule:
 class PatternMatch(NamedTuple):
     """One assignment of a rule's elements to token spans.
 
-    Only the rule, the spans and the company count are stored; everything
-    else is derived from them on read.
+    Only the rule, the sentence index, the spans and the company count are
+    stored; everything else is derived from them on read.
     """
 
     rule: PatternRule
@@ -351,46 +354,49 @@ def _rule_matches(rule: PatternRule, rows, companies, sent_index: int, out: list
 
     ``rows`` are the rule's literal table rows (None for a variable or
     ``@SKIP``) and ``companies[i]`` counts the company tokens before
-    position ``i``.  The completions of ``elements[i:]`` from position ``p``,
-    as (spans, filled company-name variables) pairs, are built once per
-    ``(i, p)`` from the next element's completions and shared by every
-    prefix that reaches that state.  Only live states (see
-    ``_live_positions``) reachable from a live start are built, and none
-    outlives the call.
+    position ``i``.  Each (spans, filled company-name variables) completion
+    of ``elements[i:]`` from position ``p``, ``i`` >= 1, is built once per
+    ``(i, p)`` and shared by every prefix reaching it.  A match is built at
+    its start from a span of element 0 and a completion of element 1; no
+    root completion list is built.  Only live states (``_live_positions``)
+    reachable from a live start are built, and none outlives the call.
     """
     live = _live_positions(rule, rows, len(companies) - 1)
     widths, is_cname = rule.min_widths, rule.is_cname
     last = len(rows)
     memo: dict[tuple[int, int], list] = {}
 
+    def heads(i: int, p: int):
+        # Element i's (span, company fill, next position) choices at p: a
+        # literal takes one token, any other element every live end at least
+        # its minimum width on, filling when it takes a company token.
+        if rows[i] is not None:
+            return ((((p, p + 1),), 0, p + 1),)
+        ends = live[i + 1]
+        below = companies[p] if is_cname[i] else None
+        choices = []
+        for end in ends[bisect_left(ends, p + widths[i]):]:
+            choices.append((((p, end),), below is not None and companies[end] > below, end))
+        return choices
+
     def completions(i: int, p: int) -> list:
         if i == last:
             return _COMPLETE
         done = memo.get((i, p))
-        if done is not None:
-            return done
-        done = []
-        add = done.append
-        if rows[i] is not None:
-            span = ((p, p + 1),)
-            for spans, c in completions(i + 1, p + 1):
-                add((span + spans, c))
-        else:
-            ends = live[i + 1]
-            below = companies[p] if is_cname[i] else None
-            for end in ends[bisect_left(ends, p + widths[i]):]:
-                span = ((p, end),)
-                filled = below is not None and companies[end] > below
+        if done is None:
+            done = memo[i, p] = []
+            add = done.append
+            for span, filled, end in heads(i, p):
                 for spans, c in completions(i + 1, end):
                     add((span + spans, c + filled))
-        if i:
-            memo[i, p] = done
         return done
 
-    add = out.append
+    # tuple.__new__ skips the Python frame of PatternMatch's generated __new__.
+    add, new = out.append, tuple.__new__
     for start in live[0]:
-        for spans, c in completions(0, start):
-            add(PatternMatch(rule, sent_index, spans, c))
+        for span, filled, end in heads(0, start):
+            for spans, c in completions(1, end):
+                add(new(PatternMatch, (rule, sent_index, span + spans, c + filled)))
     # ``completions`` reaches itself through its closure; dropping the name
     # breaks that cycle, so the memo is freed on return, not by the cyclic
     # garbage collector.
@@ -423,7 +429,6 @@ def match_sentence(
     the prefilter's index literal included: rules whose literals have equal
     alternatives, mode and POS tag share its table row.
     """
-    sentence = list(sentence)
     sent_index = sentence[0].sent_index if sentence else 0
     companies = [0]
     for tok in sentence:
@@ -442,10 +447,16 @@ def match_sentence(
 
 
 def _selection_key(m: PatternMatch):
-    # Runs once per match, so it reads the stored fields, not the properties.
+    # Runs once per rule run, so it reads the stored fields, not the properties.
     spans, rule = m.spans, m.rule
     start = spans[0][0]
     return (-m.cname_filled, spans[-1][1] - start, -rule.elements_matched, start, rule.name, spans)
+
+
+def _run_key(m: PatternMatch):
+    # _selection_key's order within one rule, whose spans open with the start.
+    spans = m.spans
+    return (-m.cname_filled, spans[-1][1] - spans[0][0], spans)
 
 
 def select_best(matches: list[PatternMatch]) -> list[PatternMatch]:
@@ -455,11 +466,15 @@ def select_best(matches: list[PatternMatch]) -> list[PatternMatch]:
     token; fewest consumed tokens (shortest string match); most matched
     variables and literals.  Remaining ties fall to earliest start position,
     then rule name, then span layout, so the result is independent of input
-    order.
+    order.  Each run of one rule's matches is ranked on what varies within a
+    rule; only the run winners are ranked across rules.
     """
-    buckets: dict[str, list[PatternMatch]] = {}
-    for m in matches:
-        buckets.setdefault(m.rule.group, []).append(m)
-    winners = [min(bucket, key=_selection_key) for bucket in buckets.values()]
+    best: dict[str, tuple] = {}
+    for rule, run in groupby(matches, itemgetter(0)):  # runs of one rule
+        m = min(run, key=_run_key)
+        key = _selection_key(m)
+        if rule.group not in best or key < best[rule.group][0]:
+            best[rule.group] = (key, m)
+    winners = [m for _, m in best.values()]
     winners.sort(key=lambda m: (m.start, m.rule_name))
     return winners

@@ -1014,3 +1014,31 @@ def score_documents(
             DocumentScore(doc_id, fills, counts, compute_metrics(counts))
         )
     return report
+
+
+# Winner selection as it was before it ranked each run of one rule's matches
+# on its own, kept verbatim.
+
+
+def _selection_key(m: PatternMatch):
+    # Runs once per match, so it reads the stored fields, not the properties.
+    spans, rule = m.spans, m.rule
+    start = spans[0][0]
+    return (-m.cname_filled, spans[-1][1] - start, -rule.elements_matched, start, rule.name, spans)
+
+
+def select_best_by_key(matches: list[PatternMatch]) -> list[PatternMatch]:
+    """One winner per concept group.
+
+    Ranking, in order: most company-name variables containing a company
+    token; fewest consumed tokens (shortest string match); most matched
+    variables and literals.  Remaining ties fall to earliest start position,
+    then rule name, then span layout, so the result is independent of input
+    order.
+    """
+    buckets: dict[str, list[PatternMatch]] = {}
+    for m in matches:
+        buckets.setdefault(m.rule.group, []).append(m)
+    winners = [min(bucket, key=_selection_key) for bucket in buckets.values()]
+    winners.sort(key=lambda m: (m.start, m.rule_name))
+    return winners

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import tieupkit
-from tieupkit.cli import main
+from tieupkit import cli
+from tieupkit.cli import load_resources, main, run_extract
+from tieupkit.pipeline import extract_document
 
-from conftest import DATA
+from conftest import DATA, load_doc
 
 
 def run(capsys, *argv):
@@ -207,6 +209,10 @@ class TestExtract:
         assert code == 0
         for stage in ("registry", "segments", "topics", "matches"):
             assert (out / f"multi_tieup.{stage}.txt").exists()
+        # The winners and the segments, pinned byte for byte.
+        for stage in ("matches", "segments"):
+            name = f"multi_tieup.{stage}.txt"
+            assert (out / name).read_bytes() == (DATA / "dumps" / name).read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         out_flag = tmp_path / "from_flag"
@@ -242,11 +248,18 @@ class TestExtract:
         entity_ids = {e.object_id for e in graph.entities}
         assert all(r in entity_ids for t in graph.tieups for r in t.entity_refs)
 
-    def test_discourse_config_keys_respected(self, tmp_path, capsys):
+    def test_discourse_config_keys_respected(self, tmp_path, capsys, monkeypatch):
         # Renaming the near-company pronoun away disables 同社 resolution.
         config = tmp_path / "run.conf"
         config.write_text("pronoun_near = 当社\n", "utf-8")
         out = tmp_path / "out"
+        built = []
+
+        def recording_run_extract(run_config):
+            built.append(run_config)
+            return run_extract(run_config)
+
+        monkeypatch.setattr(cli, "run_extract", recording_run_extract)
         code, _, _ = run(
             capsys,
             "extract",
@@ -257,6 +270,15 @@ class TestExtract:
         )
         assert code == 0
         assert (out / "pronouns_a.tmpl").exists()
+        (run_config,) = built
+        assert run_config.discourse.pronoun_near == "当社"
+        doc = load_doc("pronouns_a")
+
+        def pronoun_surfaces(resources):
+            return [p.surface for p in extract_document(doc, resources).pronouns]
+
+        assert "同社" in pronoun_surfaces(load_resources())
+        assert pronoun_surfaces(load_resources(run_config)) == ["自社"]
 
     def test_unknown_config_key_rejected_with_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -1,5 +1,7 @@
 import random
 import time
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
@@ -23,6 +25,7 @@ from oracles import (
     literal_accepts,
     match_fields,
     match_set,
+    select_best_by_key,
 )
 
 JV_RULE_TEXT = """
@@ -465,12 +468,24 @@ class TestEnumerationOrder:
         # pair literals that differ only in POS tag, and repeat @CNAME names.
         rng = random.Random(67)
         shared = same_words_other_tag = repeated_cname = 0
+        # Rules by the shape of their first element, which the matcher's
+        # root loop handles itself, and one-element rules.
+        first = {"literal": 0, "@CNAME": 0, "variable": 0, "@SKIP": 0, "one element": 0}
         for _ in range(300):
             s = random_tokens(rng, self.VOCAB, self.TAGS)
             rules = [random_rule(rng, self.VOCAB, self.TAGS) for _ in range(3)]
             want = oracle_in_order(s, rules)
             assert in_order(s, rules, use_prefilter=True) == want
             assert in_order(s, rules, use_prefilter=False) == want
+            for rule in rules:
+                el = rule.elements[0]
+                if el.kind is ElementKind.LITERAL:
+                    first["literal"] += 1
+                elif el.kind is ElementKind.SKIP:
+                    first["@SKIP"] += 1
+                else:
+                    first["@CNAME" if rule.is_cname[0] else "variable"] += 1
+                first["one element"] += len(rule.elements) == 1
             literals = [
                 (i, el)
                 for i, rule in enumerate(rules)
@@ -489,6 +504,7 @@ class TestEnumerationOrder:
                 for name in ("@CNAME_A", "@CNAME_B")
             )
         assert shared and same_words_other_tag and repeated_cname
+        assert all(first.values()), first
 
     def test_rules_sharing_a_literal(self):
         s = sent(
@@ -858,3 +874,34 @@ class TestSelectBest:
 
     def test_empty_input(self):
         assert select_best([]) == []
+
+    def test_equals_the_former_selection_on_random_lists(self):
+        # Two groups of several rules each.  Shuffling splits one rule's
+        # matches into runs that are not adjacent; copies add duplicates.
+        rng = random.Random(83)
+        vocab, tags = TestEnumerationProperties.VOCAB, TestEnumerationProperties.TAGS
+        tried = split = duplicated = several = 0
+        while tried < 300:
+            s = random_tokens(rng, vocab, tags)
+            rules = []
+            for k in range(rng.randint(3, 8)):
+                rule = random_rule(rng, vocab, tags)
+                rules.append(PatternRule(f"{rng.choice('PQ')}{k}", rule.index_field, rule.elements))
+            matches = match_sentence(s, rules, use_prefilter=False)
+            if not matches:
+                continue
+            tried += 1
+            shuffled = matches[:]
+            rng.shuffle(shuffled)
+            copies = matches + rng.choices(matches, k=rng.randint(1, 4))
+            rng.shuffle(copies)
+            for candidate in (matches, shuffled, copies, [rng.choice(matches)]):
+                assert select_best(candidate) == select_best_by_key(candidate)
+            runs = [rule for rule, _ in groupby(shuffled, attrgetter("rule"))]
+            split += len(runs) > len(set(runs))
+            duplicated += len(set(copies)) < len(copies)
+            several += any(
+                len({m.rule_name for m in matches if m.group == g}) > 1 for g in "PQ"
+            )
+        assert select_best([]) == select_best_by_key([]) == []
+        assert split > 30 and duplicated > 30 and several > 30, (split, duplicated, several)

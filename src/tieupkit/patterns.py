@@ -447,7 +447,8 @@ def match_sentence(
 
 
 def _selection_key(m: PatternMatch):
-    # Runs once per rule run, so it reads the stored fields, not the properties.
+    # Runs only where two run winners meet, so it reads the stored fields,
+    # not the properties.
     spans, rule = m.spans, m.rule
     start = spans[0][0]
     return (-m.cname_filled, spans[-1][1] - start, -rule.elements_matched, start, rule.name, spans)
@@ -467,14 +468,16 @@ def select_best(matches: list[PatternMatch]) -> list[PatternMatch]:
     variables and literals.  Remaining ties fall to earliest start position,
     then rule name, then span layout, so the result is independent of input
     order.  Each run of one rule's matches is ranked on what varies within a
-    rule; only the run winners are ranked across rules.
+    rule; a run winner is ranked across rules only against its group's
+    winner so far, which it replaces only when strictly better.
     """
-    best: dict[str, tuple] = {}
+    best: dict[str, PatternMatch] = {}
     for rule, run in groupby(matches, itemgetter(0)):  # runs of one rule
         m = min(run, key=_run_key)
-        key = _selection_key(m)
-        if rule.group not in best or key < best[rule.group][0]:
-            best[rule.group] = (key, m)
-    winners = [m for _, m in best.values()]
-    winners.sort(key=lambda m: (m.start, m.rule_name))
+        held = best.get(rule.group)
+        if held is None or _selection_key(m) < _selection_key(held):
+            best[rule.group] = m
+    winners = list(best.values())
+    if len(winners) > 1:
+        winners.sort(key=lambda m: (m.start, m.rule_name))
     return winners

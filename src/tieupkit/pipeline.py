@@ -5,8 +5,16 @@ concept search and pattern matching with best-match selection (the sentence
 stage, shared with the no-discourse ablation), reference unification, topic
 tracking, discourse segmentation, pronoun resolution, concept merging,
 template generation.
+
+The sentence stage's per-sentence loop runs with the cyclic garbage
+collector paused.  Matching makes no reference cycles, and every match it
+builds stays alive until selection, so a collection there walks them all and
+frees none; reference counting frees each sentence's matches as the loop
+drops them.  The collector is left as the caller had it, also when matching
+raises.
 """
 
+import gc
 from typing import NamedTuple
 
 from . import concepts as concepts_mod
@@ -156,10 +164,18 @@ def _sentence_stage(doc: Document, resources: ExtractionResources):
 
     hits: list[concepts_mod.ConceptHit] = []
     winners: list[patterns_mod.PatternMatch] = []
-    for sentence in doc.sentences:
-        hits.extend(concepts_mod.find_concepts(sentence, resources.concept_lexicon))
-        matches = patterns_mod.match_sentence(sentence, resources.rules)
-        winners.extend(patterns_mod.select_best(matches))
+    # The cyclic collector is paused here (see the module docstring).
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for sentence in doc.sentences:
+            hits.extend(concepts_mod.find_concepts(sentence, resources.concept_lexicon))
+            matches = patterns_mod.match_sentence(sentence, resources.rules)
+            winners.extend(patterns_mod.select_best(matches))
+            del matches
+    finally:
+        if was_enabled:
+            gc.enable()
     return doc, reg, hits, winners
 
 

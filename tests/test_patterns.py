@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from itertools import groupby
@@ -16,7 +17,7 @@ from tieupkit.patterns import (
     parse_pattern_file,
     select_best,
 )
-from tieupkit.pipeline import extract_document
+from tieupkit.pipeline import extract_document, extract_document_no_discourse
 from tieupkit.tokens import Token, parse_document
 
 from oracles import (
@@ -735,6 +736,32 @@ class TestLiveBranches:
         assert counts == [490, 7832, 30872]
 
 
+class TestNoCyclicGarbage:
+    """Matching and extraction free everything they build by reference
+    counting alone, which is what lets the sentence stage pause the cyclic
+    collector."""
+
+    def test_matching_and_extraction_leave_nothing_for_the_collector(self, resources, data_dir):
+        docs = [
+            parse_document(path.read_text("utf-8"), str(path))
+            for path in sorted((data_dir / "corpus").glob("*.tok"))
+        ]
+        sentences = [dense_clause(n) for n in (44, 88, 132)]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for s in sentences:
+                assert select_best(match_sentence(s, resources.rules))
+            for doc in docs:
+                extract_document(doc, resources)
+                extract_document_no_discourse(doc, resources)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
 class TestMatchLayout:
     def test_match_stores_four_fields_and_no_instance_dict(self):
         s = sent(("X社", "company"), ("は", "particle"), ("提携", "verbal-nominal"))
@@ -874,6 +901,21 @@ class TestSelectBest:
 
     def test_empty_input(self):
         assert select_best([]) == []
+
+    def test_first_of_equally_ranked_run_winners_wins(self):
+        # Two rules of one name whose matches rank equal on every key (a
+        # rule file cannot repeat a name, so the second is built directly).
+        s = sent(("X社", "company"), ("は", "particle"), ("提携", "verbal-nominal"))
+        first, other = parse_pattern_file(
+            "(Jv1 3 @CNAME_A は:strict:P 提携:loose:VN)\n"
+            "(Jv2 3 @CNAME_B は:strict:P 提携:loose:VN)"
+        )
+        rules = [first, PatternRule("Jv1", other.index_field, other.elements)]
+        for order in (rules, rules[::-1]):
+            matches = match_sentence(s, order)
+            (winner,) = select_best(matches + matches)
+            assert winner.rule is order[0]
+            assert select_best_by_key(matches + matches) == [winner]
 
     def test_equals_the_former_selection_on_random_lists(self):
         # Two groups of several rules each.  Shuffling splits one rule's

@@ -1,3 +1,8 @@
+import gc
+
+import pytest
+
+from tieupkit import patterns
 from tieupkit.pipeline import extract_document, extract_document_no_discourse
 from tieupkit.templates import parse_templates, serialize_templates
 
@@ -118,3 +123,59 @@ class TestNoDiscourseMode:
             assert ablation.document == full.document, name
             assert ablation.hits == full.hits, name
             assert ablation.winners == full.winners, name
+
+
+@pytest.fixture
+def collector_restored():
+    """Start with the cyclic collector on; leave it as it was found."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_restored")
+@pytest.mark.parametrize(
+    "extract", [extract_document, extract_document_no_discourse], ids=["discourse", "no_discourse"]
+)
+class TestCollectorPausedForMatching:
+    """The sentence stage runs with the cyclic collector off and gives the
+    caller back the collector as it was."""
+
+    @staticmethod
+    def record(monkeypatch, fail=False) -> list[bool]:
+        seen: list[bool] = []
+        match_sentence = patterns.match_sentence
+
+        def recording(sentence, rules):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("matcher failed")
+            return match_sentence(sentence, rules)
+
+        monkeypatch.setattr(patterns, "match_sentence", recording)
+        return seen
+
+    def test_off_inside_matching_and_on_after(self, monkeypatch, resources, extract):
+        seen = self.record(monkeypatch)
+        result = extract(load_doc("multi_tieup"), resources)
+        assert result.winners
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_had_it_off(self, monkeypatch, resources, extract):
+        seen = self.record(monkeypatch)
+        gc.disable()
+        extract(load_doc("multi_tieup"), resources)
+        assert seen and not any(seen)
+        assert not gc.isenabled()
+
+    def test_on_again_when_matching_raises(self, monkeypatch, resources, extract):
+        seen = self.record(monkeypatch, fail=True)
+        with pytest.raises(RuntimeError, match="matcher failed"):
+            extract(load_doc("multi_tieup"), resources)
+        assert seen == [False]
+        assert gc.isenabled()

@@ -12,7 +12,6 @@ from .concepts import ConceptHit, ConceptLexicon, compound_runs, find_concepts, 
 from .discourse import (
     CompanyRegistry,
     ConceptInstance,
-    DiscourseConfig,
     DiscourseSegment,
     TieUpCluster,
     TopicState,

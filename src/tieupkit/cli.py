@@ -15,10 +15,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import concepts as concepts_mod
-from . import discourse as disc
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
-from .config import discourse_config_from, read_kv_config
+from .config import read_kv_config
 from .errors import ParseError, TieupkitError
 from .pipeline import (
     ExtractionResources,
@@ -42,17 +41,22 @@ class RunConfig(NamedTuple):
     concept_map: Path | None = None
     dump: tuple[str, ...] = ()
     no_discourse: bool = False
-    discourse: disc.DiscourseConfig = disc.DiscourseConfig()
 
 
 def _read_text(path: Path) -> str:
-    """A user file's text; a byte that is not UTF-8 is a ParseError at its line."""
+    """A user file's text without a leading UTF-8 byte-order mark; a byte that
+    is not UTF-8 is a ParseError at its line."""
     data = path.read_bytes()
+    # Stripped before decoding, so the error's offset counts from the text.
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
     try:
         # Every reader splits with str.splitlines, so newlines need no translating.
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # Lines are counted as the readers count them; the text before the
+        # bad byte is valid, and "x" stands in for the line it starts.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, str(path)) from None
 
 
@@ -77,7 +81,6 @@ def load_resources(config: RunConfig | None = None) -> ExtractionResources:
         concept_lexicon=concepts_mod.load_concept_lexicon(concept_text, concept_path),
         rules=patterns_mod.parse_pattern_file(pattern_text, pattern_path),
         concept_map=patterns_mod.load_concept_map(map_text, map_path),
-        discourse=config.discourse,
     )
 
 
@@ -220,7 +223,6 @@ def _build_run_config(args) -> RunConfig:
         concept_map=opt_path("concept_map", args.concept_map),
         dump=tuple(dump),
         no_discourse=args.no_discourse,
-        discourse=discourse_config_from(file_values),
     )
     for path in (config.corpus, config.concepts, config.patterns,
                  config.designators, config.concept_map):

@@ -1,14 +1,10 @@
 """Plain key-value config files (``key = value``, ``#`` comments)."""
 
-from .discourse import DiscourseConfig
 from .errors import ParseError
-
-_PRONOUN_KEYS = ("pronoun_both", "pronoun_near", "pronoun_self")
 
 # Every key ``tieupkit extract`` reads from a config file.
 CONFIG_KEYS = frozenset(
-    {"corpus", "out", "concepts", "patterns", "designators", "concept_map", "dump",
-     "subject_markers", *_PRONOUN_KEYS}
+    {"corpus", "out", "concepts", "patterns", "designators", "concept_map", "dump"}
 )
 
 
@@ -28,18 +24,3 @@ def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
         values[key] = value.strip()
     return values
 
-
-def discourse_config_from(values: dict[str, str]) -> DiscourseConfig:
-    """Build a DiscourseConfig from config keys, defaulting the rest.
-
-    Recognized keys: ``pronoun_both``, ``pronoun_near``, ``pronoun_self``,
-    and ``subject_markers`` (whitespace- or comma-separated).
-    """
-    kwargs = {}
-    for key in _PRONOUN_KEYS:
-        if values.get(key):
-            kwargs[key] = values[key]
-    if values.get("subject_markers"):
-        markers = values["subject_markers"].replace(",", " ").split()
-        kwargs["subject_markers"] = tuple(markers)
-    return DiscourseConfig(**kwargs)

@@ -19,18 +19,15 @@ from .tokens import Document, POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN
 
 _CANDIDATE_TAGS = frozenset({POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN})
 
+# The paper's pronouns: the current tie-up's partners, the nearest preceding
+# company, and the topic company.
+PRONOUN_BOTH = "両社"
+PRONOUN_NEAR = "同社"
+PRONOUN_SELF = "自社"
+_PRONOUNS = frozenset({PRONOUN_BOTH, PRONOUN_NEAR, PRONOUN_SELF})
 
-class DiscourseConfig(NamedTuple):
-    """Pronoun inventory and subject-marker set (configurable)."""
-
-    pronoun_both: str = "両社"
-    pronoun_near: str = "同社"
-    pronoun_self: str = "自社"
-    subject_markers: tuple[str, ...] = ("が", "は", "も")
-
-    @property
-    def pronouns(self) -> frozenset[str]:
-        return frozenset({self.pronoun_both, self.pronoun_near, self.pronoun_self})
+# Case particles that mark the company before them as the sentence's subject.
+SUBJECT_MARKERS = frozenset({"が", "は", "も"})
 
 
 class RegistryEntry:
@@ -231,16 +228,14 @@ class TopicState(NamedTuple):
         return self.topics[sent_index]
 
 
-def track_topics(
-    doc: Document, reg: CompanyRegistry, config: DiscourseConfig = DiscourseConfig()
-) -> TopicState:
+def track_topics(doc: Document, reg: CompanyRegistry) -> TopicState:
     """Companies immediately followed by a subject marker; else inherited."""
     topics: list[frozenset[int]] = []
     inherited: list[bool] = []
     for s, sent in enumerate(doc.sentences):
         found: set[int] = set()
         for t in range(len(sent) - 1):
-            if sent[t + 1].surface in config.subject_markers:
+            if sent[t + 1].surface in SUBJECT_MARKERS:
                 entry = reg.company_entry_at((s, t))
                 if entry is not None:
                     found.add(entry.entity_id)
@@ -264,7 +259,6 @@ def resolve_pronouns(
     reg: CompanyRegistry,
     topics: TopicState,
     current_tieup: dict[int, frozenset[int]] | None = None,
-    config: DiscourseConfig = DiscourseConfig(),
 ) -> list[PronounReference]:
     """Resolve 両社 / 同社 / 自社 occurrences to entity id sets.
 
@@ -275,15 +269,14 @@ def resolve_pronouns(
     if current_tieup is None:
         current_tieup = {}
 
-    pronouns = config.pronouns
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
         for t, tok in enumerate(sent):
-            if tok.surface not in pronouns:
+            if tok.surface not in _PRONOUNS:
                 continue
-            if tok.surface == config.pronoun_both:
+            if tok.surface == PRONOUN_BOTH:
                 ids = current_tieup.get(s, frozenset())
-            elif tok.surface == config.pronoun_near:
+            elif tok.surface == PRONOUN_NEAR:
                 preceding = [
                     e for e in reg.companies_in_sentence(s) if e.position[1] < t
                 ]

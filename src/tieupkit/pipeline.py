@@ -33,7 +33,6 @@ class _ExtractionResourcesFields(NamedTuple):
     concept_lexicon: concepts_mod.ConceptLexicon
     rules: list[patterns_mod.PatternRule]
     concept_map: dict[str, str]
-    discourse: disc.DiscourseConfig
 
 
 class ExtractionResources(_ExtractionResourcesFields):
@@ -48,11 +47,10 @@ class ExtractionResources(_ExtractionResourcesFields):
         concept_lexicon: concepts_mod.ConceptLexicon,
         rules: list[patterns_mod.PatternRule],
         concept_map: dict[str, str] | None = None,
-        discourse: disc.DiscourseConfig = disc.DiscourseConfig(),
     ):
         if concept_map is None:
             concept_map = {}
-        return tuple.__new__(cls, (designators, concept_lexicon, rules, concept_map, discourse))
+        return tuple.__new__(cls, (designators, concept_lexicon, rules, concept_map))
 
     def concept_label(self, group: str) -> str:
         return self.concept_map.get(group, group)
@@ -180,12 +178,11 @@ def _sentence_stage(doc: Document, resources: ExtractionResources):
 
 
 def extract_document(doc: Document, resources: ExtractionResources) -> ExtractionResult:
-    config = resources.discourse
     doc, reg, hits, winners = _sentence_stage(doc, resources)
     # The sentence stage never reads entity ids, so unification and topic
     # tracking can follow it.
     disc.unify_company_references(reg)
-    topics = disc.track_topics(doc, reg, config)
+    topics = disc.track_topics(doc, reg)
 
     # Segmentation sees only company tokens; pronouns resolve afterward
     # against each segment's tie-up and feed the final subject sets.
@@ -197,7 +194,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
         for seg in segments
         for s in range(seg.start, seg.end + 1)
     }
-    pronouns = disc.resolve_pronouns(doc, reg, topics, tieup_by_sentence, config)
+    pronouns = disc.resolve_pronouns(doc, reg, topics, tieup_by_sentence)
     pronoun_refs = {p.position: p.referent_ids for p in pronouns}
 
     instances = _with_pronoun_subjects(winners, instances, reg, pronoun_refs, topics)

@@ -10,7 +10,11 @@ if str(SRC) not in sys.path:
     except ImportError:
         sys.path.insert(0, str(SRC))
 
+import tieupkit  # noqa: E402
+
 DATA = Path(__file__).resolve().parent / "data"
+# The resource files the imported package ships.
+PACKAGED = Path(tieupkit.__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="session")

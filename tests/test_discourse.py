@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tieupkit.discourse import (
     ConceptInstance,
     DiscourseSegment,
@@ -268,6 +270,47 @@ class TestPronouns:
         topics = track_topics(doc, reg)
         (ref,) = resolve_pronouns(doc, reg, topics)
         assert ref.referent_ids == frozenset()
+
+
+class TestFixedRules:
+    """The paper's subject markers and pronouns, written out literally so that
+    a changed constant in ``discourse`` fails here."""
+
+    @pytest.mark.parametrize("marker", ["が", "は", "も"])
+    def test_each_subject_marker_makes_the_topic(self, marker):
+        doc = doc_of([("大手", "noun"), ("X社", "company"), (marker, "particle")])
+        topics = track_topics(doc, build_registry(doc=doc))
+        assert topics.for_sentence(0) == {1}
+        assert not topics.inherited[0]
+
+    @pytest.mark.parametrize("particle", ["の", "と", "を", "に", "こそ"])
+    def test_other_particles_do_not(self, particle):
+        doc = doc_of([("X社", "company"), (particle, "particle"), ("大手", "noun")])
+        topics = track_topics(doc, build_registry(doc=doc))
+        assert topics.for_sentence(0) == frozenset()
+
+    def test_each_pronoun_takes_its_own_rule(self):
+        # Ids: X社 1, Y社 2, Z社 3, W社 4 (twice, unified to one id).
+        doc = doc_of(
+            [("X社", "company"), ("は", "particle"), ("大手", "noun")],
+            [("Y社", "company"), ("と", "particle"), ("Z社", "company"), ("の", "particle"),
+             ("両社", "noun"), ("同社", "noun"), ("自社", "noun")],
+            [("W社", "company"), ("の", "particle"), ("W社", "company"), ("同社", "noun")],
+            [("同社", "noun"), ("の", "particle"), ("当社", "noun"), ("弊社", "noun")],
+        )
+        reg = unify_company_references(build_registry(doc=doc))
+        topics = track_topics(doc, reg)
+        assert topics.topics == ({1},) * 4
+        tieup = {1: frozenset({2, 3})}
+        resolved = [(p.position, p.surface, p.referent_ids)
+                    for p in resolve_pronouns(doc, reg, topics, tieup)]
+        assert resolved == [
+            ((1, 4), "両社", {2, 3}),  # the current tie-up's partners
+            ((1, 5), "同社", {3}),  # two distinct companies precede: the nearest
+            ((1, 6), "自社", {1}),  # the topic
+            ((2, 3), "同社", {1}),  # one distinct company precedes: the topic
+            ((3, 0), "同社", {1}),  # none precedes: the topic
+        ]
 
 
 def tieup(sent_index, ids):

@@ -13,7 +13,6 @@ from tieupkit.concepts import Keyword
 from tieupkit.discourse import (
     CompanyRegistry,
     ConceptInstance,
-    DiscourseConfig,
     DiscourseSegment,
     TieUpCluster,
     merge_concepts,
@@ -76,7 +75,6 @@ def records(resources):
         "Document": result.document,
         "ConceptHit": result.hits[0],
         "Keyword": result.hits[0].keyword,
-        "DiscourseConfig": resources.discourse,
         "TopicState": result.topics,
         "PronounReference": result.pronouns[0],
         "ConceptInstance": result.instances[0],
@@ -143,7 +141,6 @@ def test_defaults_are_never_shared():
     rules = []
     made = [ExtractionResources(None, None, rules) for _ in range(2)]
     assert made[0].concept_map == {} and made[0].concept_map is not made[1].concept_map
-    assert made[0].discourse == DiscourseConfig()
 
 
 def test_merging_into_default_built_clusters_stays_apart():

@@ -24,6 +24,7 @@ from tieupkit.templates import (
 from tieupkit.tokens import Document, Token
 
 from conftest import DATA, load_doc
+from fuzzing import mutate
 from oracles import graph_by_fields, serialize_templates_by_fields, slot_lists_by_lines
 from oracles import parse_templates as parse_templates_before
 
@@ -370,29 +371,6 @@ FUZZ_PIECES = [
 ]
 
 
-def mutate(text: str, rng) -> str:
-    for _ in range(rng.randint(1, 3)):
-        op = rng.randrange(6)
-        i = rng.randint(0, len(text))
-        if op == 0 and text:
-            text = text[:i] + text[i + 1:]
-        elif op == 1:
-            text = text[:i] + rng.choice(FUZZ_CHARS) + text[i:]
-        elif op == 2 and text:
-            text = text[:i] + rng.choice(FUZZ_CHARS) + text[i + 1:]
-        elif op == 3:
-            text = text[:i] + rng.choice(FUZZ_PIECES) + text[i:]
-        else:
-            lines = text.split("\n")
-            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
-            if op == 4:
-                lines.insert(a, lines[b])
-            else:
-                lines[a], lines[b] = lines[b], lines[a]
-            text = "\n".join(lines)
-    return text
-
-
 def parse_outcome(parse, text):
     try:
         return parse(text, "d", path="m.tmpl")
@@ -415,7 +393,7 @@ def test_parser_agrees_with_the_former_parser_on_mutated_files():
     assert len(texts) == 6  # golden, score_key and score_response files
     parsed = refused = 0
     for n in range(6000):
-        text = mutate(texts[n % len(texts)], rng)
+        text = mutate(texts[n % len(texts)], rng, FUZZ_CHARS, FUZZ_PIECES)
         got = parse_outcome(parse_templates, text)
         number_error = not isinstance(got, TemplateGraph) and NUMBER_ERROR.fullmatch(got[1])
         if number_error:

@@ -154,10 +154,10 @@ def run_extract(config: RunConfig) -> int:
 
 
 def run_score(response_dir: Path, key_dir: Path) -> int:
-    if not response_dir.is_dir():
-        raise TieupkitError(f"response directory {response_dir} does not exist")
-    if not key_dir.is_dir():
-        raise TieupkitError(f"key directory {key_dir} does not exist")
+    for side, path in (("response", response_dir), ("key", key_dir)):
+        if not path.is_dir():
+            problem = "is not a directory" if path.exists() else "does not exist"
+            raise TieupkitError(f"{side} directory {path} {problem}")
     key_files = sorted(key_dir.glob("*.tmpl"))
     if not key_files:
         raise TieupkitError(f"no *.tmpl files in {key_dir}")

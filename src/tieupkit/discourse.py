@@ -358,12 +358,12 @@ def segment_discourse(
             bounds.append((c.sent_index, c.partner_ids))
 
     segments: list[DiscourseSegment] = []
-    seen: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
     for k, (first, ids) in enumerate(bounds):
         start = first if k else 0
         end = max(first, bounds[k + 1][0] - 1) if k + 1 < len(bounds) else nsent - 1
         label = "type-II" if ids in seen else "type-I"
-        seen.append(ids)
+        seen.add(ids)
         segments.append(DiscourseSegment(start, end, ids, label))
     return segments
 

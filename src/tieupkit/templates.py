@@ -93,17 +93,17 @@ def generate_templates(
     referenced = sorted({eid for cluster in clusters for eid in cluster.tieup_ids})
 
     entity_numbers = {eid: n for n, eid in enumerate(referenced, start=1)}
-    # Each referenced id's later surfaces, in entry order, once each.
-    aliases: dict[int, list[str]] = {eid: [] for eid in referenced}
+    # Each referenced id's later surfaces, in entry order, once each: a dict
+    # keeps insertion order and tests membership without a scan.
+    aliases: dict[int, dict[str, None]] = {eid: {} for eid in referenced}
     for e in reg.entries:
         found = aliases.get(e.entity_id)
         if (
             found is not None
             and e.index != e.entity_id
             and e.string != reg.entries[e.entity_id - 1].string
-            and e.string not in found
         ):
-            found.append(e.string)
+            found[e.string] = None
     entities = []
     for eid in referenced:
         canonical = reg.entries[eid - 1]

@@ -327,6 +327,20 @@ class TestScore:
         assert stdout == ""
         assert err == f"error: key directory {missing} does not exist\n"
 
+    def test_response_path_to_a_file_fails(self, capsys):
+        path = DATA / "score_response" / "d1.tmpl"
+        code, stdout, err = run(capsys, "score", str(path), str(DATA / "score_key"))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: response directory {path} is not a directory\n"
+
+    def test_key_path_to_a_file_fails(self, capsys):
+        path = DATA / "score_key" / "d1.tmpl"
+        code, stdout, err = run(capsys, "score", str(DATA / "score_response"), str(path))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: key directory {path} is not a directory\n"
+
     def test_empty_key_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -4,6 +4,9 @@ from fractions import Fraction
 from tieupkit.scoring import (
     FillScore,
     ScoreCounts,
+    _SORT_MAX_PAIRS,
+    _align_by_index,
+    _align_by_sorting,
     _align_type,
     _fills,
     _format_row,
@@ -262,7 +265,8 @@ class TestAlignment:
 
 
 class TestIndexedAlignment:
-    """_align_type returns exactly the pairs of sorting every pair."""
+    """Both alignment routines, and _align_type that picks one by pair count,
+    return exactly the pairs of sorting every pair."""
 
     def assert_same_pairs(self, response, key):
         # Slot tables as score_fills builds them: tie-up tables map their
@@ -274,9 +278,10 @@ class TestIndexedAlignment:
         ):
             resp_slots = [_slot_values(o, entity_map) for o in resp_objs]
             key_slots = [_slot_values(o, None) for o in key_objs]
-            pairs = _align_type(resp_objs, key_objs, resp_slots, key_slots)
-            assert pairs == align_by_sorting(resp_objs, key_objs, resp_slots, key_slots)
-            for ri, ki in pairs:
+            want = align_by_sorting(resp_objs, key_objs, resp_slots, key_slots)
+            for align in (_align_by_index, _align_by_sorting, _align_type):
+                assert align(resp_objs, key_objs, resp_slots, key_slots) == want, align
+            for ri, ki in want:
                 entity_map[resp_objs[ri].object_id] = key_objs[ki].object_id
 
     def test_same_pairs_as_sorting_every_pair(self):
@@ -326,6 +331,25 @@ class TestIndexedAlignment:
         for _ in range(2000):
             response, key = crossed_graph(rng), shuffle_objects(crossed_graph(rng), rng)
             self.assert_same_pairs(response, key)
+
+    def test_same_pairs_on_each_side_of_the_sort_limit(self):
+        # k x k objects per kind, plain and with every pair linked, then
+        # lopsided and empty sides: pair counts from 0 to 64.
+        rng = random.Random(181)
+        sizes = [(k, k) for k in range(1, 9)] + [(0, 5), (5, 0), (1, 12), (12, 1)]
+        pair_counts = set()
+        for n_resp, n_key in sizes:
+            pair_counts.add(n_resp * n_key)
+            for shared in (False, True):
+                for _ in range(30):
+                    key = shuffle_objects(wide_graph(rng, n_key, n_key, shared), rng)
+                    if n_resp == n_key and rng.random() < 0.5:
+                        response = renumber_entities(perturb(key, rng), rng)
+                    else:
+                        response = wide_graph(rng, n_resp, n_resp, shared)
+                    self.assert_same_pairs(shuffle_objects(response, rng), key)
+        assert min(pair_counts) == 0 and _SORT_MAX_PAIRS in pair_counts
+        assert max(pair_counts) > _SORT_MAX_PAIRS
 
 
 class TestSameScoresAsBefore:
@@ -437,7 +461,8 @@ def wide_graph(rng, n_entities: int, n_tieups: int, shared: bool) -> TemplateGra
     )
     tieups = []
     for i in range(1, n_tieups + 1):
-        refs = tuple(sorted(rng.sample(range(1, n_entities + 1), rng.randint(0, 2))))
+        refs = tuple(sorted(rng.sample(range(1, n_entities + 1),
+                                       rng.randint(0, min(2, n_entities)))))
         tieups.append(
             TieUpObject(
                 i,

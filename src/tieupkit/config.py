@@ -9,7 +9,8 @@ CONFIG_KEYS = frozenset(
 
 
 def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
-    """Parse ``key = value`` lines; a key outside CONFIG_KEYS is an error."""
+    """Parse ``key = value`` lines; a key outside CONFIG_KEYS, or one given
+    twice, is an error."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -21,6 +22,8 @@ def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", lineno, path)
+        if key in values:
+            raise ParseError(f"duplicate config key {key!r}", lineno, path)
         values[key] = value.strip()
     return values
 

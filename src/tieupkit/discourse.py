@@ -56,18 +56,16 @@ class RegistryEntry:
 
 class CompanyRegistry:
     """Entries in text order, plus two indexes of the non-alias ones: the first
-    at each position, and each sentence's in order.  Entries join them when
-    passed to the constructor or added by ``_append_entry``; unification
-    rewrites only entity ids, so it leaves them valid."""
+    at each position, and each sentence's in order.  It starts empty and grows
+    only through ``_append_entry``, which keeps the indexes in step;
+    unification rewrites only entity ids, so it leaves them valid."""
 
     __slots__ = ("entries", "_at", "_in_sentence")
 
-    def __init__(self, entries: list[RegistryEntry] | None = None):
-        self.entries = [] if entries is None else entries
+    def __init__(self):
+        self.entries: list[RegistryEntry] = []
         self._at: dict[tuple[int, int], RegistryEntry] = {}
         self._in_sentence: dict[int, list[RegistryEntry]] = {}
-        for e in self.entries:
-            self._index(e)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

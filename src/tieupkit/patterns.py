@@ -307,7 +307,8 @@ def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
 
 
 def load_concept_map(text: str, path: str | None = None) -> dict[str, str]:
-    """``group<TAB>CONCEPT_LABEL`` lines renaming rule groups to labels."""
+    """``group<TAB>CONCEPT_LABEL`` lines renaming rule groups to labels; a
+    group mapped twice is an error."""
     mapping: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -316,7 +317,10 @@ def load_concept_map(text: str, path: str | None = None) -> dict[str, str]:
         fields = stripped.split("\t")
         if len(fields) != 2:
             raise ParseError("expected 'group<TAB>CONCEPT_LABEL'", lineno, path)
-        mapping[fields[0].strip()] = fields[1].strip()
+        group = fields[0].strip()
+        if group in mapping:
+            raise ParseError(f"duplicate concept-map group {group!r}", lineno, path)
+        mapping[group] = fields[1].strip()
     return mapping
 
 

@@ -6,6 +6,12 @@ stage, shared with the no-discourse ablation), reference unification, topic
 tracking, discourse segmentation, pronoun resolution, concept merging,
 template generation.
 
+A pattern instance's subjects, which decide the tie-up it merges into, are
+the companies named in its ``@CNAME`` spans plus the referents of any pronoun
+there that is not itself a company mention; with none, its sentence's topics.
+A concept-search instance's subjects are its sentence's topics.  One walk
+over the spans finds both the companies and the positions a pronoun may hold.
+
 The sentence stage's per-sentence loop runs with the cyclic garbage
 collector paused.  Matching makes no reference cycles, and every match it
 builds stays alive until selection, so a collection there walks them all and
@@ -28,29 +34,13 @@ from .tokens import Document
 _CREATED_TAIL_TAGS = concepts_mod.NOUN_LIKE
 
 
-class _ExtractionResourcesFields(NamedTuple):
+class ExtractionResources(NamedTuple):
+    """Parsed lexicons and rules shared across documents."""
+
     designators: tokens_mod.DesignatorLexicon
     concept_lexicon: concepts_mod.ConceptLexicon
     rules: list[patterns_mod.PatternRule]
     concept_map: dict[str, str]
-
-
-class ExtractionResources(_ExtractionResourcesFields):
-    """Parsed lexicons and rules shared across documents; ``concept_map``
-    defaults to a fresh dict."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        designators: tokens_mod.DesignatorLexicon,
-        concept_lexicon: concepts_mod.ConceptLexicon,
-        rules: list[patterns_mod.PatternRule],
-        concept_map: dict[str, str] | None = None,
-    ):
-        if concept_map is None:
-            concept_map = {}
-        return tuple.__new__(cls, (designators, concept_lexicon, rules, concept_map))
 
     def concept_label(self, group: str) -> str:
         return self.concept_map.get(group, group)
@@ -69,20 +59,6 @@ class ExtractionResult(NamedTuple):
     instances: list[disc.ConceptInstance]
 
 
-def _span_company_ids(sentence, span, reg) -> set[int]:
-    """Unified ids of the companies inside a token span."""
-    ids: set[int] = set()
-    lo, hi = span
-    if not sentence:
-        return ids
-    s = sentence[0].sent_index
-    for t in range(lo, hi):
-        entry = reg.company_entry_at((s, t))
-        if entry is not None:
-            ids.add(entry.entity_id)
-    return ids
-
-
 def _created_company_text(sentence, span) -> str | None:
     """Trailing noun compound of a created-object span, if any."""
     lo, hi = span
@@ -95,21 +71,34 @@ def _created_company_text(sentence, span) -> str | None:
     return "".join(t.surface for t in sentence[start:end])
 
 
-def _match_instances(doc, winners, reg, resources) -> list[disc.ConceptInstance]:
-    """Concept instances for best matches; subjects are the partner ids,
-    the companies named in the ``@CNAME`` spans."""
-    instances = []
+def _match_instances(doc, winners, reg, resources):
+    """Concept instances for best matches, each with the positions in its
+    ``@CNAME`` spans that are not company mentions.
+
+    The partner ids, and for now the subjects, are the companies named in the
+    spans; a pronoun at one of the other positions may name more subjects
+    once pronouns are resolved.
+    """
+    instances: list[disc.ConceptInstance] = []
+    others: list[list[tuple[int, int]]] = []
     for m in winners:
-        sentence, rule = doc.sentences[m.sent_index], m.rule
+        s, rule = m.sent_index, m.rule
+        sentence = doc.sentences[s]
         label = resources.concept_label(m.group)
         partner_ids: set[int] = set()
+        rest: list[tuple[int, int]] = []
         bindings: dict[str, str] = {}
         for i, name in rule.variables:
             if not rule.is_cname[i]:
                 continue
-            span = m.spans[i]
-            bindings[name] = "".join(t.surface for t in sentence[span[0] : span[1]])
-            partner_ids.update(_span_company_ids(sentence, span, reg))
+            lo, hi = span = m.spans[i]
+            bindings[name] = "".join(t.surface for t in sentence[lo:hi])
+            for t in range(lo, hi):
+                entry = reg.company_entry_at((s, t))
+                if entry is None:
+                    rest.append((s, t))
+                else:
+                    partner_ids.add(entry.entity_id)
             if "_CREATED" in name:
                 created = _created_company_text(sentence, span)
                 if created:
@@ -120,38 +109,15 @@ def _match_instances(doc, winners, reg, resources) -> list[disc.ConceptInstance]
         instances.append(
             disc.ConceptInstance(
                 concept=label,
-                sent_index=m.sent_index,
+                sent_index=s,
                 source="pattern",
                 bindings=bindings,
                 subject_ids=frozenset(partner_ids),
                 partner_ids=frozenset(partner_ids),
             )
         )
-    return instances
-
-
-def _with_pronoun_subjects(
-    winners, instances, reg, pronoun_refs, topics
-) -> list[disc.ConceptInstance]:
-    """Add to each instance's subjects the referents of the pronouns, not
-    themselves company mentions, in its ``@CNAME`` spans; an instance left
-    with no subjects takes its sentence's topic set."""
-    out = []
-    for m, inst in zip(winners, instances):
-        s = m.sent_index
-        subject_ids = set(inst.partner_ids)
-        for i, _ in m.rule.variables:
-            if not m.rule.is_cname[i]:
-                continue
-            lo, hi = m.spans[i]
-            for t in range(lo, hi):
-                referents = pronoun_refs.get((s, t))
-                if referents is not None and reg.company_entry_at((s, t)) is None:
-                    subject_ids.update(referents)
-        out.append(
-            inst._replace(subject_ids=frozenset(subject_ids) or topics.for_sentence(s))
-        )
-    return out
+        others.append(rest)
+    return instances, others
 
 
 def _sentence_stage(doc: Document, resources: ExtractionResources):
@@ -186,7 +152,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
 
     # Segmentation sees only company tokens; pronouns resolve afterward
     # against each segment's tie-up and feed the final subject sets.
-    instances = _match_instances(doc, winners, reg, resources)
+    instances, others = _match_instances(doc, winners, reg, resources)
     segments = disc.segment_discourse(doc, instances)
 
     tieup_by_sentence = {
@@ -197,7 +163,13 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     pronouns = disc.resolve_pronouns(doc, reg, topics, tieup_by_sentence)
     pronoun_refs = {p.position: p.referent_ids for p in pronouns}
 
-    instances = _with_pronoun_subjects(winners, instances, reg, pronoun_refs, topics)
+    instances = [
+        inst._replace(
+            subject_ids=inst.partner_ids.union(*(pronoun_refs.get(p, ()) for p in rest))
+            or topics.for_sentence(inst.sent_index)
+        )
+        for inst, rest in zip(instances, others)
+    ]
     for hit in hits:
         instances.append(
             disc.ConceptInstance(
@@ -227,7 +199,7 @@ def extract_document_no_discourse(
     and reference-closed.
     """
     doc, reg, hits, winners = _sentence_stage(doc, resources)
-    instances = _match_instances(doc, winners, reg, resources)
+    instances, _ = _match_instances(doc, winners, reg, resources)
     clusters = []
     for inst in instances:
         if not inst.bindings:

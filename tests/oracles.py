@@ -454,6 +454,40 @@ def companies_in_sentence_by_scan(reg, sent_index: int) -> list:
     ]
 
 
+def pattern_subjects_by_two_walks(result) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """(partner ids, subject ids) of each winner of an extraction result, by
+    the former rule of two walks over its ``@CNAME`` spans.
+
+    The first walk collects the companies named in the spans.  After pronoun
+    resolution the second adds the referents of each pronoun there that is
+    not itself a company mention; an empty set takes the sentence's topics.
+    """
+    reg = result.registry
+
+    def company_at(position):
+        entry = entry_at_by_scan(reg, position)
+        return entry if entry is not None and reg.is_company_reference(entry) else None
+
+    referents_at = {p.position: p.referent_ids for p in result.pronouns}
+    out = []
+    for m in result.winners:
+        s = m.sent_index
+        spans = [m.spans[i] for i, _ in m.rule.variables if m.rule.is_cname[i]]
+        partners = set()
+        for lo, hi in spans:
+            for t in range(lo, hi):
+                entry = company_at((s, t))
+                if entry is not None:
+                    partners.add(entry.entity_id)
+        subjects = set(partners)
+        for lo, hi in spans:
+            for t in range(lo, hi):
+                if (s, t) in referents_at and company_at((s, t)) is None:
+                    subjects |= referents_at[(s, t)]
+        out.append((frozenset(partners), frozenset(subjects) or result.topics.for_sentence(s)))
+    return out
+
+
 def serialize_templates_by_fields(graph: TemplateGraph) -> str:
     """The former writer: every slot written out by hand, field by field."""
     entity_ids = {e.object_id for e in graph.entities}

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tieupkit
-from tieupkit.cli import main
+from tieupkit.cli import DUMP_STAGES, main
 
 from conftest import DATA, PACKAGED
 
@@ -91,6 +91,39 @@ class TestExtract:
         assert err.startswith("error: ") and "line 2" in err and "dup.pat" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_repeated_concept_map_group_fails_with_line(self, tmp_path, capsys):
+        # Like a repeated rule name: a resource file at fault exits 1.
+        concept_map = tmp_path / "dup.tsv"
+        concept_map.write_text(
+            "JointVenture\tJOINT-VENTURE\nJointVenture\tTIE-UP\n", "utf-8"
+        )
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys,
+            "extract",
+            "--corpus", str(DATA / "corpus" / "tanabe_merck.tok"),
+            "--concept-map", str(concept_map),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == (
+            f"error: {concept_map}:line 2: duplicate concept-map group 'JointVenture'\n"
+        )
+        assert not out.exists()
+
+    def test_repeated_config_key_fails_with_second_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"corpus = {DATA / 'corpus' / 'multi_tieup.tok'}\n"
+            f"out = {tmp_path / 'out'}\n"
+            f"corpus = {DATA / 'corpus' / 'tanabe_merck.tok'}\n",
+            "utf-8",
+        )
+        code, _, err = run(capsys, "extract", "--config", str(config))
+        assert code == 2
+        assert err == f"error: {config}:line 3: duplicate config key 'corpus'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_doc_ids_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -193,24 +226,22 @@ class TestExtract:
         assert out.read_text("utf-8") == "not a directory\n"
 
     def test_dump_stages_written(self, tmp_path, capsys):
+        # All four stages of every fixture, and the templates of the two
+        # fixtures that have no golden, pinned byte for byte.
         out = tmp_path / "out"
-        code, _, _ = run(
-            capsys,
-            "extract",
-            "--corpus", str(DATA / "corpus" / "multi_tieup.tok"),
-            "--out", str(out),
-            "--dump", "registry",
-            "--dump", "segments",
-            "--dump", "topics",
-            "--dump", "matches",
+        dumps = [arg for stage in DUMP_STAGES for arg in ("--dump", stage)]
+        code, _, err = run(
+            capsys, "extract", "--corpus", str(DATA / "corpus"), "--out", str(out), *dumps
         )
-        assert code == 0
-        for stage in ("registry", "segments", "topics", "matches"):
-            assert (out / f"multi_tieup.{stage}.txt").exists()
-        # The winners and the segments, pinned byte for byte.
-        for stage in ("matches", "segments"):
-            name = f"multi_tieup.{stage}.txt"
-            assert (out / name).read_bytes() == (DATA / "dumps" / name).read_bytes()
+        assert code == 0, err
+        fixtures = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))
+        pinned = sorted(p.name for p in (DATA / "dumps").iterdir())
+        assert pinned == sorted(
+            [f"{name}.{stage}.txt" for name in fixtures for stage in DUMP_STAGES]
+            + ["pronouns_a.tmpl", "pronouns_b.tmpl"]
+        )
+        for name in pinned:
+            assert (out / name).read_bytes() == (DATA / "dumps" / name).read_bytes(), name
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         out_flag = tmp_path / "from_flag"

@@ -179,14 +179,6 @@ class TestRegistryIndexes:
                     seen.add("a later entry at a taken position")
         assert len(seen) == 3, seen
 
-    def test_constructed_registry_is_indexed(self):
-        built = registry_from(("メルク社", "company", (0, 1)), ("Merck社", "company", (1, 0)))
-        reg = type(built)(list(built.entries))
-        assert reg == built
-        assert reg.entry_at((1, 0)) is built.entries[1]
-        assert reg.entry_at((1, 1)) is None
-        assert reg.companies_in_sentence(1) == [built.entries[1]]
-
 
 def doc_of(*sentences):
     built = []

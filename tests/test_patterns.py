@@ -160,6 +160,14 @@ class TestConceptMap:
             load_concept_map("JointVenture JOINT-VENTURE\n")
         assert err.value.line == 1
 
+    def test_repeated_group_names_second_line(self):
+        from tieupkit.patterns import load_concept_map
+
+        with pytest.raises(ParseError) as err:
+            load_concept_map("A\tX\n# again\n A \tY\n", "map.tsv")
+        assert err.value.line == 3 and err.value.path == "map.tsv"
+        assert "duplicate concept-map group 'A'" in str(err.value)
+
 
 class TestLiteralMatching:
     def test_strict_requires_full_surface(self):

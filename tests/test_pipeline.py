@@ -1,12 +1,21 @@
 import gc
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from tieupkit import patterns
 from tieupkit.pipeline import extract_document, extract_document_no_discourse
 from tieupkit.templates import parse_templates, serialize_templates
+from tieupkit.tokens import parse_token_file
 
-from conftest import load_doc
+from conftest import DATA, load_doc
+from oracles import pattern_subjects_by_two_walks
+from test_discourse import doc_of
+from test_fuzz_pipeline import random_doc
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestWorkedPassage:
@@ -123,6 +132,126 @@ class TestNoDiscourseMode:
             assert ablation.document == full.document, name
             assert ablation.hits == full.hits, name
             assert ablation.winners == full.winners, name
+
+
+def news_documents():
+    """The benchmark's seed-1 news corpus, parsed."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import corpora
+    finally:
+        sys.path.remove(str(BENCH))
+    return [
+        doc
+        for d in corpora.news_corpus(1).documents
+        for doc in parse_token_file(d.tokens, d.doc_id)
+    ]
+
+
+TIEUP = [("X社", "company"), ("は", "particle"), ("Y社", "company"), ("と", "particle"),
+         ("提携", "verbal-nominal"), ("する", "verb"), ("。", "punct")]
+
+# Spans a shipped rule's @CNAME variable may take: companies, pronouns tagged
+# noun or company, and names that are not companies.
+SPAN_TOKENS = [("X社", "company"), ("Y社", "company"), ("Z社", "company"),
+               ("両社", "noun"), ("同社", "noun"), ("自社", "noun"), ("同社", "company"),
+               ("製品", "noun"), ("ベンツ", "unknown"), ("鈴木", "person")]
+
+
+def rule_shaped_doc(rng, doc_id):
+    """Sentences shaped like the shipped rules, so most of them match:
+    span は|が span と|の [新型車 [を]] 提携|販売|開発|設立 する 。"""
+    sentences = []
+    for _ in range(rng.randint(1, 4)):
+        sentence = [rng.choice(SPAN_TOKENS) for _ in range(rng.randint(1, 2))]
+        sentence.append((rng.choice("はが"), "particle"))
+        sentence += [rng.choice(SPAN_TOKENS) for _ in range(rng.randint(1, 2))]
+        sentence.append((rng.choice("との"), "particle"))
+        sentence += [("新型車", "noun"), ("を", "particle")][: rng.randint(0, 2)]
+        sentence.append((rng.choice(["提携", "販売", "開発", "設立"]), "verbal-nominal"))
+        sentence += [("する", "verb"), ("。", "punct")]
+        sentences.append(sentence)
+    return doc_of(*sentences)._replace(doc_id=doc_id)
+
+
+class TestSubjectRule:
+    """A pattern instance's subjects are its partners, the companies named in
+    its @CNAME spans, plus the referents of the pronouns there that are not
+    company mentions; with none, its sentence's topics."""
+
+    @staticmethod
+    def assert_oracle_rule(result):
+        subjects = pattern_subjects_by_two_walks(result)
+        expected = [
+            inst._replace(partner_ids=partners, subject_ids=subject_ids)
+            for inst, (partners, subject_ids) in zip(result.instances, subjects)
+        ]
+        for inst in result.instances[len(subjects):]:
+            assert inst.source == "concept-search"
+            expected.append(inst._replace(subject_ids=result.topics.for_sentence(inst.sent_index)))
+        assert result.instances == expected
+        assert [c.segment for c in result.clusters] == [s for s in result.segments if s.tieup_ids]
+        for cluster in result.clusters:
+            seg = cluster.segment
+            in_range = [i for i in expected if seg.covers(i.sent_index)]
+            merged = [bool(i.subject_ids & seg.tieup_ids) for i in in_range]
+            assert cluster.attached == [i for i, m in zip(in_range, merged) if m]
+            assert cluster.diagnostics == [i for i, m in zip(in_range, merged) if not m]
+
+    def test_equal_to_two_walks(self, resources):
+        docs = [load_doc(p.stem) for p in sorted((DATA / "corpus").glob("*.tok"))]
+        rng = random.Random(211)
+        docs += [random_doc(rng, f"r{n}") for n in range(3000)]
+        docs += [rule_shaped_doc(rng, f"s{n}") for n in range(1000)]
+        docs += news_documents()
+        seen = set()
+        for doc in docs:
+            result = extract_document(doc, resources)
+            self.assert_oracle_rule(result)
+            for inst in result.instances[: len(result.winners)]:
+                seen.add((bool(inst.partner_ids), bool(inst.subject_ids - inst.partner_ids)))
+        # (partners, subjects beyond them): every combination occurs.
+        assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+    def test_no_company_in_spans_takes_the_topics(self, resources):
+        sale = [("製品", "noun"), ("は", "particle"), ("販売", "verbal-nominal"),
+                ("する", "verb"), ("。", "punct")]
+        result = extract_document(doc_of(TIEUP, sale), resources)
+        self.assert_oracle_rule(result)
+        (inst,) = [i for i in result.instances if i.sent_index == 1 and i.source == "pattern"]
+        assert inst.bindings["@CNAME_PARTNER_SUBJ"] == "製品"
+        assert inst.partner_ids == frozenset()
+        assert inst.subject_ids == result.topics.for_sentence(1) == {1}
+        (cluster,) = result.clusters
+        assert inst in cluster.attached
+
+    def test_pronoun_beside_a_named_company_adds_its_referents(self, resources):
+        develop = [("X社", "company"), ("は", "particle"), ("両社", "noun"),
+                   ("の", "particle"), ("製品", "noun"), ("を", "particle"),
+                   ("開発", "verbal-nominal"), ("する", "verb")]
+        result = extract_document(doc_of(TIEUP, develop), resources)
+        self.assert_oracle_rule(result)
+        (inst,) = [i for i in result.instances if i.sent_index == 1 and i.source == "pattern"]
+        assert inst.concept == "ECONOMIC-ACTIVITY"
+        assert inst.partner_ids == {1}
+        assert inst.subject_ids == result.clusters[0].tieup_ids == {1, 2}
+
+    def test_company_tagged_pronoun_is_a_partner(self, resources):
+        # 同社 after two companies would resolve to the nearer, Y社; tagged
+        # company, it names itself instead.
+        sale = [("X社", "company"), ("と", "particle"), ("Y社", "company"),
+                ("の", "particle"), ("提携", "verbal-nominal"), ("で", "particle"),
+                ("同社", "company"), ("は", "particle"), ("製品", "noun"),
+                ("を", "particle"), ("販売", "verbal-nominal"), ("する", "verb")]
+        result = extract_document(doc_of(TIEUP, sale), resources)
+        self.assert_oracle_rule(result)
+        reg = result.registry
+        same = reg.company_entry_at((1, 6)).entity_id
+        (pronoun,) = [p for p in result.pronouns if p.position == (1, 6)]
+        assert pronoun.referent_ids == {reg.company_entry_at((1, 2)).entity_id}
+        (inst,) = [i for i in result.instances if i.sent_index == 1 and i.source == "pattern"]
+        assert inst.bindings["@CNAME_PARTNER_SUBJ"] == "同社"
+        assert inst.partner_ids == inst.subject_ids == {same}
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from tieupkit.discourse import (
     TieUpCluster,
     merge_concepts,
 )
-from tieupkit.pipeline import ExtractionResources, extract_document
+from tieupkit.pipeline import extract_document
 from tieupkit.scoring import ScoreReport, score_documents
 from tieupkit.tokens import Token
 
@@ -138,9 +138,6 @@ def test_defaults_are_never_shared():
     assert CompanyRegistry().entries is not CompanyRegistry().entries
     a, b = ConceptInstance("X", 0, "pattern"), ConceptInstance("X", 0, "pattern")
     assert a.bindings == {} and a.bindings is not b.bindings
-    rules = []
-    made = [ExtractionResources(None, None, rules) for _ in range(2)]
-    assert made[0].concept_map == {} and made[0].concept_map is not made[1].concept_map
 
 
 def test_merging_into_default_built_clusters_stays_apart():

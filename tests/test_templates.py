@@ -389,8 +389,12 @@ def test_parser_agrees_with_the_former_parser_on_mutated_files():
     # the error names a spelling that is on its line and is not canonical;
     # everywhere else the two parsers agree.
     rng = random.Random(163)
-    texts = [p.read_text("utf-8") for p in sorted(DATA.glob("*/*.tmpl"))]
-    assert len(texts) == 6  # golden, score_key and score_response files
+    texts = [
+        p.read_text("utf-8")
+        for d in ("golden", "score_key", "score_response")
+        for p in sorted((DATA / d).glob("*.tmpl"))
+    ]
+    assert len(texts) == 6
     parsed = refused = 0
     for n in range(6000):
         text = mutate(texts[n % len(texts)], rng, FUZZ_CHARS, FUZZ_PIECES)

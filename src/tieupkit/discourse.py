@@ -55,27 +55,21 @@ class RegistryEntry:
 
 
 class CompanyRegistry:
-    """Entries in text order, plus two indexes of the non-alias ones: the first
-    at each position, and each sentence's in order.  It starts empty and grows
-    only through ``_append_entry``, which keeps the indexes in step;
-    unification rewrites only entity ids, so it leaves them valid."""
+    """Entries in text order, plus one index of the non-alias ones: the first
+    at each position.  It starts empty and grows only through
+    ``_append_entry``, which keeps the index in step; unification rewrites
+    only entity ids, so it leaves the index valid."""
 
-    __slots__ = ("entries", "_at", "_in_sentence")
+    __slots__ = ("entries", "_at")
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
         self._at: dict[tuple[int, int], RegistryEntry] = {}
-        self._in_sentence: dict[int, list[RegistryEntry]] = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries == other.entries
-
-    def _index(self, e: RegistryEntry) -> None:
-        if e.alias_of is None:
-            self._at.setdefault(e.position, e)
-            self._in_sentence.setdefault(e.position[0], []).append(e)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -97,13 +91,6 @@ class CompanyRegistry:
         if entry is not None and self.is_company_reference(entry):
             return entry
         return None
-
-    def companies_in_sentence(self, sent_index: int) -> list[RegistryEntry]:
-        return [
-            e
-            for e in self._in_sentence.get(sent_index, ())
-            if self.is_company_reference(e)
-        ]
 
     def canonical_string(self, entity_id: int) -> str:
         return self.entries[entity_id - 1].string
@@ -131,14 +118,13 @@ def _append_entry(reg: CompanyRegistry, string: str, pos: str, position, alias_o
     index = len(reg.entries) + 1
     entry = RegistryEntry(index, string, pos, _is_english_word(string), index, position, alias_of)
     reg.entries.append(entry)
-    reg._index(entry)
+    if alias_of is None:
+        reg._at.setdefault(position, entry)
 
 
-def build_registry(
-    surfaces: list[tuple[str, str, tuple[int, int]]] | None = None,
-    doc: Document | None = None,
-) -> CompanyRegistry:
-    """Collect company names and abbreviation candidates in text order.
+def build_registry(doc: Document) -> CompanyRegistry:
+    """Collect a document's company names and abbreviation candidates in
+    text order, each at its token's (sentence, token) index.
 
     Company tokens are always registered; person, place, and unknown tokens
     are registered as possible abbreviations when two or more characters
@@ -146,19 +132,10 @@ def build_registry(
     registered right after its parent so English abbreviations have a
     word-level entry to match exactly.
     """
-    if (surfaces is None) == (doc is None):
-        raise ValueError("pass exactly one of surfaces or doc")
-    if doc is not None:
-        surfaces = [
-            (t.surface, t.pos, (t.sent_index, t.tok_index))
-            for t in doc.tokens()
-            if t.pos in _CANDIDATE_TAGS
-        ]
     reg = CompanyRegistry()
-    for string, pos, position in surfaces:
-        if pos not in _CANDIDATE_TAGS:
-            raise ValueError(f"not a registrable tag: {pos}")
-        if pos != POS_COMPANY and len(string) < 2:
+    for t in doc.tokens():
+        string, pos, position = t.surface, t.pos, (t.sent_index, t.tok_index)
+        if pos not in _CANDIDATE_TAGS or (pos != POS_COMPANY and len(string) < 2):
             continue
         _append_entry(reg, string, pos, position)
         if pos == POS_COMPANY:
@@ -256,17 +233,15 @@ def resolve_pronouns(
     doc: Document,
     reg: CompanyRegistry,
     topics: TopicState,
-    current_tieup: dict[int, frozenset[int]] | None = None,
+    current_tieup: dict[int, frozenset[int]],
 ) -> list[PronounReference]:
     """Resolve 両社 / 同社 / 自社 occurrences to entity id sets.
 
     ``current_tieup`` maps a sent_index to the tie-up partner ids in force
-    at that sentence; None means no tie-up anywhere.  An unresolvable
-    pronoun gets an empty set.
+    at that sentence; a sentence it lacks has none.  同社 reads the company
+    mentions before it in its sentence.  An unresolvable pronoun gets an
+    empty set.
     """
-    if current_tieup is None:
-        current_tieup = {}
-
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
         for t, tok in enumerate(sent):
@@ -275,12 +250,10 @@ def resolve_pronouns(
             if tok.surface == PRONOUN_BOTH:
                 ids = current_tieup.get(s, frozenset())
             elif tok.surface == PRONOUN_NEAR:
-                preceding = [
-                    e for e in reg.companies_in_sentence(s) if e.position[1] < t
-                ]
-                distinct = {e.entity_id for e in preceding}
-                if len(distinct) >= 2:
-                    ids = frozenset({preceding[-1].entity_id})
+                entries = [reg.company_entry_at((s, u)) for u in range(t)]
+                preceding = [e.entity_id for e in entries if e is not None]
+                if len(set(preceding)) >= 2:
+                    ids = frozenset({preceding[-1]})
                 else:
                     ids = topics.for_sentence(s)
             else:
@@ -289,36 +262,15 @@ def resolve_pronouns(
     return refs
 
 
-class _ConceptInstanceFields(NamedTuple):
+class ConceptInstance(NamedTuple):
+    """One recognized concept occurrence, normalized for merging."""
+
     concept: str
     sent_index: int
     source: str  # "concept-search" | "pattern"
     bindings: dict[str, str]
-    subject_ids: frozenset[int]
-    partner_ids: frozenset[int]
-
-
-class ConceptInstance(_ConceptInstanceFields):
-    """One recognized concept occurrence, normalized for merging; ``bindings``
-    defaults to a fresh dict."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        concept: str,
-        sent_index: int,
-        source: str,
-        bindings: dict[str, str] | None = None,
-        subject_ids: frozenset[int] = frozenset(),
-        partner_ids: frozenset[int] = frozenset(),
-    ):
-        if bindings is None:
-            bindings = {}
-        return tuple.__new__(cls, (concept, sent_index, source, bindings, subject_ids, partner_ids))
-
-    def __hash__(self):
-        return hash((self.concept, self.sent_index, self.source, tuple(sorted(self.bindings.items()))))
+    subject_ids: frozenset[int] = frozenset()
+    partner_ids: frozenset[int] = frozenset()
 
 
 class DiscourseSegment(NamedTuple):
@@ -366,23 +318,16 @@ def segment_discourse(
     return segments
 
 
-class TieUpCluster:
-    """Everything merged into one tie-up relationship; the two lists default
-    to fresh ones."""
+class TieUpCluster(NamedTuple):
+    """Everything merged into one tie-up relationship."""
 
-    __slots__ = ("segment", "tieup_ids", "attached", "diagnostics")
+    segment: DiscourseSegment
+    attached: list[ConceptInstance]
+    diagnostics: list[ConceptInstance]
 
-    def __init__(
-        self,
-        segment: DiscourseSegment,
-        tieup_ids: frozenset[int],
-        attached: list[ConceptInstance] | None = None,
-        diagnostics: list[ConceptInstance] | None = None,
-    ):
-        self.segment = segment
-        self.tieup_ids = tieup_ids
-        self.attached = [] if attached is None else attached
-        self.diagnostics = [] if diagnostics is None else diagnostics
+    @property
+    def tieup_ids(self) -> frozenset[int]:
+        return self.segment.tieup_ids
 
 
 def merge_concepts(
@@ -393,12 +338,13 @@ def merge_concepts(
     Concepts outside the sentence range are ignored; in-range concepts with
     disjoint or empty subjects are kept as diagnostics, not merged.
     """
-    cluster = TieUpCluster(segment, segment.tieup_ids)
+    attached: list[ConceptInstance] = []
+    diagnostics: list[ConceptInstance] = []
     for c in concepts:
         if not segment.covers(c.sent_index):
             continue
         if c.subject_ids & segment.tieup_ids:
-            cluster.attached.append(c)
+            attached.append(c)
         else:
-            cluster.diagnostics.append(c)
-    return cluster
+            diagnostics.append(c)
+    return TieUpCluster(segment, attached, diagnostics)

@@ -30,9 +30,6 @@ from . import tokens as tokens_mod
 from .templates import TemplateGraph, generate_templates
 from .tokens import Document
 
-# Noun-like tags eligible for the trailing compound of a created-company span.
-_CREATED_TAIL_TAGS = concepts_mod.NOUN_LIKE
-
 
 class ExtractionResources(NamedTuple):
     """Parsed lexicons and rules shared across documents."""
@@ -41,9 +38,6 @@ class ExtractionResources(NamedTuple):
     concept_lexicon: concepts_mod.ConceptLexicon
     rules: list[patterns_mod.PatternRule]
     concept_map: dict[str, str]
-
-    def concept_label(self, group: str) -> str:
-        return self.concept_map.get(group, group)
 
 
 class ExtractionResult(NamedTuple):
@@ -60,11 +54,11 @@ class ExtractionResult(NamedTuple):
 
 
 def _created_company_text(sentence, span) -> str | None:
-    """Trailing noun compound of a created-object span, if any."""
+    """Trailing noun-like compound of a created-object span, if any."""
     lo, hi = span
     end = hi
     start = end
-    while start > lo and sentence[start - 1].pos in _CREATED_TAIL_TAGS:
+    while start > lo and sentence[start - 1].pos in concepts_mod.NOUN_LIKE:
         start -= 1
     if start == end:
         return None
@@ -84,7 +78,7 @@ def _match_instances(doc, winners, reg, resources):
     for m in winners:
         s, rule = m.sent_index, m.rule
         sentence = doc.sentences[s]
-        label = resources.concept_label(m.group)
+        label = resources.concept_map.get(m.group, m.group)
         partner_ids: set[int] = set()
         rest: list[tuple[int, int]] = []
         bindings: dict[str, str] = {}
@@ -124,7 +118,7 @@ def _sentence_stage(doc: Document, resources: ExtractionResources):
     """Names, units, registry, then per-sentence concept hits and best matches."""
     doc = tokens_mod.recognize_names(doc, resources.designators)
     doc = tokens_mod.group_segments(doc)
-    reg = disc.build_registry(doc=doc)
+    reg = disc.build_registry(doc)
 
     hits: list[concepts_mod.ConceptHit] = []
     winners: list[patterns_mod.PatternMatch] = []
@@ -176,6 +170,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
                 concept=hit.concept_name,
                 sent_index=hit.sent_index,
                 source="concept-search",
+                bindings={},
                 subject_ids=topics.for_sentence(hit.sent_index),
             )
         )
@@ -205,8 +200,7 @@ def extract_document_no_discourse(
         if not inst.bindings:
             continue
         seg = disc.DiscourseSegment(inst.sent_index, inst.sent_index, inst.partner_ids)
-        cluster = disc.TieUpCluster(seg, inst.partner_ids, attached=[inst])
-        clusters.append(cluster)
+        clusters.append(disc.TieUpCluster(seg, [inst], []))
     graph = generate_templates(doc, clusters, reg)
     topics = disc.TopicState((frozenset(),) * len(doc.sentences), (False,) * len(doc.sentences))
     return ExtractionResult(

@@ -15,6 +15,7 @@ from tieupkit.pipeline import extract_document
 from tieupkit.scoring import align_and_count, compute_metrics, f_measure, round_percent
 from tieupkit.scoring import ScoreCounts
 from tieupkit.templates import serialize_templates
+from tieupkit.tokens import Document, Token
 
 from conftest import DATA, load_doc
 from oracles import enumerate_matches, lcs_by_enumeration, match_set
@@ -72,10 +73,13 @@ def test_criterion_2_metric_reproduction():
 
 def test_criterion_3_abbreviation_unification():
     with criterion("3 abbreviation unification", 1.0):
-        def ids_of(*items):
-            reg = build_registry(
-                surfaces=[(s, p, (0, n)) for n, (s, p) in enumerate(items)]
+        def registry_of(items):
+            return build_registry(
+                Document("d", (tuple(Token(s, p, 0, n) for n, (s, p) in enumerate(items)),))
             )
+
+        def ids_of(*items):
+            reg = registry_of(items)
             unify_company_references(reg)
             return [e.entity_id for e in reg.entries]
 
@@ -90,11 +94,8 @@ def test_criterion_3_abbreviation_unification():
                 "IBM", "ab", "aB", "日本航空", "日航", "ア社", "X商事", "Y銀行"]
         tags = ["company", "unknown", "person", "place"]
         for _ in range(1000):
-            reg = build_registry(
-                surfaces=[
-                    (rng.choice(pool), rng.choice(tags), (0, n))
-                    for n in range(rng.randint(0, 7))
-                ]
+            reg = registry_of(
+                [(rng.choice(pool), rng.choice(tags)) for _ in range(rng.randint(0, 7))]
             )
             unify_company_references(reg)
             once = [e.entity_id for e in reg.entries]

@@ -243,6 +243,26 @@ class TestExtract:
         for name in pinned:
             assert (out / name).read_bytes() == (DATA / "dumps" / name).read_bytes(), name
 
+    def test_dump_stages_written_without_discourse(self, tmp_path, capsys):
+        # The --no-discourse twin: all four stages and the template of every
+        # fixture, pinned byte for byte.
+        out = tmp_path / "out"
+        dumps = [arg for stage in DUMP_STAGES for arg in ("--dump", stage)]
+        code, _, err = run(
+            capsys, "extract", "--corpus", str(DATA / "corpus"), "--out", str(out),
+            "--no-discourse", *dumps,
+        )
+        assert code == 0, err
+        fixtures = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))
+        pinned = sorted(p.name for p in (DATA / "dumps_no_discourse").iterdir())
+        assert pinned == sorted(
+            [f"{name}.{stage}.txt" for name in fixtures for stage in DUMP_STAGES]
+            + [f"{name}.tmpl" for name in fixtures]
+        )
+        for name in pinned:
+            want = (DATA / "dumps_no_discourse" / name).read_bytes()
+            assert (out / name).read_bytes() == want, name
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         out_flag = tmp_path / "from_flag"
         config = tmp_path / "run.conf"

@@ -21,13 +21,14 @@ from oracles import companies_in_sentence_by_scan, entry_at_by_scan, lcs_by_enum
 
 
 def registry_from(*items):
-    """items: (surface, pos) or (surface, pos, position)."""
-    triples = []
+    """items: (surface, pos) or (surface, pos, position).  The registry of a
+    one-sentence document whose tokens carry those positions, the n-th
+    (0, n) by default."""
+    tokens = []
     for n, item in enumerate(items):
-        surface, pos = item[0], item[1]
-        position = item[2] if len(item) > 2 else (0, n)
-        triples.append((surface, pos, position))
-    return build_registry(surfaces=triples)
+        s, t = item[2] if len(item) > 2 else (0, n)
+        tokens.append(Token(item[0], item[1], s, t))
+    return build_registry(Document("d", (tuple(tokens),)))
 
 
 class TestLcs:
@@ -103,11 +104,9 @@ class TestUnification:
         pool = ["メルセデス・ベンツ", "ベンツ", "新日鉄", "新日本製鉄", "NTT", "IBM",
                 "日本航空", "日航", "ア社", "X商事", "Y銀行", "aB", "ab"]
         tags = ["company", "unknown", "person", "place"]
-        items = [
-            (rng.choice(pool), rng.choice(tags), (0, n))
-            for n in range(rng.randint(0, 8))
-        ]
-        return build_registry(surfaces=items)
+        return registry_from(
+            *[(rng.choice(pool), rng.choice(tags)) for _ in range(rng.randint(0, 8))]
+        )
 
     def test_idempotent_on_random_registries(self):
         rng = random.Random(67)
@@ -135,24 +134,25 @@ class TestUnification:
 
 
 class TestRegistryIndexes:
-    """Position and sentence lookups equal scans over every entry, before and
-    after unification rewrites the entity ids."""
+    """Position lookups equal a scan over every entry, before and after
+    unification rewrites the entity ids.  The registries come from
+    one-sentence documents whose tokens carry random, possibly repeated,
+    positions."""
 
     NAMES = ["日立製作所", "日立", "メルク社", "Merck社", "IBM Japan", "IBM", "ソニー", "ソ",
              "新日本製鉄", "新日鉄", "NTT", "日本電信電話 (NTT)"]
     TAGS = ["company", "company", "unknown", "person", "place"]
 
     def random_registry(self, rng):
-        surfaces = []
+        items = []
         for _ in range(rng.randint(0, 14)):
             # Positions may repeat: the first non-alias entry there wins.
             position = (rng.randrange(4), rng.randrange(5))
-            surfaces.append((rng.choice(self.NAMES), rng.choice(self.TAGS), position))
-        return build_registry(surfaces=surfaces)
+            items.append((rng.choice(self.NAMES), rng.choice(self.TAGS), position))
+        return registry_from(*items)
 
     def assert_lookups_equal_scans(self, reg):
         for s in range(5):
-            assert reg.companies_in_sentence(s) == companies_in_sentence_by_scan(reg, s)
             for t in range(6):
                 want = entry_at_by_scan(reg, (s, t))
                 assert reg.entry_at((s, t)) is want
@@ -260,8 +260,43 @@ class TestPronouns:
         doc = doc_of([("両社", "noun"), ("が", "particle")])
         reg = build_registry(doc=doc)
         topics = track_topics(doc, reg)
-        (ref,) = resolve_pronouns(doc, reg, topics)
+        (ref,) = resolve_pronouns(doc, reg, topics, {})
         assert ref.referent_ids == frozenset()
+
+    def test_dosya_equal_to_rule_over_scanned_companies(self):
+        # Random documents, each token at its own (sentence, token) index:
+        # with two or more distinct companies before it in its sentence,
+        # 同社 takes the nearest, else the topic.
+        rng = random.Random(89)
+        vocabulary = [
+            ("日立製作所", "company"), ("日立", "company"), ("日立", "unknown"),
+            ("メルク社", "company"), ("Merck社", "company"), ("IBM", "company"),
+            ("日本電信電話 (NTT)", "company"), ("NTT", "unknown"), ("ソ", "company"),
+            ("同社", "noun"), ("同社", "noun"), ("は", "particle"), ("が", "particle"),
+            ("と", "particle"), ("の", "particle"), ("提携", "verbal-nominal"),
+        ]
+        seen = set()
+        for _ in range(600):
+            doc = doc_of(*[
+                rng.choices(vocabulary, k=rng.randint(1, 8)) for _ in range(rng.randint(1, 4))
+            ])
+            reg = unify_company_references(build_registry(doc))
+            topics = track_topics(doc, reg)
+            for ref in resolve_pronouns(doc, reg, topics, {}):
+                if ref.surface != "同社":
+                    continue
+                s, t = ref.position
+                preceding = [
+                    e for e in companies_in_sentence_by_scan(reg, s) if e.position[1] < t
+                ]
+                if len({e.entity_id for e in preceding}) >= 2:
+                    want = {preceding[-1].entity_id}
+                    seen.add("nearest")
+                else:
+                    want = topics.for_sentence(s)
+                    seen.add("topic" if want else "no topic")
+                assert ref.referent_ids == want, (doc, ref)
+        assert seen == {"nearest", "topic", "no topic"}, seen
 
 
 class TestFixedRules:
@@ -307,7 +342,7 @@ class TestFixedRules:
 
 def tieup(sent_index, ids):
     return ConceptInstance(
-        "JOINT-VENTURE", sent_index, "pattern",
+        "JOINT-VENTURE", sent_index, "pattern", {},
         subject_ids=frozenset(ids), partner_ids=frozenset(ids),
     )
 
@@ -340,7 +375,7 @@ class TestSegmentation:
     def test_sub_tieup_mentions_do_not_split(self):
         doc = self.make_doc(2)
         one_company = ConceptInstance(
-            "ECONOMIC-ACTIVITY", 1, "pattern",
+            "ECONOMIC-ACTIVITY", 1, "pattern", {},
             subject_ids=frozenset({1}), partner_ids=frozenset({1}),
         )
         segs = segment_discourse(doc, [tieup(0, {1, 2}), one_company])
@@ -437,7 +472,7 @@ class TestMerging:
 
     def test_empty_subjects_become_diagnostics(self):
         seg = DiscourseSegment(0, 0, frozenset({1, 2}))
-        orphan = ConceptInstance("DISSOLVED", 0, "concept-search")
+        orphan = ConceptInstance("DISSOLVED", 0, "concept-search", {})
         cluster = merge_concepts(seg, [orphan])
         assert cluster.attached == []
         assert cluster.diagnostics == [orphan]
@@ -447,7 +482,7 @@ class TestMerging:
         seg = DiscourseSegment(0, 3, frozenset({1, 2}))
         instances = [
             ConceptInstance(
-                "C", rng.randrange(4), "pattern",
+                "C", rng.randrange(4), "pattern", {},
                 subject_ids=frozenset(rng.sample(range(1, 5), rng.randint(0, 2))),
             )
             for _ in range(30)

@@ -1,11 +1,17 @@
 """Randomized end-to-end runs: the pipeline must never crash and its
-output graphs must stay well formed on arbitrary tagged input."""
+output graphs must stay well formed on arbitrary tagged input.
+
+Arbitrary tokens almost never match a rule, so every other document is
+shaped like the shipped rules instead; those reach segmentation, pronouns
+and merging with real tie-ups."""
 
 import random
 
 from tieupkit.pipeline import extract_document, extract_document_no_discourse
 from tieupkit.templates import parse_templates, serialize_templates
 from tieupkit.tokens import Document, Token
+
+from fuzzing import rule_shaped_doc
 
 SURFACES = [
     "メルセデス・ベンツ", "ベンツ", "A社", "B銀行", "社", "・", "は", "が", "も",
@@ -29,10 +35,16 @@ def random_doc(rng, doc_id="fuzz"):
     return Document(doc_id, tuple(sentences))
 
 
+def mixed_docs(rng, count):
+    """``count`` documents, alternately arbitrary and rule-shaped."""
+    for n in range(count):
+        yield rule_shaped_doc(rng, "fuzz") if n % 2 else random_doc(rng)
+
+
 def test_random_documents_produce_well_formed_graphs(resources):
     rng = random.Random(131)
-    for _ in range(150):
-        doc = random_doc(rng)
+    seen = set()
+    for doc in mixed_docs(rng, 150):
         result = extract_document(doc, resources)
         text = serialize_templates(result.graph)  # raises on dangling refs
         assert parse_templates(text, doc.doc_id) == result.graph
@@ -44,12 +56,18 @@ def test_random_documents_produce_well_formed_graphs(resources):
             assert len(set(entity.aliases)) == len(entity.aliases)
         for seg in result.segments:
             assert 0 <= seg.start <= seg.end < len(result.document.sentences)
+        if any(len(t.entity_refs) >= 2 for t in result.graph.tieups):
+            seen.add("tie-up with two partners")
+        if any(p.referent_ids for p in result.pronouns):
+            seen.add("resolved pronoun")
+        if any(c.attached for c in result.clusters):
+            seen.add("attached instance")
+    assert len(seen) == 3, seen
 
 
 def test_random_documents_deterministic(resources):
     rng = random.Random(137)
-    for _ in range(40):
-        doc = random_doc(rng)
+    for doc in mixed_docs(rng, 40):
         first = serialize_templates(extract_document(doc, resources).graph)
         second = serialize_templates(extract_document(doc, resources).graph)
         assert first == second
@@ -57,17 +75,18 @@ def test_random_documents_deterministic(resources):
 
 def test_random_documents_no_discourse_mode(resources):
     rng = random.Random(139)
-    for _ in range(80):
-        doc = random_doc(rng)
+    partners = 0
+    for doc in mixed_docs(rng, 80):
         result = extract_document_no_discourse(doc, resources)
         text = serialize_templates(result.graph)
         assert parse_templates(text, doc.doc_id) == result.graph
+        partners += sum(len(t.entity_refs) >= 2 for t in result.graph.tieups)
+    assert partners
 
 
 def test_topic_totality_on_random_documents(resources):
     rng = random.Random(149)
-    for _ in range(80):
-        doc = random_doc(rng)
+    for doc in mixed_docs(rng, 80):
         result = extract_document(doc, resources)
         assert len(result.topics.topics) == len(result.document.sentences)
         for s in range(len(result.document.sentences)):

@@ -11,6 +11,7 @@ from tieupkit.templates import parse_templates, serialize_templates
 from tieupkit.tokens import parse_token_file
 
 from conftest import DATA, load_doc
+from fuzzing import rule_shaped_doc
 from oracles import pattern_subjects_by_two_walks
 from test_discourse import doc_of
 from test_fuzz_pipeline import random_doc
@@ -150,29 +151,6 @@ def news_documents():
 
 TIEUP = [("X社", "company"), ("は", "particle"), ("Y社", "company"), ("と", "particle"),
          ("提携", "verbal-nominal"), ("する", "verb"), ("。", "punct")]
-
-# Spans a shipped rule's @CNAME variable may take: companies, pronouns tagged
-# noun or company, and names that are not companies.
-SPAN_TOKENS = [("X社", "company"), ("Y社", "company"), ("Z社", "company"),
-               ("両社", "noun"), ("同社", "noun"), ("自社", "noun"), ("同社", "company"),
-               ("製品", "noun"), ("ベンツ", "unknown"), ("鈴木", "person")]
-
-
-def rule_shaped_doc(rng, doc_id):
-    """Sentences shaped like the shipped rules, so most of them match:
-    span は|が span と|の [新型車 [を]] 提携|販売|開発|設立 する 。"""
-    sentences = []
-    for _ in range(rng.randint(1, 4)):
-        sentence = [rng.choice(SPAN_TOKENS) for _ in range(rng.randint(1, 2))]
-        sentence.append((rng.choice("はが"), "particle"))
-        sentence += [rng.choice(SPAN_TOKENS) for _ in range(rng.randint(1, 2))]
-        sentence.append((rng.choice("との"), "particle"))
-        sentence += [("新型車", "noun"), ("を", "particle")][: rng.randint(0, 2)]
-        sentence.append((rng.choice(["提携", "販売", "開発", "設立"]), "verbal-nominal"))
-        sentence += [("する", "verb"), ("。", "punct")]
-        sentences.append(sentence)
-    return doc_of(*sentences)._replace(doc_id=doc_id)
-
 
 class TestSubjectRule:
     """A pattern instance's subjects are its partners, the companies named in

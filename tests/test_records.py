@@ -14,7 +14,6 @@ from tieupkit.discourse import (
     CompanyRegistry,
     ConceptInstance,
     DiscourseSegment,
-    TieUpCluster,
     merge_concepts,
 )
 from tieupkit.pipeline import extract_document
@@ -78,6 +77,7 @@ def records(resources):
         "TopicState": result.topics,
         "PronounReference": result.pronouns[0],
         "ConceptInstance": result.instances[0],
+        "TieUpCluster": result.clusters[0],
         "DiscourseSegment": result.segments[0],
         "PatternMatch": result.winners[0],
         "Metrics": report.documents[0].metrics,
@@ -129,22 +129,18 @@ def test_checked_records_still_refuse_empty_text():
 
 
 def test_defaults_are_never_shared():
-    seg = DiscourseSegment(0, 0, frozenset({1, 2}))
-    first, second = TieUpCluster(seg, seg.tieup_ids), TieUpCluster(seg, seg.tieup_ids)
-    assert first.attached is not second.attached
-    assert first.diagnostics is not second.diagnostics
-    assert first.attached is not first.diagnostics
     assert ScoreReport().documents is not ScoreReport().documents
     assert CompanyRegistry().entries is not CompanyRegistry().entries
-    a, b = ConceptInstance("X", 0, "pattern"), ConceptInstance("X", 0, "pattern")
-    assert a.bindings == {} and a.bindings is not b.bindings
 
 
 def test_merging_into_default_built_clusters_stays_apart():
     seg = DiscourseSegment(0, 1, frozenset({1, 2}))
-    attached = ConceptInstance("X", 0, "pattern", subject_ids=frozenset({1}))
-    orphan = ConceptInstance("Y", 1, "pattern", subject_ids=frozenset({3}))
+    attached = ConceptInstance("X", 0, "pattern", {}, subject_ids=frozenset({1}))
+    orphan = ConceptInstance("Y", 1, "pattern", {}, subject_ids=frozenset({3}))
     first = merge_concepts(seg, [attached, orphan])
     second = merge_concepts(seg, [])
     assert first.attached == [attached] and first.diagnostics == [orphan]
     assert second.attached == [] and second.diagnostics == []
+    assert first.attached is not second.attached
+    assert first.attached is not first.diagnostics
+    assert first.tieup_ids is seg.tieup_ids

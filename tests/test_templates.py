@@ -38,9 +38,7 @@ def doc_of(*sentences):
 
 def cluster(ids, sent_range=(0, 0), attached=()):
     seg = DiscourseSegment(sent_range[0], sent_range[1], frozenset(ids))
-    c = TieUpCluster(seg, frozenset(ids))
-    c.attached.extend(attached)
-    return c
+    return TieUpCluster(seg, list(attached), [])
 
 
 class TestGeneration:
@@ -95,7 +93,7 @@ class TestGeneration:
         doc = doc_of([("X社", "company"), ("Y社", "company")])
         reg = unify_company_references(build_registry(doc=doc))
         dissolved = ConceptInstance(
-            "DISSOLVED", 0, "concept-search", subject_ids=frozenset({1})
+            "DISSOLVED", 0, "concept-search", {}, subject_ids=frozenset({1})
         )
         graph = generate_templates(doc, [cluster({1, 2}, attached=[dissolved])], reg)
         assert graph.tieups[0].status == "DISSOLVED"

@@ -35,12 +35,18 @@ class DanglingReferenceError(TieupkitError):
 # Longest number any file format takes: every number then fits in 64 bits,
 # and ``int`` never sees a string long enough to be slow or refused.
 MAX_DIGITS = 18
+# The numbers below 256 by their one accepted spelling: nearly every object
+# number is one of them, and is then read without the checks.
+_SMALL_NUMBERS = {str(n): n for n in range(256)}
 
 
 def read_number(digits: str, what: str, line: int | None, path: str | None) -> int:
     """``digits`` as an int: ASCII digits, no sign, underscore or leading zero,
     at most MAX_DIGITS of them.  ``what`` names the number in the error, with
     ``{}`` where its spelling goes."""
+    number = _SMALL_NUMBERS.get(digits)
+    if number is not None:
+        return number
     if len(digits) > MAX_DIGITS:
         raise ParseError(
             what.format(digits[:MAX_DIGITS] + "...") + f" has more than {MAX_DIGITS} digits",

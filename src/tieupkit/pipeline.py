@@ -190,7 +190,8 @@ def extract_document_no_discourse(
     """Ablation mode: one tie-up per best match with company variables.
 
     Skips unification, topics, pronouns, segmentation, and merging; useful
-    for isolating pattern-stage behavior.  Output graphs stay well formed
+    for isolating pattern-stage behavior.  Each tie-up's segment is its own
+    sentence, and no topics are tracked.  Output graphs stay well formed
     and reference-closed.
     """
     doc, reg, hits, winners = _sentence_stage(doc, resources)
@@ -203,6 +204,7 @@ def extract_document_no_discourse(
         clusters.append(disc.TieUpCluster(seg, [inst], []))
     graph = generate_templates(doc, clusters, reg)
     topics = disc.TopicState((frozenset(),) * len(doc.sentences), (False,) * len(doc.sentences))
+    segments = [c.segment for c in clusters]
     return ExtractionResult(
-        graph, doc, reg, topics, winners, hits, [], clusters, [], instances
+        graph, doc, reg, topics, winners, hits, segments, clusters, [], instances
     )

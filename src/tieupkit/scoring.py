@@ -18,7 +18,7 @@ extraction never builds a Fraction.
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .templates import LAYOUT, EntityObject, TemplateGraph, TieUpObject
+from .templates import SLOT_PLAN, EntityObject, TemplateGraph, TieUpObject
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -154,15 +154,16 @@ def _slot_values(obj, entity_map: dict[int, int] | None) -> dict[str, list[str]]
     """slot -> list of comparable values, read off the object's fields; with
     ``entity_map``, response refs are mapped through the entity alignment."""
     out = {}
-    for slot, (attr, multi) in LAYOUT[type(obj)][1].items():
-        value = getattr(obj, attr)
+    for slot, (i, multi) in SLOT_PLAN[type(obj)].items():
+        value = obj[i]
+        if not value:
+            continue
         if slot == "ENTITIES" and entity_map is not None:
             value = [f"ENTITY:{entity_map[r]}" if r in entity_map else f"unaligned:{r}"
                      for r in value]
         elif slot == "ENTITIES":
             value = [f"ENTITY:{r}" for r in value]
-        if value:
-            out[slot] = list(value) if multi else [value]
+        out[slot] = list(value) if multi else [value]
     return out
 
 

@@ -32,7 +32,6 @@ WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 # ``\d`` takes any Unicode decimal digit; ``read_number`` then accepts only
 # the spelling ``str`` gives the number.
 _HEADER_RE = re.compile(r"^<([A-Z_]+)-(\d+)>\s*:=\s*$")
-_REF_RE = re.compile(r"^<([A-Z_]+)-(\d+)>$")
 
 
 class EntityObject(NamedTuple):
@@ -75,7 +74,21 @@ LAYOUT = {
         "TYPE": ("entity_type", False),
     }),
 }
+# By header type, as the former parser in ``tests/oracles.py`` reads it.
 _BY_TYPE = {kind: (cls, slots) for cls, (kind, slots) in LAYOUT.items()}
+
+# The same layout by position, for the parser and the scorer: per object
+# class, each slot's field index and whether it is multi-valued.
+SLOT_PLAN = {
+    cls: {slot: (cls._fields.index(attr), multi) for slot, (attr, multi) in slots.items()}
+    for cls, (_, slots) in LAYOUT.items()
+}
+# Per header type: the object class, its slot plan, and the defaults of the
+# fields after the object number.
+_PARSE_PLAN = {
+    kind: (cls, SLOT_PLAN[cls], [cls._field_defaults[f] for f in cls._fields[1:]])
+    for cls, (kind, _) in LAYOUT.items()
+}
 
 
 def generate_templates(
@@ -168,68 +181,79 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
     Every ENTITIES reference must name an entity the text defines, once per
     tie-up.
     """
-    # (type, number, object field -> value), in file order.
-    objects: list[tuple[str, int, dict[str, object]]] = []
+    # Per object class, each object's field values, in file order.
+    built: dict[type, list[list]] = {TieUpObject: [], EntityObject: []}
+    values: list | None = None  # the current object's
+    plan: dict[str, tuple[int, bool]] = {}  # its slots; none before the first header
     seen_headers: set[tuple[str, int]] = set()
     references: list[tuple[int, int]] = []  # (entity number, line), in file order
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        header = _HEADER_RE.match(line) if line[0] == "<" else None
-        if header:
-            kind = header.group(1)
-            what = f"object number in <{kind}-{{}}>"
-            object_id = read_number(header.group(2), what, lineno, path)
-            if kind not in _BY_TYPE:
-                raise ParseError(f"unknown object type {kind!r}", lineno, path)
-            if (kind, object_id) in seen_headers:
-                raise ParseError(f"duplicate object <{kind}-{object_id}>", lineno, path)
-            seen_headers.add((kind, object_id))
-            fields: dict[str, object] = {}
-            objects.append((kind, object_id, fields))
-            known = _BY_TYPE[kind][1]
-            continue
-        if not objects:
-            raise ParseError("slot line before any object header", lineno, path)
+        if line[0] == "<":
+            header = _HEADER_RE.match(line)
+            if header:
+                kind, digits = header.groups()
+                what = f"object number in <{kind}-{{}}>"
+                object_id = read_number(digits, what, lineno, path)
+                if kind not in _PARSE_PLAN:
+                    raise ParseError(f"unknown object type {kind!r}", lineno, path)
+                name = (kind, object_id)
+                if name in seen_headers:
+                    raise ParseError(f"duplicate object <{kind}-{object_id}>", lineno, path)
+                seen_headers.add(name)
+                cls, plan, defaults = _PARSE_PLAN[kind]
+                values = [object_id, *defaults]
+                built[cls].append(values)
+                continue
         slot, sep, value = line.partition(":")
-        slot = slot.strip()
-        if not sep or not slot:
-            raise ParseError(f"malformed slot line: {line!r}", lineno, path)
         value = value.strip()
-        if not value:
-            raise ParseError(f"slot {slot} has no value", lineno, path)
-        if slot not in known:
-            raise ParseError(f"unknown {kind} slot {slot}", lineno, path)
-        attr, multi = known[slot]
+        # A well-formed line names its slot exactly; every other line takes
+        # the checks in full.
+        found = plan.get(slot)
+        if found is None or not value:
+            if values is None:
+                raise ParseError("slot line before any object header", lineno, path)
+            slot = slot.strip()
+            if not sep or not slot:
+                raise ParseError(f"malformed slot line: {line!r}", lineno, path)
+            if not value:
+                raise ParseError(f"slot {slot} has no value", lineno, path)
+            found = plan.get(slot)
+            if found is None:
+                raise ParseError(f"unknown {kind} slot {slot}", lineno, path)
+        i, multi = found
         if not multi:
-            if attr in fields:
+            # A stored value is never empty.
+            if values[i]:
                 raise ParseError(f"slot {slot} given twice", lineno, path)
-            fields[attr] = value
+            values[i] = value
         elif slot == "ENTITIES":
-            refs = list(fields.get(attr, ()))
+            refs = list(values[i])
             for ref in value.split():
-                m = _REF_RE.match(ref)
-                if not m or m.group(1) != "ENTITY":
+                # ``isdecimal`` takes exactly the characters ``\d`` does.
+                digits = ref[8:-1]
+                if not (ref.startswith("<ENTITY-") and ref.endswith(">") and digits.isdecimal()):
                     raise ParseError(f"bad entity reference {ref!r}", lineno, path)
-                number = read_number(m.group(2), "object number in <ENTITY-{}>", lineno, path)
+                number = read_number(digits, "object number in <ENTITY-{}>", lineno, path)
                 if number in refs:
                     raise ParseError(
-                        f"<ENTITY-{number}> repeated in <TIE_UP-{object_id}>", lineno, path
+                        f"<ENTITY-{number}> repeated in <TIE_UP-{values[0]}>", lineno, path
                     )
                 refs.append(number)
                 references.append((number, lineno))
-            fields[attr] = tuple(refs)
+            values[i] = tuple(refs)
         else:
-            fields[attr] = fields.get(attr, ()) + tuple(value.split())
+            values[i] += tuple(value.split())
 
-    defined = {object_id for kind, object_id, _ in objects if kind == "ENTITY"}
     for number, lineno in references:
-        if number not in defined:
+        if ("ENTITY", number) not in seen_headers:
             raise ParseError(f"reference to undefined <ENTITY-{number}>", lineno, path)
 
-    built: dict[type, list] = {cls: [] for cls in LAYOUT}
-    for kind, object_id, fields in objects:
-        cls = _BY_TYPE[kind][0]
-        built[cls].append(cls(object_id, **fields))
-    return TemplateGraph(doc_id, tuple(built[TieUpObject]), tuple(built[EntityObject]))
+    # ``tuple.__new__`` makes each object straight from its field list.
+    return TemplateGraph(
+        doc_id,
+        tuple([tuple.__new__(TieUpObject, fields) for fields in built[TieUpObject]]),
+        tuple([tuple.__new__(EntityObject, fields) for fields in built[EntityObject]]),
+    )

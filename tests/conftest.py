@@ -13,6 +13,7 @@ if str(SRC) not in sys.path:
 import tieupkit  # noqa: E402
 
 DATA = Path(__file__).resolve().parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 # The resource files the imported package ships.
 PACKAGED = Path(tieupkit.__file__).resolve().parent / "data"
 
@@ -34,3 +35,13 @@ def load_doc(name: str):
 
     path = DATA / "corpus" / f"{name}.tok"
     return parse_document(path.read_text("utf-8"), str(path))
+
+
+def bench_corpora():
+    """The benchmark's corpus generators (``bench/corpora.py``)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import corpora
+    finally:
+        sys.path.remove(str(BENCH))
+    return corpora

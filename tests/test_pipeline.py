@@ -1,7 +1,5 @@
 import gc
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -10,13 +8,11 @@ from tieupkit.pipeline import extract_document, extract_document_no_discourse
 from tieupkit.templates import parse_templates, serialize_templates
 from tieupkit.tokens import parse_token_file
 
-from conftest import DATA, load_doc
+from conftest import DATA, bench_corpora, load_doc
 from fuzzing import rule_shaped_doc
 from oracles import pattern_subjects_by_two_walks
 from test_discourse import doc_of
 from test_fuzz_pipeline import random_doc
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestWorkedPassage:
@@ -137,14 +133,9 @@ class TestNoDiscourseMode:
 
 def news_documents():
     """The benchmark's seed-1 news corpus, parsed."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import corpora
-    finally:
-        sys.path.remove(str(BENCH))
     return [
         doc
-        for d in corpora.news_corpus(1).documents
+        for d in bench_corpora().news_corpus(1).documents
         for doc in parse_token_file(d.tokens, d.doc_id)
     ]
 

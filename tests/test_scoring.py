@@ -263,6 +263,35 @@ class TestAlignment:
             assert counts.par == counts.inc == counts.mis == counts.spu == 0
         assert moved > 0
 
+    def test_counts_depend_on_the_numbering_of_equal_entities(self):
+        # Response entities 1 and 3 have equal content and tie on COR with
+        # key entity 1; the lower response id takes it, and that decides
+        # whether the tie-up's reference to the duplicate is aligned.  The
+        # alignment rule is the spec, so this pins the dependence.
+        key = parse_templates(
+            "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1> <ENTITY-2>\n  STATUS: EXISTING\n\n"
+            "<ENTITY-1> :=\n  NAME: A社\n  ALIASES: A社X\n\n"
+            "<ENTITY-2> :=\n  NAME: B社\n",
+            "d",
+        )
+        counts = {}
+        for refs in ("<ENTITY-2> <ENTITY-3>", "<ENTITY-1> <ENTITY-2>"):
+            response = parse_templates(
+                f"<TIE_UP-1> :=\n  ENTITIES: {refs}\n  STATUS: EXISTING\n\n"
+                "<ENTITY-1> :=\n  NAME: A社\n  ALIASES: A社X\n\n"
+                "<ENTITY-2> :=\n  NAME: B社\n\n"
+                "<ENTITY-3> :=\n  NAME: A社\n  ALIASES: A社X\n",
+                "d",
+            )
+            c = align_and_count(response, key)
+            w = oracles.tally(oracles.score_fills(response, key))
+            assert (c.cor, c.par, c.inc, c.mis, c.spu) == (w.cor, w.par, w.inc, w.mis, w.spu)
+            counts[refs] = (c.cor, c.par, c.inc, c.mis, c.spu)
+        assert counts == {
+            "<ENTITY-2> <ENTITY-3>": (5, 0, 1, 0, 2),
+            "<ENTITY-1> <ENTITY-2>": (6, 0, 0, 0, 2),
+        }
+
 
 class TestIndexedAlignment:
     """Both alignment routines, and _align_type that picks one by pair count,

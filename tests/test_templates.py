@@ -23,7 +23,7 @@ from tieupkit.templates import (
 )
 from tieupkit.tokens import Document, Token
 
-from conftest import DATA, load_doc
+from conftest import DATA, bench_corpora, load_doc
 from fuzzing import mutate
 from oracles import graph_by_fields, serialize_templates_by_fields, slot_lists_by_lines
 from oracles import parse_templates as parse_templates_before
@@ -359,14 +359,18 @@ class TestSerialization:
 
 
 # Characters and fragments the parser fuzz inserts: header, slot and
-# reference syntax, whitespace that ``str.strip`` removes, and characters
-# ``str.splitlines`` breaks lines at.
-FUZZ_CHARS = "<>:-_ 0123456789AEINTYｰ社\t\n\r\x0b\x1c\x85\u3000\u2028\x00٣"
+# reference syntax, whitespace that ``str.strip`` removes, characters
+# ``str.splitlines`` breaks lines at, a digit that ``str.isdigit`` takes and
+# ``\d`` does not (²), and slot names written with a space before the colon.
+FUZZ_CHARS = "<>:-_ 0123456789AEINTYｰ社\t\n\r\x0b\x1c\x85\u3000\u2028\x00٣²"
 FUZZ_PIECES = [
     "<ENTITY-1>", "<ENTITY-2> :=", "<TIE_UP-1> :=", "<ENTITY-01>", "<ENTITY-١>",
     "<FOO-1> :=", "  NAME: X社", "  NAME:", "  ENTITIES: <ENTITY-9>", ": v",
     "  STATUS: EXISTING", "  ALIASES: a a", "  TYPE : COMPANY", "<TIE_UP-1>:=",
+    "<ENTITY-²>", "  NAME : X社", "  ENTITIES:<ENTITY-1>",
 ]
+# About one mutated file in a thousand spells a number the parser refuses.
+FUZZ_FILES = 12000
 
 
 def parse_outcome(parse, text):
@@ -394,7 +398,7 @@ def test_parser_agrees_with_the_former_parser_on_mutated_files():
     ]
     assert len(texts) == 6
     parsed = refused = 0
-    for n in range(6000):
+    for n in range(FUZZ_FILES):
         text = mutate(texts[n % len(texts)], rng, FUZZ_CHARS, FUZZ_PIECES)
         got = parse_outcome(parse_templates, text)
         number_error = not isinstance(got, TemplateGraph) and NUMBER_ERROR.fullmatch(got[1])
@@ -407,7 +411,24 @@ def test_parser_agrees_with_the_former_parser_on_mutated_files():
             assert got == parse_outcome(parse_templates_before, text), text
         parsed += isinstance(got, TemplateGraph)
     # Every outcome is exercised.
-    assert parsed > 500 and 6000 - parsed - refused > 1000 and refused >= 5
+    assert parsed > 500 and FUZZ_FILES - parsed - refused > 1000 and refused >= 5
+
+
+def test_parser_agrees_with_the_former_parser_on_benchmark_texts():
+    # The fixture fuzz edits six small files; the benchmark's answer keys
+    # and expected outputs run to hundreds of objects per file.
+    corpora = bench_corpora()
+    texts = [
+        text
+        for make in corpora.WORKLOADS.values()
+        for seed in (1, 2, 3)
+        for d in make(seed).documents
+        for text in (d.answer.text(), d.key.text())
+    ]
+    assert len(texts) == 2148
+    assert max(text.count(":=") for text in texts) > 300
+    for text in texts:
+        assert parse_templates(text, "d") == parse_templates_before(text, "d")
 
 
 def random_graph(rng, doc_id="d"):

@@ -12,13 +12,12 @@ import os
 import sys
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import concepts as concepts_mod
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
-from .config import read_kv_config
-from .errors import ParseError, TieupkitError
+from .errors import ParseError, TieupkitError, content_lines
 from .pipeline import (
     ExtractionResources,
     ExtractionResult,
@@ -30,6 +29,30 @@ from .templates import parse_templates, serialize_templates
 
 
 DUMP_STAGES = ("matches", "topics", "registry", "segments")
+
+
+class Resource(NamedTuple):
+    key: str  # config key, RunConfig field and flag name
+    help: str
+    default: str  # file name in the packaged data directory
+    reader: Callable[[str, str], object]
+    field: str  # ExtractionResources field
+
+
+# The resource files, in flag order.
+RESOURCES = (
+    Resource("concepts", "concept lexicon file", "concepts.lex",
+             concepts_mod.load_concept_lexicon, "concept_lexicon"),
+    Resource("patterns", "template pattern file", "patterns.pat",
+             patterns_mod.parse_pattern_file, "rules"),
+    Resource("designators", "name designator lexicon file", "designators.lex",
+             tokens_mod.load_designator_lexicon, "designators"),
+    Resource("concept_map", "rule-group to concept-label map file", "concept_map.tsv",
+             patterns_mod.load_concept_map, "concept_map"),
+)
+
+# Every key ``tieupkit extract`` reads from a config file.
+CONFIG_KEYS = frozenset({"corpus", "out", "dump", *(r.key for r in RESOURCES)})
 
 
 class RunConfig(NamedTuple):
@@ -44,7 +67,7 @@ class RunConfig(NamedTuple):
 
 
 def _read_text(path: Path) -> str:
-    """A user file's text without a leading UTF-8 byte-order mark; a byte that
+    """A file's text without a leading UTF-8 byte-order mark; a byte that
     is not UTF-8 is a ParseError at its line."""
     data = path.read_bytes()
     # Stripped before decoding, so the error's offset counts from the text.
@@ -60,28 +83,35 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line, str(path)) from None
 
 
-def _read(path: Path | None, default_name: str, packaged) -> tuple[str, str]:
-    """The user's file, or ``default_name`` from the packaged data directory."""
-    if path is None:
-        return (packaged / default_name).read_text("utf-8"), f"<packaged {default_name}>"
-    return _read_text(path), str(path)
-
-
 def load_resources(config: RunConfig | None = None) -> ExtractionResources:
-    """Parse the configured lexicons and rules; packaged defaults when None."""
-    if config is None:
-        config = RunConfig(corpus=Path("."), out=Path("."))
+    """Parse the configured lexicons and rules; packaged defaults when None.
+    Every file is read before any is parsed."""
     packaged = importlib_resources.files("tieupkit.data")
-    designator_text, designator_path = _read(config.designators, "designators.lex", packaged)
-    concept_text, concept_path = _read(config.concepts, "concepts.lex", packaged)
-    pattern_text, pattern_path = _read(config.patterns, "patterns.pat", packaged)
-    map_text, map_path = _read(config.concept_map, "concept_map.tsv", packaged)
-    return ExtractionResources(
-        designators=tokens_mod.load_designator_lexicon(designator_text, designator_path),
-        concept_lexicon=concepts_mod.load_concept_lexicon(concept_text, concept_path),
-        rules=patterns_mod.parse_pattern_file(pattern_text, pattern_path),
-        concept_map=patterns_mod.load_concept_map(map_text, map_path),
-    )
+    sources = []
+    for res in RESOURCES:
+        path = None if config is None else getattr(config, res.key)
+        name = f"<packaged {res.default}>" if path is None else str(path)
+        sources.append((_read_text(path or packaged / res.default), name))
+    return ExtractionResources(**{
+        res.field: res.reader(text, name) for res, (text, name) in zip(RESOURCES, sources)
+    })
+
+
+def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
+    """Parse ``key = value`` lines; a key outside CONFIG_KEYS, or one given
+    twice, is an error."""
+    values: dict[str, str] = {}
+    for lineno, stripped in content_lines(text):
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise ParseError(f"expected 'key = value', got {stripped!r}", lineno, path)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r}", lineno, path)
+        if key in values:
+            raise ParseError(f"duplicate config key {key!r}", lineno, path)
+        values[key] = value.strip()
+    return values
 
 
 def _corpus_files(corpus: Path) -> list[Path]:
@@ -188,47 +218,34 @@ def run_score(response_dir: Path, key_dir: Path) -> int:
 
 def _build_run_config(args) -> RunConfig:
     file_values: dict[str, str] = {}
-    if args.config:
-        file_values = read_kv_config(_read_text(Path(args.config)), args.config)
 
-    def pick(name: str, flag_value):
-        if flag_value not in (None, [], False):
-            return flag_value
-        return file_values.get(name)
-
-    def opt_path(name: str, flag_value) -> Path | None:
-        value = pick(name, flag_value)
+    def opt_path(name: str) -> Path | None:
+        value = getattr(args, name)
+        if value is None:
+            value = file_values.get(name)
         if value and "\0" in value:
             raise TieupkitError(f"{name} path {value!r} holds a NUL byte")
         return Path(value) if value else None
 
-    corpus = opt_path("corpus", args.corpus)
-    out = opt_path("out", args.out)
+    config_path = opt_path("config")
+    if config_path:
+        file_values.update(read_kv_config(_read_text(config_path), args.config))
+    corpus = opt_path("corpus")
+    out = opt_path("out")
     if not corpus or not out:
         raise TieupkitError("both --corpus and --out are required (flag or config)")
 
-    dump = args.dump or []
-    if not dump and file_values.get("dump"):
-        dump = file_values["dump"].replace(",", " ").split()
+    dump = args.dump or file_values.get("dump", "").replace(",", " ").split()
     for stage in dump:
         if stage not in DUMP_STAGES:
             raise TieupkitError(f"unknown dump stage {stage!r}")
 
-    config = RunConfig(
-        corpus=corpus,
-        out=out,
-        concepts=opt_path("concepts", args.concepts),
-        patterns=opt_path("patterns", args.patterns),
-        designators=opt_path("designators", args.designators),
-        concept_map=opt_path("concept_map", args.concept_map),
-        dump=tuple(dump),
-        no_discourse=args.no_discourse,
-    )
-    for path in (config.corpus, config.concepts, config.patterns,
-                 config.designators, config.concept_map):
+    resources = {res.key: opt_path(res.key) for res in RESOURCES}
+    for path in (corpus, *resources.values()):
         if path is not None and not path.exists():
             raise TieupkitError(f"path does not exist: {path}")
-    return config
+    return RunConfig(corpus=corpus, out=out, **resources, dump=tuple(dump),
+                     no_discourse=args.no_discourse)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -241,11 +258,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_extract = sub.add_parser("extract", help="run the extraction pipeline")
     p_extract.add_argument("--corpus", help="token file or directory of *.tok files")
-    p_extract.add_argument("--concepts", help="concept lexicon file")
-    p_extract.add_argument("--patterns", help="template pattern file")
-    p_extract.add_argument("--designators", help="name designator lexicon file")
-    p_extract.add_argument("--concept-map", dest="concept_map",
-                           help="rule-group to concept-label map file")
+    for res in RESOURCES:
+        p_extract.add_argument("--" + res.key.replace("_", "-"), dest=res.key, help=res.help)
     p_extract.add_argument("--out", help="output directory")
     p_extract.add_argument("--dump", action="append", choices=DUMP_STAGES,
                            help="write per-document diagnostics for a stage")

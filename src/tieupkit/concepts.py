@@ -13,7 +13,7 @@ the lexicon keeps those characters in one set built with it.
 
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, content_lines
 from .tokens import (
     POS_COMPANY,
     POS_NOUN,
@@ -91,10 +91,7 @@ def load_concept_lexicon(text: str, path: str | None = None) -> ConceptLexicon:
     """Parse ``(NAME kw kw ...)`` lines; ``#`` starts a comment line."""
     entries: list[tuple[str, tuple[Keyword, ...]]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         if not stripped.startswith("(") or not stripped.endswith(")"):
             raise ParseError("unbalanced parentheses in concept entry", lineno, path)
         body = stripped[1:-1].strip()

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one reader of numbers in input files."""
+"""Shared exception types, and the line and number rules of the input files."""
 
 
 class TieupkitError(Exception):
@@ -57,3 +57,12 @@ def read_number(digits: str, what: str, line: int | None, path: str | None) -> i
             what.format(digits) + " must be ASCII digits with no leading zero", line, path
         )
     return int(digits)
+
+
+def content_lines(text: str):
+    """``(lineno, stripped)`` for each line of ``text`` that is neither blank
+    nor starts with ``#``, numbered as ``str.splitlines`` numbers lines."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped

@@ -44,7 +44,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ParseError, read_number
+from .errors import ParseError, content_lines, read_number
 from .tokens import ENTITY_TAGS, POS_COMPANY, Token
 
 SKIP_NAME = "@SKIP"
@@ -310,10 +310,7 @@ def load_concept_map(text: str, path: str | None = None) -> dict[str, str]:
     """``group<TAB>CONCEPT_LABEL`` lines renaming rule groups to labels; a
     group mapped twice is an error."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         fields = stripped.split("\t")
         if len(fields) != 2:
             raise ParseError("expected 'group<TAB>CONCEPT_LABEL'", lineno, path)

@@ -9,7 +9,7 @@ token once, at its final (sentence, token) index; one already there is reused.
 
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, content_lines
 
 # Reserved POS tags.
 POS_NOUN = "noun"
@@ -199,10 +199,7 @@ def serialize_token_file(docs: list[Document] | Document) -> str:
 def load_designator_lexicon(text: str, path: str | None = None) -> DesignatorLexicon:
     """Load ``surface<TAB>type`` lines; ``#`` starts a comment line."""
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         fields = stripped.split("\t")
         if len(fields) != 2:
             raise ParseError("expected 'surface<TAB>type'", lineno, path)

@@ -112,6 +112,26 @@ class TestExtract:
         )
         assert not out.exists()
 
+    def test_pattern_fault_reported_before_designator_fault(self, tmp_path, capsys):
+        # The resource files are parsed in flag order, --patterns before
+        # --designators.
+        patterns = tmp_path / "bad.pat"
+        patterns.write_text("(R 1)\n", "utf-8")
+        designators = tmp_path / "bad.lex"
+        designators.write_text("社\n", "utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys,
+            "extract",
+            "--corpus", str(DATA / "corpus" / "tanabe_merck.tok"),
+            "--designators", str(designators),
+            "--patterns", str(patterns),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {patterns}:line 1: rule needs a name, an index number, and elements\n"
+        assert not out.exists()
+
     def test_repeated_config_key_fails_with_second_line(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_text(
@@ -211,6 +231,13 @@ class TestExtract:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_config_flag_holding_nul_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "extract", "--config", "a\0b", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: config path 'a\\x00b' holds a NUL byte\n"
+        assert not out.exists()
+
     def test_out_naming_a_regular_file_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("not a directory\n", "utf-8")
@@ -277,6 +304,29 @@ class TestExtract:
         assert code == 0
         assert (out_flag / "multi_tieup.tmpl").exists()
         assert not (tmp_path / "from_file").exists()
+
+    @pytest.mark.parametrize("key, flag", [
+        ("concepts", "--concepts"),
+        ("patterns", "--patterns"),
+        ("designators", "--designators"),
+        ("concept_map", "--concept-map"),
+    ])
+    def test_config_resource_reads_like_its_flag(self, tmp_path, capsys, key, flag):
+        edited = tmp_path / "edited"
+        edited.write_text("# no entries\n", "utf-8")
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {edited}\n", "utf-8")
+        dumps = [arg for stage in DUMP_STAGES for arg in ("--dump", stage)]
+        outputs = {}
+        for name, argv in (("default", ()), ("flag", (flag, str(edited))),
+                           ("config", ("--config", str(config)))):
+            out = tmp_path / name
+            code, stdout, err = run(capsys, "extract", "--corpus", str(DATA / "corpus"),
+                                    "--out", str(out), *dumps, *argv)
+            assert (code, stdout, err) == (0, "", "")
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outputs["config"] == outputs["flag"]
+        assert outputs["flag"] != outputs["default"]
 
     def test_no_discourse_mode(self, tmp_path, capsys):
         out = tmp_path / "out"

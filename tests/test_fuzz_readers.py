@@ -11,7 +11,7 @@ import pytest
 
 from tieupkit.cli import main
 from tieupkit.concepts import load_concept_lexicon
-from tieupkit.config import read_kv_config
+from tieupkit.cli import read_kv_config
 from tieupkit.errors import ParseError
 from tieupkit.patterns import load_concept_map, parse_pattern_file
 from tieupkit.tokens import load_designator_lexicon, parse_token_file

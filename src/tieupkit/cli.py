@@ -10,7 +10,6 @@ and a TOTAL row over the pooled counts.
 import argparse
 import os
 import sys
-from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -86,7 +85,7 @@ def _read_text(path: Path) -> str:
 def load_resources(config: RunConfig | None = None) -> ExtractionResources:
     """Parse the configured lexicons and rules; packaged defaults when None.
     Every file is read before any is parsed."""
-    packaged = importlib_resources.files("tieupkit.data")
+    packaged = Path(__file__).with_name("data")
     sources = []
     for res in RESOURCES:
         path = None if config is None else getattr(config, res.key)
@@ -212,7 +211,12 @@ def run_score(response_dir: Path, key_dir: Path) -> int:
             pairs.append((doc_id, resp_graph, parse_templates("", doc_id)))
 
     report = score_documents(pairs)
-    print(report.format())
+    try:
+        print(report.format())
+    except UnicodeEncodeError:
+        # The text is encoded whole before it is written, so stdout stays empty.
+        raise TieupkitError(f"stdout encoding {sys.stdout.encoding} cannot write the "
+                            f"report; set PYTHONIOENCODING=utf-8") from None
     return 0
 
 

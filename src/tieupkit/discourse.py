@@ -1,7 +1,7 @@
 """Document-level processing: who is who, and which sentences belong together.
 
 A company registry collects every name and possible abbreviation in text
-order.  Abbreviation unification then rewrites entry ids so that all
+order.  Abbreviation unification then replaces entries so that all
 references to one company share the id of its earliest mention: a later
 entry is an abbreviation of an earlier one when their longest common
 subsequence covers the whole later string (two characters minimum), and an
@@ -30,41 +30,30 @@ _PRONOUNS = frozenset({PRONOUN_BOTH, PRONOUN_NEAR, PRONOUN_SELF})
 SUBJECT_MARKERS = frozenset({"が", "は", "も"})
 
 
-class RegistryEntry:
-    """One registered string; unification rewrites its ``entity_id``."""
+class RegistryEntry(NamedTuple):
+    """One registered string; unification replaces it by a copy with a new ``entity_id``."""
 
-    __slots__ = ("index", "string", "pos", "eg", "entity_id", "position", "alias_of")
-
-    def __init__(
-        self,
-        index: int,  # 1-based registry position
-        string: str,
-        pos: str,
-        eg: bool,  # surface is solely ASCII letters
-        entity_id: int,
-        position: tuple[int, int],  # (sent_index, tok_index) of the source token
-        alias_of: int | None = None,  # parent index for derived English-word entries
-    ):
-        self.index = index
-        self.string = string
-        self.pos = pos
-        self.eg = eg
-        self.entity_id = entity_id
-        self.position = position
-        self.alias_of = alias_of
+    index: int  # 1-based registry position
+    string: str
+    pos: str
+    eg: bool  # surface is solely ASCII letters
+    entity_id: int
+    position: tuple[int, int]  # (sent_index, tok_index) of the source token
+    alias_of: int | None = None  # parent index for derived English-word entries
 
 
 class CompanyRegistry:
-    """Entries in text order, plus one index of the non-alias ones: the first
-    at each position.  It starts empty and grows only through
-    ``_append_entry``, which keeps the index in step; unification rewrites
-    only entity ids, so it leaves the index valid."""
+    """Entries in text order, plus one index of the non-alias ones: the
+    list index of the first at each position.  It starts empty and grows
+    only through ``_append_entry``, which keeps the index in step;
+    unification replaces entries in place, so an entry fetched before it
+    keeps its old id, and the index stays valid."""
 
     __slots__ = ("entries", "_at")
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
-        self._at: dict[tuple[int, int], RegistryEntry] = {}
+        self._at: dict[tuple[int, int], int] = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -75,7 +64,8 @@ class CompanyRegistry:
         return len(self.entries)
 
     def entry_at(self, position: tuple[int, int]) -> RegistryEntry | None:
-        return self._at.get(position)
+        i = self._at.get(position)
+        return None if i is None else self.entries[i]
 
     def is_company_reference(self, entry: RegistryEntry) -> bool:
         """Company-tagged, or unified with an entry that is.
@@ -119,7 +109,7 @@ def _append_entry(reg: CompanyRegistry, string: str, pos: str, position, alias_o
     entry = RegistryEntry(index, string, pos, _is_english_word(string), index, position, alias_of)
     reg.entries.append(entry)
     if alias_of is None:
-        reg._at.setdefault(position, entry)
+        reg._at.setdefault(position, index - 1)
 
 
 def build_registry(doc: Document) -> CompanyRegistry:
@@ -163,13 +153,14 @@ def lcs_length(a: str, b: str) -> int:
 
 
 def unify_company_references(reg: CompanyRegistry) -> CompanyRegistry:
-    """Rewrite entity ids so abbreviations share their source's id.
+    """Give abbreviations their source's entity id.
 
     Scans every pair (earlier, later); entries already marked as an
     abbreviation are skipped on both sides.  A later entry joins an earlier
     one when their LCS is at least two characters and spans the whole later
     string; if the earlier entry is an English word the two strings must be
-    identical.  Runs in place and returns the registry; idempotent.
+    identical.  A joining entry is replaced by a copy with the new id, in
+    place; returns the registry.  Idempotent.
     """
     entries = reg.entries
     cmax = len(entries)
@@ -185,11 +176,8 @@ def unify_company_references(reg: CompanyRegistry) -> CompanyRegistry:
             common = lcs_length(src.string, tgt.string)
             if common < 2:
                 continue
-            if src.eg:
-                if len_src == common == len(tgt.string):
-                    tgt.entity_id = src.entity_id
-            elif common == len(tgt.string):
-                tgt.entity_id = src.entity_id
+            if common == len(tgt.string) and (not src.eg or common == len_src):
+                entries[j] = tgt._replace(entity_id=src.entity_id)
     return reg
 
 

@@ -26,24 +26,16 @@ if TYPE_CHECKING:
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
 
-class ScoreCounts:
-    __slots__ = ("cor", "par", "inc", "mis", "spu")
-
-    def __init__(self, cor: int = 0, par: int = 0, inc: int = 0, mis: int = 0, spu: int = 0):
-        self.cor = cor
-        self.par = par
-        self.inc = inc
-        self.mis = mis
-        self.spu = spu
+class ScoreCounts(NamedTuple):
+    cor: int = 0
+    par: int = 0
+    inc: int = 0
+    mis: int = 0
+    spu: int = 0
 
     def __add__(self, other: "ScoreCounts") -> "ScoreCounts":
-        return ScoreCounts(
-            self.cor + other.cor,
-            self.par + other.par,
-            self.inc + other.inc,
-            self.mis + other.mis,
-            self.spu + other.spu,
-        )
+        """Element-wise, never tuple concatenation."""
+        return ScoreCounts(*[a + b for a, b in zip(self, other)])
 
     @property
     def possible(self) -> int:

@@ -18,6 +18,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv, **env):
+    """``tieupkit`` in a fresh interpreter, with ``env`` added to the
+    environment; stdout and stderr are read as UTF-8."""
+    src = str(Path(tieupkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "tieupkit.cli", *argv],
+                          capture_output=True, encoding="utf-8", env=env)
+
+
 class TestExtract:
     def test_extract_worked_passage(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -375,14 +385,8 @@ class TestExtract:
     def test_successful_extract_is_silent(self, tmp_path):
         # A fresh interpreter: in-process, pytest's own logging handlers
         # would capture a log line before it reached stderr.
-        src = str(Path(tieupkit.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tieupkit.cli", "extract",
-             "--corpus", str(DATA / "corpus"), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_fresh("extract", "--corpus", str(DATA / "corpus"),
+                         "--out", str(tmp_path / "out"))
         assert proc.returncode == 0
         assert proc.stderr == ""
 
@@ -486,6 +490,22 @@ class TestScore:
         )
         assert code == 0
         assert stdout == (DATA / "score_report.txt").read_text("utf-8")
+
+    def test_utf8_stdout_prints_the_golden_text(self):
+        proc = run_fresh("score", str(DATA / "score_response"), str(DATA / "score_key"),
+                         PYTHONIOENCODING="utf-8")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA / "score_report.txt").read_text("utf-8")
+
+    def test_stdout_that_cannot_encode_the_report_is_one_error_line(self):
+        proc = run_fresh("score", str(DATA / "score_response"), str(DATA / "score_key"),
+                         PYTHONIOENCODING="latin-1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: stdout encoding iso8859-1 cannot write the report; "
+            "set PYTHONIOENCODING=utf-8\n"
+        )
 
     @pytest.mark.parametrize("side", ["response", "key"])
     def test_template_byte_not_utf8_reported_with_line(self, tmp_path, capsys, side):

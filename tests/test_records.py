@@ -1,5 +1,6 @@
-"""Record types: immutable records are NamedTuples, mutable ones plain slotted
-classes, and importing the package loads no dataclass machinery."""
+"""Record types: immutable records are NamedTuples that compare by value,
+mutable ones plain slotted classes, and importing the package loads no
+dataclass machinery."""
 
 import subprocess
 import sys
@@ -14,15 +15,20 @@ from tieupkit.discourse import (
     CompanyRegistry,
     ConceptInstance,
     DiscourseSegment,
+    build_registry,
     merge_concepts,
+    unify_company_references,
 )
-from tieupkit.pipeline import extract_document
-from tieupkit.scoring import ScoreReport, score_documents
-from tieupkit.tokens import Token
+from tieupkit.pipeline import extract_document, extract_document_no_discourse
+from tieupkit.scoring import ScoreCounts, ScoreReport, _fills, align_and_count, score_documents
+from tieupkit.tokens import Token, parse_document
 
-from conftest import load_doc
+from conftest import DATA, bench_corpora, load_doc
 
-# Run in a fresh isolated interpreter: prints the modules the import and
+FIXTURES = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))
+
+# Run in a fresh isolated interpreter without site imports, which could
+# load a module first and hide it: prints the modules the import and
 # resource loading added, then the types of the first metrics computed and
 # whether ``fractions`` was loaded by then.
 IMPORT_PROBE = """
@@ -43,7 +49,7 @@ print(all(type(value) is Fraction for value in metrics[:7]), loaded)
 def import_probe():
     src = str(Path(tieupkit.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", IMPORT_PROBE, src],
+        [sys.executable, "-I", "-S", "-c", IMPORT_PROBE, src],
         capture_output=True, text=True, check=True,
     )
     added, metrics = proc.stdout.splitlines()
@@ -54,6 +60,11 @@ def test_import_loads_no_dataclass_machinery(import_probe):
     added, _ = import_probe
     assert "tieupkit.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_packaged_resources_load_without_importlib_resources(import_probe):
+    added, _ = import_probe
+    assert not added & {"importlib.resources", "zipfile", "tempfile"}
 
 
 def test_fractions_load_on_first_metrics(import_probe):
@@ -76,10 +87,12 @@ def records(resources):
         "Keyword": result.hits[0].keyword,
         "TopicState": result.topics,
         "PronounReference": result.pronouns[0],
+        "RegistryEntry": result.registry.entries[0],
         "ConceptInstance": result.instances[0],
         "TieUpCluster": result.clusters[0],
         "DiscourseSegment": result.segments[0],
         "PatternMatch": result.winners[0],
+        "ScoreCounts": report.documents[0].counts,
         "Metrics": report.documents[0].metrics,
         "DocumentScore": report.documents[0],
         "EntityObject": graph.entities[0],
@@ -144,3 +157,50 @@ def test_merging_into_default_built_clusters_stays_apart():
     assert first.attached is not second.attached
     assert first.attached is not first.diagnostics
     assert first.tieup_ids is seg.tieup_ids
+
+
+@pytest.mark.parametrize("extract", [extract_document, extract_document_no_discourse])
+def test_extracting_twice_gives_equal_results(resources, extract):
+    news = bench_corpora().news_corpus(1).documents[::10]
+    docs = [load_doc(name) for name in FIXTURES]
+    docs += [parse_document(d.tokens, d.doc_id) for d in news]
+    for doc in docs:
+        assert extract(doc, resources) == extract(doc, resources), doc.doc_id
+
+
+def test_registries_compare_entries_by_value():
+    doc = load_doc("abbrev_sale")
+    first, second = build_registry(doc), build_registry(doc)
+    assert first == second
+    before = first.entries[:]
+    unify_company_references(first)
+    assert first != second
+    # Unification replaces entries: one fetched before keeps its old id.
+    assert second.entries == before
+    changed = [i for i, (old, new) in enumerate(zip(before, first.entries)) if old != new]
+    assert changed
+    for i in changed:
+        assert before[i].entity_id == before[i].index != first.entries[i].entity_id
+        assert before[i]._replace(entity_id=first.entries[i].entity_id) == first.entries[i]
+
+
+def test_self_alignment_counts_every_fill_correct(resources):
+    for name in FIXTURES:
+        graph = extract_document(load_doc(name), resources).graph
+        n = sum(len(_fills(obj)) for obj in (*graph.entities, *graph.tieups))
+        assert align_and_count(graph, graph) == ScoreCounts(n, 0, 0, 0, 0), name
+
+
+def test_counts_add_element_wise():
+    total = ScoreCounts(1, 2, 3, 4, 5) + ScoreCounts(1, 1, 1, 1, 1)
+    assert total == ScoreCounts(2, 3, 4, 5, 6)
+    assert type(total) is ScoreCounts
+    assert ScoreCounts() == (0, 0, 0, 0, 0)
+
+
+def test_reprs_name_their_fields(records):
+    assert repr(ScoreCounts(1, 2, 3, 4, 5)) == "ScoreCounts(cor=1, par=2, inc=3, mis=4, spu=5)"
+    assert repr(records["RegistryEntry"]) == (
+        "RegistryEntry(index=1, string='田辺製薬', pos='company', eg=False, "
+        "entity_id=1, position=(0, 0), alias_of=None)"
+    )

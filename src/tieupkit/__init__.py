@@ -33,12 +33,7 @@ from .patterns import (
     parse_pattern_file,
     select_best,
 )
-from .pipeline import (
-    ExtractionResources,
-    ExtractionResult,
-    extract_document,
-    extract_document_no_discourse,
-)
+from .pipeline import ExtractionResources, ExtractionResult, extract_document
 from .scoring import (
     FillScore,
     Metrics,

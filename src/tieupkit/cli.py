@@ -17,12 +17,7 @@ from . import concepts as concepts_mod
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
 from .errors import ParseError, TieupkitError, content_lines
-from .pipeline import (
-    ExtractionResources,
-    ExtractionResult,
-    extract_document,
-    extract_document_no_discourse,
-)
+from .pipeline import ExtractionResources, ExtractionResult, extract_document
 from .scoring import score_documents
 from .templates import parse_templates, serialize_templates
 
@@ -62,7 +57,6 @@ class RunConfig(NamedTuple):
     designators: Path | None = None
     concept_map: Path | None = None
     dump: tuple[str, ...] = ()
-    no_discourse: bool = False
 
 
 def _read_text(path: Path) -> str:
@@ -173,9 +167,8 @@ def run_extract(config: RunConfig) -> int:
         seen_ids.add(doc.doc_id)
 
     config.out.mkdir(parents=True, exist_ok=True)
-    extract = extract_document_no_discourse if config.no_discourse else extract_document
     for doc in docs:
-        result = extract(doc, resources)
+        result = extract_document(doc, resources)
         _atomic_write(config.out / f"{doc.doc_id}.tmpl", serialize_templates(result.graph))
         for stage in config.dump:
             _atomic_write(config.out / f"{doc.doc_id}.{stage}.txt", _dump_text(result, stage))
@@ -248,8 +241,7 @@ def _build_run_config(args) -> RunConfig:
     for path in (corpus, *resources.values()):
         if path is not None and not path.exists():
             raise TieupkitError(f"path does not exist: {path}")
-    return RunConfig(corpus=corpus, out=out, **resources, dump=tuple(dump),
-                     no_discourse=args.no_discourse)
+    return RunConfig(corpus=corpus, out=out, **resources, dump=tuple(dump))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -268,8 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--dump", action="append", choices=DUMP_STAGES,
                            help="write per-document diagnostics for a stage")
     p_extract.add_argument("--config", help="key = value config file; flags override")
-    p_extract.add_argument("--no-discourse", action="store_true",
-                           help="skip discourse stages (ablation mode)")
 
     p_score = sub.add_parser("score", help="score responses against answer keys")
     p_score.add_argument("response_dir", type=Path)

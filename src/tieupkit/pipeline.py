@@ -2,9 +2,9 @@
 
 Stage order: name recognition and grouping, registry build, per-sentence
 concept search and pattern matching with best-match selection (the sentence
-stage, shared with the no-discourse ablation), reference unification, topic
-tracking, discourse segmentation, pronoun resolution, concept merging,
-template generation.
+stage, which the test-side ablation harness, ``tests/ablation.py``, shares),
+reference unification, topic tracking, discourse segmentation, pronoun
+resolution, concept merging, template generation.
 
 A pattern instance's subjects, which decide the tie-up it merges into, are
 the companies named in its ``@CNAME`` spans plus the referents of any pronoun
@@ -183,28 +183,3 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
         graph, doc, reg, topics, winners, hits, segments, clusters, pronouns, instances
     )
 
-
-def extract_document_no_discourse(
-    doc: Document, resources: ExtractionResources
-) -> ExtractionResult:
-    """Ablation mode: one tie-up per best match with company variables.
-
-    Skips unification, topics, pronouns, segmentation, and merging; useful
-    for isolating pattern-stage behavior.  Each tie-up's segment is its own
-    sentence, and no topics are tracked.  Output graphs stay well formed
-    and reference-closed.
-    """
-    doc, reg, hits, winners = _sentence_stage(doc, resources)
-    instances, _ = _match_instances(doc, winners, reg, resources)
-    clusters = []
-    for inst in instances:
-        if not inst.bindings:
-            continue
-        seg = disc.DiscourseSegment(inst.sent_index, inst.sent_index, inst.partner_ids)
-        clusters.append(disc.TieUpCluster(seg, [inst], []))
-    graph = generate_templates(doc, clusters, reg)
-    topics = disc.TopicState((frozenset(),) * len(doc.sentences), (False,) * len(doc.sentences))
-    segments = [c.segment for c in clusters]
-    return ExtractionResult(
-        graph, doc, reg, topics, winners, hits, segments, clusters, [], instances
-    )

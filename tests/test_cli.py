@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import tieupkit
-from tieupkit.cli import DUMP_STAGES, main
+from tieupkit.cli import DUMP_STAGES, RESOURCES, RunConfig, _dump_text, main
+from tieupkit.templates import parse_templates, serialize_templates
+from tieupkit.tokens import parse_token_file
 
+from ablation import extract_without_discourse
 from conftest import DATA, PACKAGED
 
 
@@ -16,6 +19,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_without_discourse(out: Path, resources, stages=()):
+    """The fixture corpus through the ablation harness, written as
+    ``tieupkit extract`` writes: a template per document and the dumps of
+    ``stages``."""
+    out.mkdir()
+    for path in sorted((DATA / "corpus").glob("*.tok")):
+        for doc in parse_token_file(path.read_text("utf-8"), str(path)):
+            result = extract_without_discourse(doc, resources)
+            (out / f"{doc.doc_id}.tmpl").write_text(serialize_templates(result.graph), "utf-8")
+            for stage in stages:
+                (out / f"{doc.doc_id}.{stage}.txt").write_text(_dump_text(result, stage), "utf-8")
 
 
 def run_fresh(*argv, **env):
@@ -280,16 +296,11 @@ class TestExtract:
         for name in pinned:
             assert (out / name).read_bytes() == (DATA / "dumps" / name).read_bytes(), name
 
-    def test_dump_stages_written_without_discourse(self, tmp_path, capsys):
-        # The --no-discourse twin: all four stages and the template of every
-        # fixture, pinned byte for byte.
+    def test_dump_stages_written_without_discourse(self, tmp_path, resources):
+        # The ablation harness's twin: all four stages and the template of
+        # every fixture, pinned byte for byte.
         out = tmp_path / "out"
-        dumps = [arg for stage in DUMP_STAGES for arg in ("--dump", stage)]
-        code, _, err = run(
-            capsys, "extract", "--corpus", str(DATA / "corpus"), "--out", str(out),
-            "--no-discourse", *dumps,
-        )
-        assert code == 0, err
+        write_without_discourse(out, resources, DUMP_STAGES)
         fixtures = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))
         pinned = sorted(p.name for p in (DATA / "dumps_no_discourse").iterdir())
         assert pinned == sorted(
@@ -338,18 +349,9 @@ class TestExtract:
         assert outputs["config"] == outputs["flag"]
         assert outputs["flag"] != outputs["default"]
 
-    def test_no_discourse_mode(self, tmp_path, capsys):
+    def test_no_discourse_mode(self, tmp_path, resources):
         out = tmp_path / "out"
-        code, _, _ = run(
-            capsys,
-            "extract",
-            "--corpus", str(DATA / "corpus" / "multi_tieup.tok"),
-            "--out", str(out),
-            "--no-discourse",
-        )
-        assert code == 0
-        from tieupkit.templates import parse_templates
-
+        write_without_discourse(out, resources)
         graph = parse_templates((out / "multi_tieup.tmpl").read_text("utf-8"), "multi_tieup")
         # One tie-up per best pattern match: two joint ventures plus the sale.
         assert len(graph.tieups) == 3
@@ -566,21 +568,34 @@ class TestArgs:
         with pytest.raises(SystemExit):
             main(["extract", "--corpus", "x", "--out", "y", "--dump", "everything"])
 
+    def test_no_discourse_flag_is_gone(self, tmp_path, capsys):
+        # The ablation lives in tests/ablation.py; the package has one pipeline.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--corpus", str(DATA / "corpus"), "--out", str(out),
+                  "--no-discourse"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-discourse" in capsys.readouterr().err
+        assert not out.exists()
+        assert RunConfig._fields == ("corpus", "out", *(r.key for r in RESOURCES), "dump")
+
 
 class TestDiscourseContribution:
     """The paper's central claim on the fixture corpus: discourse processing
-    lifts TOTAL P&R from 62.7 to 90.7."""
+    lifts TOTAL P&R from 62.7, the ablation harness's row, to 90.7."""
 
-    @pytest.mark.parametrize("flags, total", [
-        ((), "TOTAL               17.0     0.0    17.0     0.0   100.0    83.0    90.7"),
-        (("--no-discourse",),
-         "TOTAL               52.9    12.8    46.0     5.9    82.1    50.8    62.7"),
+    @pytest.mark.parametrize("ablation, total", [
+        (False, "TOTAL               17.0     0.0    17.0     0.0   100.0    83.0    90.7"),
+        (True, "TOTAL               52.9    12.8    46.0     5.9    82.1    50.8    62.7"),
     ], ids=["discourse", "no_discourse"])
-    def test_total_row(self, tmp_path, capsys, flags, total):
+    def test_total_row(self, tmp_path, capsys, resources, ablation, total):
         out = tmp_path / "out"
-        code, _, _ = run(capsys, "extract", "--corpus", str(DATA / "corpus"),
-                         "--out", str(out), *flags)
-        assert code == 0
+        if ablation:
+            write_without_discourse(out, resources)
+        else:
+            code, _, _ = run(capsys, "extract", "--corpus", str(DATA / "corpus"),
+                             "--out", str(out))
+            assert code == 0
         code, stdout, _ = run(capsys, "score", str(out), str(DATA / "golden"))
         assert code == 0
         assert total in stdout.splitlines()

@@ -26,13 +26,15 @@ import pytest
 from conftest import DATA, bench_corpora
 
 from tieupkit.cli import DUMP_STAGES, _dump_text
-from tieupkit.pipeline import extract_document, extract_document_no_discourse
+from tieupkit.pipeline import extract_document
 from tieupkit.templates import serialize_templates
 from tieupkit.tokens import parse_document
 
+from ablation import extract_without_discourse
+
 PINS = DATA / "pins"
 WORKLOADS = ("news", "long_sentence", "registry")
-MODES = (("discourse", extract_document), ("ablation", extract_document_no_discourse))
+MODES = (("discourse", extract_document), ("ablation", extract_without_discourse))
 PARTS = tuple(
     f"{mode}.{part}"
     for mode, _ in MODES

@@ -7,10 +7,11 @@ and merging with real tie-ups."""
 
 import random
 
-from tieupkit.pipeline import extract_document, extract_document_no_discourse
+from tieupkit.pipeline import extract_document
 from tieupkit.templates import parse_templates, serialize_templates
 from tieupkit.tokens import Document, Token
 
+from ablation import extract_without_discourse
 from fuzzing import rule_shaped_doc
 
 SURFACES = [
@@ -77,7 +78,7 @@ def test_random_documents_no_discourse_mode(resources):
     rng = random.Random(139)
     partners = 0
     for doc in mixed_docs(rng, 80):
-        result = extract_document_no_discourse(doc, resources)
+        result = extract_without_discourse(doc, resources)
         text = serialize_templates(result.graph)
         assert parse_templates(text, doc.doc_id) == result.graph
         partners += sum(len(t.entity_refs) >= 2 for t in result.graph.tieups)

@@ -17,9 +17,10 @@ from tieupkit.patterns import (
     parse_pattern_file,
     select_best,
 )
-from tieupkit.pipeline import extract_document, extract_document_no_discourse
+from tieupkit.pipeline import extract_document
 from tieupkit.tokens import Token, parse_document
 
+from ablation import extract_without_discourse
 from oracles import (
     enumerate_in_order,
     enumerate_matches,
@@ -763,7 +764,7 @@ class TestNoCyclicGarbage:
                 assert select_best(match_sentence(s, resources.rules))
             for doc in docs:
                 extract_document(doc, resources)
-                extract_document_no_discourse(doc, resources)
+                extract_without_discourse(doc, resources)
             assert gc.collect() == 0
         finally:
             if was_enabled:

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from tieupkit import patterns
-from tieupkit.pipeline import extract_document, extract_document_no_discourse
+from tieupkit.pipeline import extract_document
 from tieupkit.templates import parse_templates, serialize_templates
 from tieupkit.tokens import parse_token_file
 
+from ablation import extract_without_discourse
 from conftest import DATA, bench_corpora, load_doc
 from fuzzing import rule_shaped_doc
 from oracles import pattern_subjects_by_two_walks
@@ -106,17 +107,17 @@ class TestDissolvedTieup:
 class TestNoDiscourseMode:
     def test_graphs_stay_reference_closed(self, resources):
         for name in ("tanabe_merck", "multi_tieup", "pronouns_a", "pronouns_b"):
-            result = extract_document_no_discourse(load_doc(name), resources)
+            result = extract_without_discourse(load_doc(name), resources)
             text = serialize_templates(result.graph)  # raises on dangling refs
             assert parse_templates(text, result.graph.doc_id) == result.graph
 
     def test_one_tieup_per_best_match(self, resources):
-        result = extract_document_no_discourse(load_doc("multi_tieup"), resources)
+        result = extract_without_discourse(load_doc("multi_tieup"), resources)
         with_bindings = [i for i in result.instances if i.bindings]
         assert len(result.graph.tieups) == len(with_bindings)
 
     def test_under_specified_tieups_flagged(self, resources):
-        result = extract_document_no_discourse(load_doc("multi_tieup"), resources)
+        result = extract_without_discourse(load_doc("multi_tieup"), resources)
         warned = [t for t in result.graph.tieups if t.warning]
         assert warned  # the lone-subject sale match has only one entity
 
@@ -125,7 +126,7 @@ class TestNoDiscourseMode:
         assert len(names) == 6
         for name in names:
             full = extract_document(load_doc(name), resources)
-            ablation = extract_document_no_discourse(load_doc(name), resources)
+            ablation = extract_without_discourse(load_doc(name), resources)
             assert ablation.document == full.document, name
             assert ablation.hits == full.hits, name
             assert ablation.winners == full.winners, name
@@ -237,7 +238,7 @@ def collector_restored():
 
 @pytest.mark.usefixtures("collector_restored")
 @pytest.mark.parametrize(
-    "extract", [extract_document, extract_document_no_discourse], ids=["discourse", "no_discourse"]
+    "extract", [extract_document, extract_without_discourse], ids=["discourse", "no_discourse"]
 )
 class TestCollectorPausedForMatching:
     """The sentence stage runs with the cyclic collector off and gives the

@@ -19,10 +19,11 @@ from tieupkit.discourse import (
     merge_concepts,
     unify_company_references,
 )
-from tieupkit.pipeline import extract_document, extract_document_no_discourse
+from tieupkit.pipeline import extract_document
 from tieupkit.scoring import ScoreCounts, ScoreReport, _fills, align_and_count, score_documents
 from tieupkit.tokens import Token, parse_document
 
+from ablation import extract_without_discourse
 from conftest import DATA, bench_corpora, load_doc
 
 FIXTURES = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))
@@ -159,7 +160,7 @@ def test_merging_into_default_built_clusters_stays_apart():
     assert first.tieup_ids is seg.tieup_ids
 
 
-@pytest.mark.parametrize("extract", [extract_document, extract_document_no_discourse])
+@pytest.mark.parametrize("extract", [extract_document, extract_without_discourse])
 def test_extracting_twice_gives_equal_results(resources, extract):
     news = bench_corpora().news_corpus(1).documents[::10]
     docs = [load_doc(name) for name in FIXTURES]

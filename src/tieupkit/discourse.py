@@ -227,23 +227,29 @@ def resolve_pronouns(
 
     ``current_tieup`` maps a sent_index to the tie-up partner ids in force
     at that sentence; a sentence it lacks has none.  同社 reads the company
-    mentions before it in its sentence.  An unresolvable pronoun gets an
-    empty set.
+    mentions before it in its sentence by one forward walk per sentence:
+    each 同社 reads the positions after the previous 同社's, once each, and
+    the walk keeps the nearest company id read and whether two distinct ids
+    were read.  A company-tagged 同社 is read as a mention by the next one.
+    An unresolvable pronoun gets an empty set.
     """
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
+        walked, nearest, several = 0, None, False
         for t, tok in enumerate(sent):
             if tok.surface not in _PRONOUNS:
                 continue
             if tok.surface == PRONOUN_BOTH:
                 ids = current_tieup.get(s, frozenset())
             elif tok.surface == PRONOUN_NEAR:
-                entries = [reg.company_entry_at((s, u)) for u in range(t)]
-                preceding = [e.entity_id for e in entries if e is not None]
-                if len(set(preceding)) >= 2:
-                    ids = frozenset({preceding[-1]})
-                else:
-                    ids = topics.for_sentence(s)
+                for u in range(walked, t):
+                    entry = reg.company_entry_at((s, u))
+                    if entry is not None:
+                        # Two distinct ids were read iff one differs from the one before.
+                        several = several or nearest not in (None, entry.entity_id)
+                        nearest = entry.entity_id
+                walked = t
+                ids = frozenset({nearest}) if several else topics.for_sentence(s)
             else:
                 ids = topics.for_sentence(s)
             refs.append(PronounReference((s, t), tok.surface, frozenset(ids)))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tieupkit.discourse import (
+    CompanyRegistry,
     ConceptInstance,
     DiscourseSegment,
     build_registry,
@@ -296,6 +297,55 @@ class TestPronouns:
                     want = topics.for_sentence(s)
                     seen.add("topic" if want else "no topic")
                 assert ref.referent_ids == want, (doc, ref)
+        assert seen == {"nearest", "topic", "no topic"}, seen
+
+    def test_dosya_on_long_dense_sentences_reads_each_position_once(self, monkeypatch):
+        # Sentences of up to 200 tokens, dense in companies, company-tagged
+        # 同社 and repeated ids: the same rule as over scanned companies, and
+        # each position is looked up at most once, never past the sentence's
+        # last 同社.
+        rng = random.Random(97)
+        vocabulary = [
+            ("A社", "company"), ("B社", "company"), ("C社", "company"), ("A社", "company"),
+            ("日立製作所", "company"), ("日立", "unknown"), ("同社", "company"),
+            ("同社", "noun"), ("同社", "noun"), ("は", "particle"), ("の", "particle"),
+        ]
+        looked_up = []
+        company_entry_at = CompanyRegistry.company_entry_at
+
+        def recording(reg, position):
+            looked_up.append(position)
+            return company_entry_at(reg, position)
+
+        seen = set()
+        for _ in range(60):
+            doc = doc_of(*[
+                rng.choices(vocabulary, k=rng.randint(1, 200)) for _ in range(rng.randint(1, 3))
+            ])
+            reg = unify_company_references(build_registry(doc))
+            topics = track_topics(doc, reg)
+            looked_up.clear()
+            monkeypatch.setattr(CompanyRegistry, "company_entry_at", recording)
+            refs = resolve_pronouns(doc, reg, topics, {})
+            monkeypatch.undo()
+            assert len(set(looked_up)) == len(looked_up)
+            last_dosya = {}
+            for ref in refs:
+                if ref.surface != "同社":
+                    continue
+                s, t = ref.position
+                last_dosya[s] = t
+                preceding = [
+                    e for e in companies_in_sentence_by_scan(reg, s) if e.position[1] < t
+                ]
+                if len({e.entity_id for e in preceding}) >= 2:
+                    want = {preceding[-1].entity_id}
+                    seen.add("nearest")
+                else:
+                    want = topics.for_sentence(s)
+                    seen.add("topic" if want else "no topic")
+                assert ref.referent_ids == want, (doc, ref)
+            assert all(t < last_dosya[s] for s, t in looked_up)
         assert seen == {"nearest", "topic", "no topic"}, seen
 
 

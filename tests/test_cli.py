@@ -297,8 +297,8 @@ class TestExtract:
             assert (out / name).read_bytes() == (DATA / "dumps" / name).read_bytes(), name
 
     def test_dump_stages_written_without_discourse(self, tmp_path, resources):
-        # The ablation harness's twin: all four stages and the template of
-        # every fixture, pinned byte for byte.
+        # The twin of the test above from the ablation harness: all four
+        # stages and the template of every fixture, pinned byte for byte.
         out = tmp_path / "out"
         write_without_discourse(out, resources, DUMP_STAGES)
         fixtures = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))

@@ -18,14 +18,13 @@ Rewrite the pin files with::
 
 import hashlib
 import sys
-from pathlib import Path
 
 import pytest
 
 # First, so that a run as a script finds the package in src/ too.
 from conftest import DATA, bench_corpora
 
-from tieupkit.cli import DUMP_STAGES, _dump_text
+from tieupkit.cli import DUMP_STAGES, _dump_text, load_resources
 from tieupkit.pipeline import extract_document
 from tieupkit.templates import serialize_templates
 from tieupkit.tokens import parse_document
@@ -112,8 +111,6 @@ def test_pins_hold(workload, resources):
 
 
 def regenerate():
-    from tieupkit.cli import load_resources
-
     resources = load_resources()
     PINS.mkdir(exist_ok=True)
     for workload in WORKLOADS:
@@ -124,5 +121,5 @@ def regenerate():
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
-        sys.exit(f"usage: python {Path(__file__).name} --regenerate")
+        sys.exit("usage: python tests/test_corpus_pins.py --regenerate")
     regenerate()

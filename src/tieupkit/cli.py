@@ -1,7 +1,6 @@
 """Batch front end: ``tieupkit extract`` and ``tieupkit score``.
 
-Flags mirror the keys of an optional ``key = value`` config file; flags
-win on conflict.  Extraction writes one template file per input document
+Extraction writes one template file per input document
 (``<doc_id>.tmpl``) plus any requested diagnostic dumps; scoring compares
 two directories of template files and prints one metrics row per document
 and a TOTAL row over the pooled counts.
@@ -16,7 +15,7 @@ from typing import Callable, NamedTuple
 from . import concepts as concepts_mod
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
-from .errors import ParseError, TieupkitError, content_lines
+from .errors import ParseError, TieupkitError
 from .pipeline import ExtractionResources, ExtractionResult, extract_document
 from .scoring import score_documents
 from .templates import parse_templates, serialize_templates
@@ -26,7 +25,7 @@ DUMP_STAGES = ("matches", "topics", "registry", "segments")
 
 
 class Resource(NamedTuple):
-    key: str  # config key, RunConfig field and flag name
+    key: str  # RunConfig field and flag name
     help: str
     default: str  # file name in the packaged data directory
     reader: Callable[[str, str], object]
@@ -44,10 +43,6 @@ RESOURCES = (
     Resource("concept_map", "rule-group to concept-label map file", "concept_map.tsv",
              patterns_mod.load_concept_map, "concept_map"),
 )
-
-# Every key ``tieupkit extract`` reads from a config file.
-CONFIG_KEYS = frozenset({"corpus", "out", "dump", *(r.key for r in RESOURCES)})
-
 
 class RunConfig(NamedTuple):
     corpus: Path
@@ -88,23 +83,6 @@ def load_resources(config: RunConfig | None = None) -> ExtractionResources:
     return ExtractionResources(**{
         res.field: res.reader(text, name) for res, (text, name) in zip(RESOURCES, sources)
     })
-
-
-def read_kv_config(text: str, path: str | None = None) -> dict[str, str]:
-    """Parse ``key = value`` lines; a key outside CONFIG_KEYS, or one given
-    twice, is an error."""
-    values: dict[str, str] = {}
-    for lineno, stripped in content_lines(text):
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ParseError(f"expected 'key = value', got {stripped!r}", lineno, path)
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ParseError(f"unknown config key {key!r}", lineno, path)
-        if key in values:
-            raise ParseError(f"duplicate config key {key!r}", lineno, path)
-        values[key] = value.strip()
-    return values
 
 
 def _corpus_files(corpus: Path) -> list[Path]:
@@ -214,34 +192,22 @@ def run_score(response_dir: Path, key_dir: Path) -> int:
 
 
 def _build_run_config(args) -> RunConfig:
-    file_values: dict[str, str] = {}
-
     def opt_path(name: str) -> Path | None:
         value = getattr(args, name)
-        if value is None:
-            value = file_values.get(name)
         if value and "\0" in value:
             raise TieupkitError(f"{name} path {value!r} holds a NUL byte")
         return Path(value) if value else None
 
-    config_path = opt_path("config")
-    if config_path:
-        file_values.update(read_kv_config(_read_text(config_path), args.config))
     corpus = opt_path("corpus")
     out = opt_path("out")
     if not corpus or not out:
-        raise TieupkitError("both --corpus and --out are required (flag or config)")
-
-    dump = args.dump or file_values.get("dump", "").replace(",", " ").split()
-    for stage in dump:
-        if stage not in DUMP_STAGES:
-            raise TieupkitError(f"unknown dump stage {stage!r}")
+        raise TieupkitError("both --corpus and --out are required")
 
     resources = {res.key: opt_path(res.key) for res in RESOURCES}
     for path in (corpus, *resources.values()):
         if path is not None and not path.exists():
             raise TieupkitError(f"path does not exist: {path}")
-    return RunConfig(corpus=corpus, out=out, **resources, dump=tuple(dump))
+    return RunConfig(corpus=corpus, out=out, **resources, dump=tuple(args.dump or ()))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -259,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--out", help="output directory")
     p_extract.add_argument("--dump", action="append", choices=DUMP_STAGES,
                            help="write per-document diagnostics for a stage")
-    p_extract.add_argument("--config", help="key = value config file; flags override")
 
     p_score = sub.add_parser("score", help="score responses against answer keys")
     p_score.add_argument("response_dir", type=Path)

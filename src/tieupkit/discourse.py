@@ -13,6 +13,7 @@ different partner-id set appears, and concepts merge into a segment's
 cluster when their subjects intersect its partners.
 """
 
+import re
 from typing import NamedTuple
 
 from .tokens import Document, POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN
@@ -87,21 +88,12 @@ class CompanyRegistry:
 
 
 def _is_english_word(s: str) -> bool:
-    return bool(s) and all("A" <= c <= "Z" or "a" <= c <= "z" for c in s)
+    return s.isascii() and s.isalpha()
 
 
 def _english_words(s: str) -> list[str]:
-    words = []
-    current = []
-    for c in s:
-        if "A" <= c <= "Z" or "a" <= c <= "z":
-            current.append(c)
-        elif current:
-            words.append("".join(current))
-            current = []
-    if current:
-        words.append("".join(current))
-    return [w for w in words if len(w) >= 2]
+    """The runs of two or more ASCII letters in ``s``."""
+    return re.findall(r"[A-Za-z]{2,}", s)
 
 
 def _append_entry(reg: CompanyRegistry, string: str, pos: str, position, alias_of=None):
@@ -226,12 +218,14 @@ def resolve_pronouns(
     """Resolve 両社 / 同社 / 自社 occurrences to entity id sets.
 
     ``current_tieup`` maps a sent_index to the tie-up partner ids in force
-    at that sentence; a sentence it lacks has none.  同社 reads the company
-    mentions before it in its sentence by one forward walk per sentence:
-    each 同社 reads the positions after the previous 同社's, once each, and
-    the walk keeps the nearest company id read and whether two distinct ids
-    were read.  A company-tagged 同社 is read as a mention by the next one.
-    An unresolvable pronoun gets an empty set.
+    at that sentence; a sentence it lacks has none.  The pipeline maps a
+    sentence that two segments share to the later segment's partners, so
+    両社 there names that tie-up.  同社 reads the company mentions before it
+    in its sentence by one forward walk per sentence: each 同社 reads the
+    positions after the previous 同社's, once each, and the walk keeps the
+    nearest company id read and whether two distinct ids were read.  A
+    company-tagged 同社 is read as a mention by the next one.  An
+    unresolvable pronoun gets an empty set.
     """
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):

@@ -149,6 +149,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     instances, others = _match_instances(doc, winners, reg, resources)
     segments = disc.segment_discourse(doc, instances)
 
+    # A sentence two segments share maps to the later one's partners.
     tieup_by_sentence = {
         s: seg.tieup_ids
         for seg in segments

@@ -443,6 +443,27 @@ def entry_at_by_scan(reg, position):
     return None
 
 
+def is_english_word_by_loop(s: str) -> bool:
+    """The registry's former test for a string of ASCII letters only."""
+    return bool(s) and all("A" <= c <= "Z" or "a" <= c <= "z" for c in s)
+
+
+def english_words_by_loop(s: str) -> list[str]:
+    """The registry's former split: the runs of two or more ASCII letters,
+    by a loop over the characters."""
+    words = []
+    current = []
+    for c in s:
+        if "A" <= c <= "Z" or "a" <= c <= "z":
+            current.append(c)
+        elif current:
+            words.append("".join(current))
+            current = []
+    if current:
+        words.append("".join(current))
+    return [w for w in words if len(w) >= 2]
+
+
 def companies_in_sentence_by_scan(reg, sent_index: int) -> list:
     """Non-alias company references of one sentence, by a scan of every entry."""
     return [

@@ -158,19 +158,6 @@ class TestExtract:
         assert err == f"error: {patterns}:line 1: rule needs a name, an index number, and elements\n"
         assert not out.exists()
 
-    def test_repeated_config_key_fails_with_second_line(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_text(
-            f"corpus = {DATA / 'corpus' / 'multi_tieup.tok'}\n"
-            f"out = {tmp_path / 'out'}\n"
-            f"corpus = {DATA / 'corpus' / 'tanabe_merck.tok'}\n",
-            "utf-8",
-        )
-        code, _, err = run(capsys, "extract", "--config", str(config))
-        assert code == 2
-        assert err == f"error: {config}:line 3: duplicate config key 'corpus'\n"
-        assert not (tmp_path / "out").exists()
-
     def test_duplicate_doc_ids_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -234,14 +221,6 @@ class TestExtract:
         assert err.startswith(f"error: {patterns}:line 2: byte 0xe6 is not UTF-8")
         assert "Traceback" not in err
 
-    def test_config_byte_not_utf8_reported_with_line(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_bytes(b"out = x\n\x80 = y\n")
-        code, _, err = run(capsys, "extract", "--config", str(config))
-        assert code == 2
-        assert err.startswith(f"error: {config}:line 2: byte 0x80 is not UTF-8")
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize(
         "key", ["corpus", "out", "concepts", "patterns", "designators", "concept_map"]
     )
@@ -249,20 +228,12 @@ class TestExtract:
         values = {"corpus": str(DATA / "corpus" / "tanabe_merck.tok"),
                   "out": str(tmp_path / "out")}
         values[key] = "p\0q"
-        config = tmp_path / "run.conf"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), "utf-8")
-        code, _, err = run(capsys, "extract", "--config", str(config))
-        assert code == 2
+        flags = [arg for k, v in values.items() for arg in ("--" + k.replace("_", "-"), v)]
+        code, stdout, err = run(capsys, "extract", *flags)
+        assert (code, stdout) == (2, "")
         assert err == f"error: {key} path 'p\\x00q' holds a NUL byte\n"
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
-
-    def test_config_flag_holding_nul_rejected(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        code, stdout, err = run(capsys, "extract", "--config", "a\0b", "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert err == "error: config path 'a\\x00b' holds a NUL byte\n"
-        assert not out.exists()
 
     def test_out_naming_a_regular_file_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -311,44 +282,6 @@ class TestExtract:
             want = (DATA / "dumps_no_discourse" / name).read_bytes()
             assert (out / name).read_bytes() == want, name
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        out_flag = tmp_path / "from_flag"
-        config = tmp_path / "run.conf"
-        config.write_text(
-            f"corpus = {DATA / 'corpus' / 'multi_tieup.tok'}\n"
-            f"out = {tmp_path / 'from_file'}\n",
-            "utf-8",
-        )
-        code, _, _ = run(
-            capsys, "extract", "--config", str(config), "--out", str(out_flag)
-        )
-        assert code == 0
-        assert (out_flag / "multi_tieup.tmpl").exists()
-        assert not (tmp_path / "from_file").exists()
-
-    @pytest.mark.parametrize("key, flag", [
-        ("concepts", "--concepts"),
-        ("patterns", "--patterns"),
-        ("designators", "--designators"),
-        ("concept_map", "--concept-map"),
-    ])
-    def test_config_resource_reads_like_its_flag(self, tmp_path, capsys, key, flag):
-        edited = tmp_path / "edited"
-        edited.write_text("# no entries\n", "utf-8")
-        config = tmp_path / "run.conf"
-        config.write_text(f"{key} = {edited}\n", "utf-8")
-        dumps = [arg for stage in DUMP_STAGES for arg in ("--dump", stage)]
-        outputs = {}
-        for name, argv in (("default", ()), ("flag", (flag, str(edited))),
-                           ("config", ("--config", str(config)))):
-            out = tmp_path / name
-            code, stdout, err = run(capsys, "extract", "--corpus", str(DATA / "corpus"),
-                                    "--out", str(out), *dumps, *argv)
-            assert (code, stdout, err) == (0, "", "")
-            outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert outputs["config"] == outputs["flag"]
-        assert outputs["flag"] != outputs["default"]
-
     def test_no_discourse_mode(self, tmp_path, resources):
         out = tmp_path / "out"
         write_without_discourse(out, resources)
@@ -358,24 +291,6 @@ class TestExtract:
         assert any(t.warning for t in graph.tieups)
         entity_ids = {e.object_id for e in graph.entities}
         assert all(r in entity_ids for t in graph.tieups for r in t.entity_refs)
-
-    # Each key was once read and later removed: --jobs, and the discourse
-    # rules, which are fixed (discourse.PRONOUN_* and SUBJECT_MARKERS).
-    @pytest.mark.parametrize(
-        "key", ["jobs", "pronoun_both", "pronoun_near", "pronoun_self", "subject_markers"]
-    )
-    def test_unknown_config_key_rejected_with_line(self, tmp_path, capsys, key):
-        config = tmp_path / "run.conf"
-        config.write_text(
-            f"corpus = {DATA / 'corpus' / 'multi_tieup.tok'}\n{key} = 4\n", "utf-8"
-        )
-        out = tmp_path / "out"
-        code, _, err = run(
-            capsys, "extract", "--config", str(config), "--out", str(out)
-        )
-        assert code == 2
-        assert "line 2" in err and f"'{key}'" in err
-        assert not out.exists()
 
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -568,14 +483,26 @@ class TestArgs:
         with pytest.raises(SystemExit):
             main(["extract", "--corpus", "x", "--out", "y", "--dump", "everything"])
 
-    def test_no_discourse_flag_is_gone(self, tmp_path, capsys):
-        # The ablation lives in tests/ablation.py; the package has one pipeline.
+    @pytest.mark.parametrize("flag", ["--corpus", "--out"], ids=["only-corpus", "only-out"])
+    def test_corpus_and_out_both_required(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        value = {"--corpus": DATA / "corpus", "--out": out}[flag]
+        code, stdout, err = run(capsys, "extract", flag, str(value))
+        assert (code, stdout) == (2, "")
+        assert err == "error: both --corpus and --out are required\n"
+        assert not out.exists()
+
+    # Each option was once read and later removed: --no-discourse (the
+    # ablation lives in tests/ablation.py), the --config file, and --jobs.
+    @pytest.mark.parametrize("argv", [
+        ["--no-discourse"], ["--config", "run.conf"], ["--jobs", "4"],
+    ], ids=["no-discourse", "config", "jobs"])
+    def test_removed_option_is_gone(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["extract", "--corpus", str(DATA / "corpus"), "--out", str(out),
-                  "--no-discourse"])
+            main(["extract", "--corpus", str(DATA / "corpus"), "--out", str(out), *argv])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --no-discourse" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
         assert not out.exists()
         assert RunConfig._fields == ("corpus", "out", *(r.key for r in RESOURCES), "dump")
 
@@ -650,14 +577,6 @@ class TestByteOrderMark:
                               "--dump", "matches")
         plain = self.extract(tmp_path, capsys, "plain", "--corpus", str(DATA / "corpus"),
                              "--dump", "matches")
-        assert marked == plain
-
-    def test_config_file_with_mark_reads_the_same(self, tmp_path, capsys):
-        config = tmp_path / "run.conf"
-        config.write_bytes(BOM + f"corpus = {DATA / 'corpus'}\ndump = topics\n".encode())
-        marked = self.extract(tmp_path, capsys, "marked", "--config", str(config))
-        plain = self.extract(tmp_path, capsys, "plain", "--corpus", str(DATA / "corpus"),
-                             "--dump", "topics")
         assert marked == plain
 
     def test_key_template_with_mark_scores_the_same(self, tmp_path, capsys):

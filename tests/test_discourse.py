@@ -13,12 +13,20 @@ from tieupkit.discourse import (
     segment_discourse,
     track_topics,
     unify_company_references,
+    _english_words,
+    _is_english_word,
 )
 from tieupkit.pipeline import extract_document
 from tieupkit.tokens import Document, Token, parse_document
 
 from conftest import load_doc
-from oracles import companies_in_sentence_by_scan, entry_at_by_scan, lcs_by_enumeration
+from oracles import (
+    companies_in_sentence_by_scan,
+    english_words_by_loop,
+    entry_at_by_scan,
+    is_english_word_by_loop,
+    lcs_by_enumeration,
+)
 
 
 def registry_from(*items):
@@ -82,6 +90,17 @@ class TestUnification:
         assert reg.entries[1].alias_of == 1 and reg.entries[1].eg
         unify_company_references(reg)
         assert [e.entity_id for e in reg.entries] == [1, 1, 1]
+
+    def test_english_word_rules_equal_the_loops(self):
+        # ASCII letters among letters that are not ASCII (full-width, a
+        # Kelvin sign, an accented and a dotless letter), kana, digits,
+        # spaces and brackets.
+        chars = "AZaz" + "ＡＺａｚ" + "KéıſアイカナＩ" + "・09０ 　()（）[]「」"
+        rng = random.Random(83)
+        for _ in range(20000):
+            s = "".join(rng.choice(chars) for _ in range(rng.randrange(9)))
+            assert _is_english_word(s) == is_english_word_by_loop(s), s
+            assert _english_words(s) == english_words_by_loop(s), s
 
     def test_english_source_requires_exact_equality(self):
         reg = registry_from(("IBM", "company"), ("IB", "unknown"))
@@ -495,6 +514,29 @@ class TestSegmentation:
             (s.start, s.end, sorted(names(i) for i in s.tieup_ids)) for s in result.segments
         ] == [(0, 0, ["A社", "B社"]), (1, 1, ["C社", "D社"]), (1, 1, ["E社", "F社"])]
 
+
+    def test_ryosya_in_a_shared_sentence_names_the_later_segment(self, resources):
+        # 両社 in a sentence two segments share names the partners of the
+        # segment listed later.
+        text = "\n".join([
+            "#DOC d",
+            "A社\tcompany", "は\tparticle", "B社\tcompany", "と\tparticle",
+            "提携\tverbal-nominal", "し\tverb", "た\tother", "。\tpunct", "",
+            "C社\tcompany", "は\tparticle", "D社\tcompany", "と\tparticle",
+            "提携\tverbal-nominal", "し\tverb", "、\tpunct",
+            "E社\tcompany", "は\tparticle", "F社\tcompany", "の\tparticle",
+            "開発\tverbal-nominal", "を\tparticle", "行う\tverb", "、\tpunct",
+            "両社\tnoun", "は\tparticle", "販売\tverbal-nominal", "する\tverb", "。\tpunct",
+            "#END", "",
+        ])
+        result = extract_document(parse_document(text), resources)
+        names = result.registry.canonical_string
+        assert [
+            (s.start, s.end, sorted(names(i) for i in s.tieup_ids)) for s in result.segments
+        ] == [(0, 0, ["A社", "B社"]), (1, 1, ["C社", "D社"]), (1, 1, ["E社", "F社"])]
+        assert [
+            (p.position, sorted(names(i) for i in p.referent_ids)) for p in result.pronouns
+        ] == [((1, 15), ["E社", "F社"])]
 
 class TestMerging:
     def test_intersecting_subjects_attach(self):

@@ -11,7 +11,6 @@ import pytest
 
 from tieupkit.cli import main
 from tieupkit.concepts import load_concept_lexicon
-from tieupkit.cli import read_kv_config
 from tieupkit.errors import ParseError
 from tieupkit.patterns import load_concept_map, parse_pattern_file
 from tieupkit.tokens import load_designator_lexicon, parse_token_file
@@ -23,11 +22,6 @@ from fuzzing import mutate
 # ``str.strip`` removes, characters ``str.splitlines`` breaks lines at, and
 # digits that are not ASCII.
 CHARS = "()<>:=#|@-_ 0123456789AXa社は\t\n\r\x0b\x1c\x85　 \x00٣"
-
-CONFIG = (
-    "# run\ncorpus = corpus\nout = out\nconcepts = c.lex\npatterns = p.pat\n"
-    "designators = d.lex\nconcept_map = m.tsv\ndump = matches, topics\n"
-)
 
 # reader, the files it reads, and fragments of its syntax.
 READERS = {
@@ -56,11 +50,6 @@ READERS = {
         load_concept_map,
         [(PACKAGED / "concept_map.tsv").read_text("utf-8")],
         ["JointVenture\tJOINT-VENTURE\n", "X\tY\n", "\t", "\tX\t", "#"],
-    ),
-    "read_kv_config": (
-        read_kv_config,
-        [CONFIG],
-        ["corpus = x\n", "jobs = 4\n", "pronoun_near = 当社\n", "=", " = ", "out", "#"],
     ),
 }
 

@@ -396,7 +396,7 @@ def test_parser_agrees_with_the_former_parser_on_mutated_files():
         for d in ("golden", "score_key", "score_response")
         for p in sorted((DATA / d).glob("*.tmpl"))
     ]
-    assert len(texts) == 6
+    assert len(texts) == 8
     parsed = refused = 0
     for n in range(FUZZ_FILES):
         text = mutate(texts[n % len(texts)], rng, FUZZ_CHARS, FUZZ_PIECES)
@@ -415,7 +415,7 @@ def test_parser_agrees_with_the_former_parser_on_mutated_files():
 
 
 def test_parser_agrees_with_the_former_parser_on_benchmark_texts():
-    # The fixture fuzz edits six small files; the benchmark's answer keys
+    # The fixture fuzz edits eight small files; the benchmark's answer keys
     # and expected outputs run to hundreds of objects per file.
     corpora = bench_corpora()
     texts = [

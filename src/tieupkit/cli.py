@@ -1,9 +1,9 @@
 """Batch front end: ``tieupkit extract`` and ``tieupkit score``.
 
-Extraction writes one template file per input document
-(``<doc_id>.tmpl``) plus any requested diagnostic dumps; scoring compares
-two directories of template files and prints one metrics row per document
-and a TOTAL row over the pooled counts.
+Extraction writes one template file per input document (``<doc_id>.tmpl``)
+plus any requested diagnostic dumps; scoring compares two directories of
+template files and prints one metrics row per document and a TOTAL row over
+the pooled counts.
 """
 
 import argparse

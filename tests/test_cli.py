@@ -282,6 +282,21 @@ class TestExtract:
             want = (DATA / "dumps_no_discourse" / name).read_bytes()
             assert (out / name).read_bytes() == want, name
 
+    @pytest.mark.parametrize("flag", ["--concepts", "--patterns", "--designators",
+                                      "--concept-map"])
+    def test_resource_flag_replaces_the_packaged_file(self, tmp_path, capsys, flag):
+        edited = tmp_path / "edited"
+        edited.write_text("# no entries\n", "utf-8")
+        dumps = [arg for stage in DUMP_STAGES for arg in ("--dump", stage)]
+        outputs = {}
+        for name, argv in (("default", ()), ("flag", (flag, str(edited)))):
+            out = tmp_path / name
+            code, stdout, err = run(capsys, "extract", "--corpus", str(DATA / "corpus"),
+                                    "--out", str(out), *dumps, *argv)
+            assert (code, stdout, err) == (0, "", "")
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outputs["flag"] != outputs["default"]
+
     def test_no_discourse_mode(self, tmp_path, resources):
         out = tmp_path / "out"
         write_without_discourse(out, resources)

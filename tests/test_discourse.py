@@ -95,7 +95,7 @@ class TestUnification:
         # ASCII letters among letters that are not ASCII (full-width, a
         # Kelvin sign, an accented and a dotless letter), kana, digits,
         # spaces and brackets.
-        chars = "AZaz" + "ＡＺａｚ" + "KéıſアイカナＩ" + "・09０ 　()（）[]「」"
+        chars = "AZaz" + "ＡＺａｚ" + "\u212aéıſアイカナＩ" + "・09０ 　()（）[]「」"
         rng = random.Random(83)
         for _ in range(20000):
             s = "".join(rng.choice(chars) for _ in range(rng.randrange(9)))

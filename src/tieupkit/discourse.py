@@ -213,20 +213,24 @@ def resolve_pronouns(
     doc: Document,
     reg: CompanyRegistry,
     topics: TopicState,
-    current_tieup: dict[int, frozenset[int]],
+    segments: list["DiscourseSegment"],
 ) -> list[PronounReference]:
     """Resolve 両社 / 同社 / 自社 occurrences to entity id sets.
 
-    ``current_tieup`` maps a sent_index to the tie-up partner ids in force
-    at that sentence; a sentence it lacks has none.  The pipeline maps a
-    sentence that two segments share to the later segment's partners, so
-    両社 there names that tie-up.  同社 reads the company mentions before it
-    in its sentence by one forward walk per sentence: each 同社 reads the
-    positions after the previous 同社's, once each, and the walk keeps the
-    nearest company id read and whether two distinct ids were read.  A
-    company-tagged 同社 is read as a mention by the next one.  An
-    unresolvable pronoun gets an empty set.
+    両社 names the tie-up partner ids of the segment that covers its
+    sentence.  A later segment in ``segments`` overwrites an earlier one on
+    a sentence they share, so 両社 there names the later tie-up.  同社 reads
+    the company mentions before it in its sentence by one forward walk per
+    sentence: each 同社 reads the positions after the previous 同社's, once
+    each, and the walk keeps the nearest company id read and whether two
+    distinct ids were read.  A company-tagged 同社 is read as a mention by
+    the next one.  An unresolvable pronoun gets an empty set.
     """
+    tieup = {
+        s: seg.tieup_ids
+        for seg in segments
+        for s in range(seg.start, seg.end + 1)
+    }
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
         walked, nearest, several = 0, None, False
@@ -234,7 +238,7 @@ def resolve_pronouns(
             if tok.surface not in _PRONOUNS:
                 continue
             if tok.surface == PRONOUN_BOTH:
-                ids = current_tieup.get(s, frozenset())
+                ids = tieup.get(s, frozenset())
             elif tok.surface == PRONOUN_NEAR:
                 for u in range(walked, t):
                     entry = reg.company_entry_at((s, u))

@@ -292,8 +292,6 @@ def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
             raise ParseError(
                 f"literal {' '.join(pending)!r} needs ':mode:POS' tail", lineno, path
             )
-        if not elements:
-            raise ParseError("rule has no elements", lineno, path)
         if not 1 <= index_field <= len(elements):
             raise ParseError(
                 f"index field {index_field} out of range 1..{len(elements)}", lineno, path

@@ -148,14 +148,7 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     # against each segment's tie-up and feed the final subject sets.
     instances, others = _match_instances(doc, winners, reg, resources)
     segments = disc.segment_discourse(doc, instances)
-
-    # A sentence two segments share maps to the later one's partners.
-    tieup_by_sentence = {
-        s: seg.tieup_ids
-        for seg in segments
-        for s in range(seg.start, seg.end + 1)
-    }
-    pronouns = disc.resolve_pronouns(doc, reg, topics, tieup_by_sentence)
+    pronouns = disc.resolve_pronouns(doc, reg, topics, segments)
     pronoun_refs = {p.position: p.referent_ids for p in pronouns}
 
     instances = [

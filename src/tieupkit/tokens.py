@@ -3,8 +3,9 @@
 Input text arrives pre-segmented: one token per line as ``surface<TAB>pos``,
 blank lines between sentences, ``#DOC <id>`` / ``#END`` around each document.
 The POS vocabulary is open; the tags below have reserved meaning, everything
-else is carried through untouched.  Recognition and grouping each emit every
-token once, at its final (sentence, token) index; one already there is reused.
+else is carried through untouched.  The reader, recognition and grouping
+each build a token once, at its final (sentence, token) index; recognition
+and grouping reuse a token already there.
 """
 
 from typing import NamedTuple
@@ -96,15 +97,6 @@ class DesignatorLexicon:
         return None
 
 
-def _make_sentences(raw: list[list[tuple[str, str]]]) -> tuple[tuple[Token, ...], ...]:
-    sentences = []
-    for s, sent in enumerate(raw):
-        sentences.append(
-            tuple(Token(surface, pos, s, t) for t, (surface, pos) in enumerate(sent))
-        )
-    return tuple(sentences)
-
-
 def _placed(tok: Token, s: int, t: int) -> Token:
     """``tok`` at position ``(s, t)``: itself when its indices already say so."""
     if tok.tok_index == t and tok.sent_index == s:
@@ -117,8 +109,8 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
     docs: list[Document] = []
     doc_id: str | None = None
     doc_line = 0
-    current: list[list[tuple[str, str]]] = []
-    sentence: list[tuple[str, str]] = []
+    sentences: list[tuple[Token, ...]] = []
+    sentence: list[Token] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -141,17 +133,17 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
             continue
         if stripped == "#END":
             if sentence:
-                current.append(sentence)
+                sentences.append(tuple(sentence))
                 sentence = []
-            if not current:
+            if not sentences:
                 raise ParseError(f"empty document {doc_id!r}", lineno, path)
-            docs.append(Document(doc_id, _make_sentences(current)))
+            docs.append(Document(doc_id, tuple(sentences)))
             doc_id = None
-            current = []
+            sentences = []
             continue
         if not stripped:
             if sentence:
-                current.append(sentence)
+                sentences.append(tuple(sentence))
                 sentence = []
             continue
         fields = line.split("\t")
@@ -165,7 +157,7 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
         surface, pos = fields[0].strip(), fields[1].strip()
         if not surface or not pos:
             raise ParseError("empty surface or pos field", lineno, path)
-        sentence.append((surface, pos))
+        sentence.append(Token(surface, pos, len(sentences), len(sentence)))
 
     if doc_id is not None:
         raise ParseError(f"document {doc_id!r} not terminated by #END", doc_line, path)

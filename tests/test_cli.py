@@ -158,6 +158,16 @@ class TestExtract:
         assert err == f"error: {patterns}:line 1: rule needs a name, an index number, and elements\n"
         assert not out.exists()
 
+    def test_corpus_directory_without_token_files_fails(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "notes.txt").write_text("#DOC d\nX社\tcompany\n#END\n", "utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "extract", "--corpus", str(corpus), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: no *.tok files in {corpus}\n"
+        assert not out.exists()
+
     def test_duplicate_doc_ids_rejected(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tieupkit.concepts import (
+    ConceptLexicon,
     Keyword,
     compound_runs,
     find_concepts,
@@ -48,6 +49,9 @@ class TestLexicon:
     def test_duplicate_concept(self):
         with pytest.raises(ParseError):
             load_concept_lexicon("(X 提携)\n(X 合弁)")
+        # Built directly, without the reader's line check.
+        with pytest.raises(ValueError, match="^concept names must be unique$"):
+            ConceptLexicon((("X", (Keyword("提携"),)), ("X", (Keyword("合弁"),))))
 
     def test_comments_and_blanks(self):
         lex = load_concept_lexicon("# heading\n\n(X 提携)\n")

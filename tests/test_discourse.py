@@ -280,8 +280,28 @@ class TestPronouns:
         doc = doc_of([("両社", "noun"), ("が", "particle")])
         reg = build_registry(doc=doc)
         topics = track_topics(doc, reg)
-        (ref,) = resolve_pronouns(doc, reg, topics, {})
+        (ref,) = resolve_pronouns(doc, reg, topics, [])
         assert ref.referent_ids == frozenset()
+
+    def test_ryosya_in_a_shared_sentence_names_the_later_of_two_segments(self):
+        # Ids: A社 1, B社 2, C社 3, D社 4.  A-B covers s0-s1 and C-D s1-s2;
+        # the segment listed later decides s1.
+        doc = doc_of(
+            [("A社", "company"), ("と", "particle"), ("B社", "company"), ("両社", "noun")],
+            [("両社", "noun"), ("は", "particle")],
+            [("C社", "company"), ("と", "particle"), ("D社", "company"), ("両社", "noun")],
+        )
+        reg = build_registry(doc=doc)
+        topics = track_topics(doc, reg)
+        segments = [DiscourseSegment(0, 1, frozenset({1, 2})),
+                    DiscourseSegment(1, 2, frozenset({3, 4}))]
+        resolved = lambda segs: [
+            (p.position, p.referent_ids) for p in resolve_pronouns(doc, reg, topics, segs)
+        ]
+        assert resolved(segments) == [((0, 3), {1, 2}), ((1, 0), {3, 4}), ((2, 3), {3, 4})]
+        assert resolved(segments[::-1]) == [
+            ((0, 3), {1, 2}), ((1, 0), {1, 2}), ((2, 3), {3, 4})
+        ]
 
     def test_dosya_equal_to_rule_over_scanned_companies(self):
         # Random documents, each token at its own (sentence, token) index:
@@ -302,7 +322,7 @@ class TestPronouns:
             ])
             reg = unify_company_references(build_registry(doc))
             topics = track_topics(doc, reg)
-            for ref in resolve_pronouns(doc, reg, topics, {}):
+            for ref in resolve_pronouns(doc, reg, topics, []):
                 if ref.surface != "同社":
                     continue
                 s, t = ref.position
@@ -345,7 +365,7 @@ class TestPronouns:
             topics = track_topics(doc, reg)
             looked_up.clear()
             monkeypatch.setattr(CompanyRegistry, "company_entry_at", recording)
-            refs = resolve_pronouns(doc, reg, topics, {})
+            refs = resolve_pronouns(doc, reg, topics, [])
             monkeypatch.undo()
             assert len(set(looked_up)) == len(looked_up)
             last_dosya = {}
@@ -397,9 +417,9 @@ class TestFixedRules:
         reg = unify_company_references(build_registry(doc=doc))
         topics = track_topics(doc, reg)
         assert topics.topics == ({1},) * 4
-        tieup = {1: frozenset({2, 3})}
+        segments = [DiscourseSegment(1, 1, frozenset({2, 3}))]
         resolved = [(p.position, p.surface, p.referent_ids)
-                    for p in resolve_pronouns(doc, reg, topics, tieup)]
+                    for p in resolve_pronouns(doc, reg, topics, segments)]
         assert resolved == [
             ((1, 4), "両社", {2, 3}),  # the current tie-up's partners
             ((1, 5), "同社", {3}),  # two distinct companies precede: the nearest

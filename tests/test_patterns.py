@@ -193,6 +193,15 @@ class TestLiteralMatching:
         assert el.matches_token(Token("X社", "company"))
         assert not el.matches_token(Token("X社", "noun"))
 
+    def test_only_literals_match_single_tokens(self):
+        (rule,) = parse_pattern_file("(R 3 @CNAME_A @SKIP 提携:strict:VN)")
+        assert [el.kind for el in rule.elements] == [
+            ElementKind.VARIABLE, ElementKind.SKIP, ElementKind.LITERAL,
+        ]
+        for el in rule.elements[:2]:
+            with pytest.raises(ValueError, match="^only literals match single tokens$"):
+                el.matches_token(Token("X社", "company"))
+
     def test_literal_verdicts_equal_oracle(self):
         # Every literal tag against every token tag, both modes and the
         # omitted mode, on surfaces that hit, contain or miss the words.

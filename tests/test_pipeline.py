@@ -206,6 +206,27 @@ class TestSubjectRule:
         assert inst.partner_ids == {1}
         assert inst.subject_ids == result.clusters[0].tieup_ids == {1, 2}
 
+    def test_plain_variable_binds_nothing(self, resources):
+        # Only @CNAME spans bind and name partners: Y社製品, the company
+        # unit inside @PRODUCT, is neither bound nor a partner.
+        resources = resources._replace(
+            rules=patterns.parse_pattern_file(
+                "(Sale1 4 @CNAME_A は:strict:P @PRODUCT 販売:loose:VN)"),
+            concept_map={"Sale": "ECONOMIC-ACTIVITY"},
+        )
+        sale = [("X社", "company"), ("は", "particle"), ("Y社", "company"),
+                ("製品", "noun"), ("販売", "verbal-nominal")]
+        result = extract_document(doc_of(sale), resources)
+        self.assert_oracle_rule(result)
+        reg = result.registry
+        (inst,) = [i for i in result.instances if i.source == "pattern"]
+        assert inst.concept == "ECONOMIC-ACTIVITY"
+        assert inst.bindings == {"@CNAME_A": "X社", "activity": "販売"}
+        (winner,) = result.winners
+        assert winner.spans[2] == (2, 3)
+        assert reg.company_entry_at((0, 2)).string == "Y社製品"
+        assert inst.partner_ids == {reg.company_entry_at((0, 0)).entity_id} == {1}
+
     def test_company_tagged_pronoun_is_a_partner(self, resources):
         # 同社 after two companies would resolve to the nearer, Y社; tagged
         # company, it names itself instead.

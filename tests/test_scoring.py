@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+from tieupkit.pipeline import extract_document
 from tieupkit.scoring import (
+    METRIC_NAMES,
     FillScore,
     ScoreCounts,
     _SORT_MAX_PAIRS,
@@ -18,9 +20,16 @@ from tieupkit.scoring import (
     score_fills,
     tally,
 )
-from tieupkit.templates import EntityObject, TemplateGraph, TieUpObject, parse_templates
+from tieupkit.templates import (
+    EntityObject,
+    TemplateGraph,
+    TieUpObject,
+    parse_templates,
+    serialize_templates,
+)
 
 import oracles
+from conftest import load_doc
 from oracles import align_by_sorting, exhaustive_align_cor, fills_by_fields, slot_values_by_fills
 from test_templates import SAMPLE, random_graph
 
@@ -560,6 +569,29 @@ class TestReport:
         assert [pct[k] for k in ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")] == [
             70.0, 25.0, 25.0, 50.0, 37.5, 37.5, 37.5,
         ]
+
+    def test_empty_key_and_response_row_reads_zero_and_is_flagged(self):
+        # Every measure is 0/0: the row reads 0.0 throughout, REC, PRE and
+        # P&R as a total miss's do, and only metrics.undefined tells them apart.
+        empty = TemplateGraph("d")
+        report = score_documents([("d", empty, empty), ("miss", empty, SAMPLE)])
+        both_empty, miss = report.documents
+        rows = report.format_table().splitlines()
+        assert rows[1].split() == ["d"] + ["0.0"] * 7
+        assert both_empty.metrics.undefined == set(METRIC_NAMES)
+        assert rows[2].split()[5:] == ["0.0"] * 3
+        assert "REC" not in miss.metrics.undefined
+
+    def test_fixture_row_with_no_tieup_is_flagged(self, data_dir, resources):
+        # pronouns_b names one company and no tie-up: its output and its
+        # hand-written key are both empty.
+        response = parse_templates(serialize_templates(
+            extract_document(load_doc("pronouns_b"), resources).graph), "pronouns_b")
+        key_text = (data_dir / "golden" / "pronouns_b.tmpl").read_text("utf-8")
+        report = score_documents([("pronouns_b", response, parse_templates(key_text))])
+        (doc,) = report.documents
+        assert report.format_table().splitlines()[1].split() == ["pronouns_b"] + ["0.0"] * 7
+        assert doc.metrics.undefined == set(METRIC_NAMES)
 
     def test_report_has_row_per_document_and_total(self):
         report = score_documents([("a", SAMPLE, SAMPLE), ("b", SAMPLE, SAMPLE)])

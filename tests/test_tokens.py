@@ -71,6 +71,17 @@ class TestParsing:
         (doc,) = parse_token_file("#DOC a\n#DOC\tnoun\n#END\n")
         assert [(t.surface, t.pos) for t in doc.sentences[0]] == [("#DOC", "noun")]
 
+    @pytest.mark.parametrize("text, found", [
+        ("", 0),
+        ("\n\n", 0),
+        ("#DOC a\nx\tnoun\n#END\n#DOC b\ny\tnoun\n#END\n", 2),
+    ], ids=["empty", "blank", "two"])
+    def test_parse_document_needs_exactly_one(self, text, found):
+        with pytest.raises(ParseError) as err:
+            parse_document(text, "in.tok")
+        assert str(err.value) == f"in.tok: expected exactly one document, found {found}"
+        assert (err.value.path, err.value.line) == ("in.tok", None)
+
     def test_worked_passage_has_two_sentences(self):
         doc = load_doc("tanabe_merck")
         assert len(doc.sentences) == 2
@@ -80,6 +91,12 @@ class TestParsing:
             "#DOC a\nx\tnoun\n#END\n#DOC b\ny\tnoun\n#END\n"
         )
         assert [d.doc_id for d in docs] == ["a", "b"]
+        # A run of blank lines ends one sentence; each document counts from 0.
+        docs = parse_token_file("#DOC a\nx\tnoun\ny\tnoun\n\n\nz\tnoun\n\n#END\n"
+                                "#DOC b\n\nw\tnoun\n#END\n")
+        assert [[(t.surface, t.sent_index, t.tok_index) for t in d.tokens()] for d in docs] == [
+            [("x", 0, 0), ("y", 0, 1), ("z", 1, 0)], [("w", 0, 0)],
+        ]
 
     def test_round_trip_is_fixpoint(self):
         text = serialize_token_file(load_doc("tanabe_merck"))
@@ -111,6 +128,8 @@ class TestDesignatorLexicon:
     def test_bad_type_rejected(self):
         with pytest.raises(ParseError):
             load_designator_lexicon("社\tfirm\n")
+        with pytest.raises(ValueError, match="unknown designator entity type: org"):
+            DesignatorLexicon({"社": "org"})
 
 
 class TestRecognizeNames:

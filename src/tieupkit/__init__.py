@@ -60,7 +60,6 @@ from .tokens import (
     parse_document,
     parse_token_file,
     recognize_names,
-    serialize_token_file,
 )
 
 __version__ = "0.1.0"

@@ -22,6 +22,8 @@ from .templates import parse_templates, serialize_templates
 
 
 DUMP_STAGES = ("matches", "topics", "registry", "segments")
+# The longest file name, in bytes, that common file systems accept.
+NAME_MAX = 255
 
 
 class Resource(NamedTuple):
@@ -138,10 +140,14 @@ def run_extract(config: RunConfig) -> int:
     docs = []
     for path in _corpus_files(config.corpus):
         docs.extend(tokens_mod.parse_token_file(_read_text(path), str(path)))
+    # An id plus this suffix is the longest output file name, a temporary one.
+    longest = max((".tmpl", *(f".{stage}.txt" for stage in config.dump)), key=len) + ".tmp"
     seen_ids = set()
     for doc in docs:
         if doc.doc_id in seen_ids:
             raise TieupkitError(f"duplicate document id {doc.doc_id!r} in corpus")
+        if len((doc.doc_id + longest).encode()) > NAME_MAX:
+            raise TieupkitError(f"document id {doc.doc_id!r} is too long for its output files")
         seen_ids.add(doc.doc_id)
 
     config.out.mkdir(parents=True, exist_ok=True)

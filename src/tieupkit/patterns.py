@@ -45,18 +45,23 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParseError, content_lines, read_number
-from .tokens import ENTITY_TAGS, POS_COMPANY, Token
+from .tokens import (
+    ENTITY_TAGS, POS_COMPANY, POS_NOUN, POS_PARTICLE, POS_PUNCT, POS_VERB, POS_VERBAL_NOMINAL, Token
+)
 
 SKIP_NAME = "@SKIP"
 CNAME_PREFIX = "@CNAME"
+# Matching takes one Python frame per element, so a longer rule is a parse
+# error rather than a RecursionError; the shipped rules have at most 6.
+MAX_RULE_ELEMENTS = 100
 
 # Short POS tags accepted in pattern files for the reserved long tags.
 _TAG_ALIASES = {
-    "P": "particle",
-    "V": "verb",
-    "VN": "verbal-nominal",
-    "N": "noun",
-    "PUNCT": "punct",
+    "P": POS_PARTICLE,
+    "V": POS_VERB,
+    "VN": POS_VERBAL_NOMINAL,
+    "N": POS_NOUN,
+    "PUNCT": POS_PUNCT,
 }
 
 
@@ -291,6 +296,10 @@ def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
         if pending:
             raise ParseError(
                 f"literal {' '.join(pending)!r} needs ':mode:POS' tail", lineno, path
+            )
+        if len(elements) > MAX_RULE_ELEMENTS:
+            raise ParseError(
+                f"rule has {len(elements)} elements, more than {MAX_RULE_ELEMENTS}", lineno, path
             )
         if not 1 <= index_field <= len(elements):
             raise ParseError(

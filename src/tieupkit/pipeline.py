@@ -56,13 +56,9 @@ class ExtractionResult(NamedTuple):
 def _created_company_text(sentence, span) -> str | None:
     """Trailing noun-like compound of a created-object span, if any."""
     lo, hi = span
-    end = hi
-    start = end
-    while start > lo and sentence[start - 1].pos in concepts_mod.NOUN_LIKE:
-        start -= 1
-    if start == end:
+    if sentence[hi - 1].pos not in concepts_mod.NOUN_LIKE:
         return None
-    return "".join(t.surface for t in sentence[start:end])
+    return concepts_mod.compound_runs(sentence[lo:hi])[-1][0]
 
 
 def _match_instances(doc, winners, reg, resources):

@@ -65,9 +65,6 @@ class Document(NamedTuple):
         for sent in self.sentences:
             yield from sent
 
-    def surface_text(self) -> str:
-        return "".join(t.surface for t in self.tokens())
-
 
 class DesignatorLexicon:
     """Designator surfaces (社, 氏, ...) mapped to an entity type, with the
@@ -170,22 +167,6 @@ def parse_document(text: str, path: str | None = None) -> Document:
     if len(docs) != 1:
         raise ParseError(f"expected exactly one document, found {len(docs)}", None, path)
     return docs[0]
-
-
-def serialize_token_file(docs: list[Document] | Document) -> str:
-    """Normalized token-file form; inverse of :func:`parse_token_file`."""
-    if isinstance(docs, Document):
-        docs = [docs]
-    blocks = []
-    for doc in docs:
-        lines = [f"#DOC {doc.doc_id}"]
-        for s, sent in enumerate(doc.sentences):
-            if s:
-                lines.append("")
-            lines.extend(f"{t.surface}\t{t.pos}" for t in sent)
-        lines.append("#END")
-        blocks.append("\n".join(lines))
-    return "\n".join(blocks) + "\n"
 
 
 def load_designator_lexicon(text: str, path: str | None = None) -> DesignatorLexicon:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from tieupkit.patterns import ElementKind, PatternMatch, PatternRule
-from tieupkit.concepts import ConceptHit, compound_runs
+from tieupkit.concepts import NOUN_LIKE, ConceptHit, compound_runs
 from tieupkit.errors import DanglingReferenceError, ParseError
 from tieupkit.templates import _BY_TYPE, LAYOUT, EntityObject, TemplateGraph, TieUpObject
 from tieupkit.tokens import (
@@ -507,6 +507,19 @@ def pattern_subjects_by_two_walks(result) -> list[tuple[frozenset[int], frozense
                     subjects |= referents_at[(s, t)]
         out.append((frozenset(partners), frozenset(subjects) or result.topics.for_sentence(s)))
     return out
+
+
+def created_company_text_by_walk(sentence, span) -> str | None:
+    """Trailing noun-like compound of a created-object span, if any, by the
+    former backward walk over its noun-like tokens."""
+    lo, hi = span
+    end = hi
+    start = end
+    while start > lo and sentence[start - 1].pos in NOUN_LIKE:
+        start -= 1
+    if start == end:
+        return None
+    return "".join(t.surface for t in sentence[start:end])
 
 
 def serialize_templates_by_fields(graph: TemplateGraph) -> str:

@@ -118,6 +118,21 @@ class TestExtract:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_rule_past_the_element_limit_fails_with_line(self, tmp_path, capsys):
+        # Matching it used to end in a RecursionError traceback.
+        patterns = tmp_path / "r.pat"
+        patterns.write_text("(R 1 a:strict:N" + " @SKIP" * 1000 + ")\n", "utf-8")
+        corpus = tmp_path / "d.tok"
+        corpus.write_text("#DOC d\na\tnoun\n#END\n", "utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "extract", "--corpus", str(corpus), "--patterns", str(patterns),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {patterns}:line 1: rule has 1001 elements, more than 100\n"
+        assert not out.exists()
+
     def test_repeated_concept_map_group_fails_with_line(self, tmp_path, capsys):
         # Like a repeated rule name: a resource file at fault exits 1.
         concept_map = tmp_path / "dup.tsv"
@@ -178,6 +193,32 @@ class TestExtract:
         )
         assert code != 0
         assert "duplicate document id" in err
+
+    @pytest.mark.parametrize("dump, doc_id, fits", [
+        (["--dump", "registry"], "y" * 238, True),
+        # 239 UTF-8 bytes in 81 characters.
+        (["--dump", "registry"], "あ" * 79 + "yy", False),
+        ([], "y" * 246, True),
+        ([], "y" * 247, False),
+    ], ids=["dump-238", "dump-239", "plain-246", "plain-247"])
+    def test_document_id_too_long_for_a_file_name_fails_before_output(
+        self, tmp_path, capsys, dump, doc_id, fits
+    ):
+        # The longest output name, <id>.registry.txt.tmp or else
+        # <id>.tmpl.tmp, must fit in 255 bytes.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.tok").write_text("#DOC a\nX社\tcompany\n#END\n", "utf-8")
+        (corpus / "b.tok").write_text(f"#DOC {doc_id}\nY社\tcompany\n#END\n", "utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "extract", "--corpus", str(corpus), "--out", str(out), *dump)
+        if fits:
+            assert (code, err) == (0, "")
+            assert (out / f"{doc_id}.tmpl").is_file()
+        else:
+            assert code == 1
+            assert err == f"error: document id {doc_id!r} is too long for its output files\n"
+            assert not out.exists()
 
     def test_malformed_corpus_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.tok"

@@ -8,6 +8,7 @@ import pytest
 
 from tieupkit.errors import ParseError
 from tieupkit.patterns import (
+    MAX_RULE_ELEMENTS,
     ElementKind,
     PatternMatch,
     PatternRule,
@@ -145,6 +146,18 @@ class TestParsing:
             parse_pattern_file(text, path="rules.pat")
         assert err.value.line == 3
         assert "duplicate rule name 'EconomicActivity2'" in str(err.value)
+
+    def test_rule_past_the_element_limit_rejected_with_line(self):
+        # Matching recurses once per element; a rule at the limit still
+        # matches, one past it is rejected before any matching.
+        skips = " @SKIP" * (MAX_RULE_ELEMENTS - 1)
+        (rule,) = parse_pattern_file(f"(R 1 a:strict:N{skips})")
+        assert len(rule.elements) == MAX_RULE_ELEMENTS == 100
+        assert len(match_sentence(sent(("a", "noun")), [rule])) == 1
+        with pytest.raises(ParseError) as err:
+            parse_pattern_file(f"(A 1 a:strict:N)\n(R 1\n a:strict:N{skips} @SKIP)", "r.pat")
+        assert (err.value.line, err.value.path) == (2, "r.pat")
+        assert "rule has 101 elements, more than 100" in str(err.value)
 
 
 class TestConceptMap:

@@ -4,14 +4,15 @@ import random
 import pytest
 
 from tieupkit import patterns
-from tieupkit.pipeline import extract_document
+from tieupkit.concepts import NOUN_LIKE
+from tieupkit.pipeline import _created_company_text, extract_document
 from tieupkit.templates import parse_templates, serialize_templates
-from tieupkit.tokens import parse_token_file
+from tieupkit.tokens import Token, parse_token_file
 
 from ablation import extract_without_discourse
 from conftest import DATA, bench_corpora, load_doc
 from fuzzing import rule_shaped_doc
-from oracles import pattern_subjects_by_two_walks
+from oracles import created_company_text_by_walk, pattern_subjects_by_two_walks
 from test_discourse import doc_of
 from test_fuzz_pipeline import random_doc
 
@@ -243,6 +244,29 @@ class TestSubjectRule:
         (inst,) = [i for i in result.instances if i.sent_index == 1 and i.source == "pattern"]
         assert inst.bindings["@CNAME_PARTNER_SUBJ"] == "同社"
         assert inst.partner_ids == inst.subject_ids == {same}
+
+
+def test_created_company_text_equal_to_the_walk():
+    # The created company is the span's trailing noun-like compound, the
+    # last of its compound runs when the span ends on a noun-like token.
+    rng = random.Random(227)
+    tags = sorted(NOUN_LIKE) + ["particle", "verb", "punct", "other"]
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        sentence = [Token(rng.choice("合弁新会社XY・") + str(i), rng.choice(tags), 0, i)
+                    for i in range(n)]
+        width = rng.randint(1, min(8, n))
+        lo = rng.randint(0, n - width)
+        span = (lo, lo + width)
+        expected = created_company_text_by_walk(sentence, span)
+        assert _created_company_text(sentence, span) == expected
+        nouns = [t.pos in NOUN_LIKE for t in sentence[lo:lo + width]]
+        seen.add((sentence[lo + width - 1].pos, all(nouns), expected is None))
+    # Spans ending on a particle, wholly noun-like spans, and spans whose
+    # compound starts inside them all occur.
+    assert ("particle", False, True) in seen
+    assert {all_nouns for pos, all_nouns, none in seen if not none} == {True, False}
 
 
 @pytest.fixture

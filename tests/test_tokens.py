@@ -12,10 +12,9 @@ from tieupkit.tokens import (
     parse_document,
     parse_token_file,
     recognize_names,
-    serialize_token_file,
 )
 
-from conftest import load_doc
+from conftest import bench_corpora, load_doc
 from oracles import designator_by_scan, group_segments_two_pass, recognize_names_two_pass
 from test_fuzz_pipeline import random_doc
 
@@ -98,11 +97,8 @@ class TestParsing:
             [("x", 0, 0), ("y", 0, 1), ("z", 1, 0)], [("w", 0, 0)],
         ]
 
-    def test_round_trip_is_fixpoint(self):
-        text = serialize_token_file(load_doc("tanabe_merck"))
-        assert serialize_token_file(parse_token_file(text)) == text
-
     def test_random_docs_round_trip(self):
+        token_text = bench_corpora().token_text
         rng = random.Random(7)
         surfaces = ["会社", "は", "。", "提携", "X", "エー・メルク"]
         tags = ["noun", "particle", "punct", "company", "unknown"]
@@ -112,8 +108,7 @@ class TestParsing:
                 sentences.append(
                     [(rng.choice(surfaces), rng.choice(tags)) for _ in range(rng.randint(1, 6))]
                 )
-            doc = doc_of(*sentences)
-            assert parse_document(serialize_token_file(doc)) == Document("d", doc.sentences)
+            assert parse_document(token_text("d", sentences)) == doc_of(*sentences)
 
 
 class TestDesignatorLexicon:
@@ -213,9 +208,13 @@ class TestPipelineInvariants:
     def test_concatenation_preserved(self):
         rng = random.Random(11)
         lex = DesignatorLexicon({"社": "company", "氏": "person"})
+
+        def text(d):
+            return "".join(t.surface for t in d.tokens())
+
         for doc in random_docs(200, rng):
             out = group_segments(recognize_names(doc, lex))
-            assert out.surface_text() == doc.surface_text()
+            assert text(out) == text(doc)
 
     def test_idempotence(self):
         rng = random.Random(13)

@@ -6,7 +6,6 @@ template files and prints one metrics row per document and a TOTAL row over
 the pooled counts.
 """
 
-import argparse
 import os
 import sys
 from pathlib import Path
@@ -97,9 +96,18 @@ def _corpus_files(corpus: Path) -> list[Path]:
 
 
 def _atomic_write(path: Path, content: str):
+    """Write ``content`` beside ``path`` and rename it into place; a failed
+    write or rename deletes the temporary file before the error goes on."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, "utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content, "utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass  # the error being raised is the one to report
+        raise
 
 
 def _dump_text(result: ExtractionResult, stage: str) -> str:
@@ -217,6 +225,10 @@ def _build_run_config(args) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Imported here, its one user: a library caller of load_resources or
+    # run_extract never loads argparse (nor the gettext it imports).
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tieupkit",
         description="Extract corporate tie-up templates from token files and "

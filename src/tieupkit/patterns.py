@@ -51,8 +51,9 @@ from .tokens import (
 
 SKIP_NAME = "@SKIP"
 CNAME_PREFIX = "@CNAME"
-# Matching takes one Python frame per element, so a longer rule is a parse
-# error rather than a RecursionError; the shipped rules have at most 6.
+# Matching takes one Python frame per element, so ``PatternRule`` refuses a
+# longer rule (and the reader reports it at its line) rather than matching
+# ending in a RecursionError; the shipped rules have at most 6.
 MAX_RULE_ELEMENTS = 100
 
 # Short POS tags accepted in pattern files for the reserved long tags.
@@ -136,6 +137,8 @@ class PatternRule:
     )
 
     def __init__(self, name: str, index_field: int, elements: tuple[PatternElement, ...]):
+        if len(elements) > MAX_RULE_ELEMENTS:
+            raise ValueError(f"rule has {len(elements)} elements, more than {MAX_RULE_ELEMENTS}")
         self.name = name
         self.index_field = index_field
         self.elements = elements
@@ -297,10 +300,10 @@ def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
             raise ParseError(
                 f"literal {' '.join(pending)!r} needs ':mode:POS' tail", lineno, path
             )
-        if len(elements) > MAX_RULE_ELEMENTS:
-            raise ParseError(
-                f"rule has {len(elements)} elements, more than {MAX_RULE_ELEMENTS}", lineno, path
-            )
+        try:
+            rule = PatternRule(name, index_field, tuple(elements))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, path) from exc
         if not 1 <= index_field <= len(elements):
             raise ParseError(
                 f"index field {index_field} out of range 1..{len(elements)}", lineno, path
@@ -309,7 +312,7 @@ def parse_pattern_file(text: str, path: str | None = None) -> list[PatternRule]:
             raise ParseError(
                 f"index field {index_field} must point at a literal", lineno, path
             )
-        rules.append(PatternRule(name, index_field, tuple(elements)))
+        rules.append(rule)
     return rules
 
 

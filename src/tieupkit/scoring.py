@@ -7,15 +7,18 @@ with at most ``_SORT_MAX_PAIRS`` (response, key) pairs, as in most news
 documents, is aligned by sorting every pair; a larger one through a link
 index whose cost grows with the links, not the pairs (the size ladder
 behind the constant is in its comment).  Both give the same pairs.  Each
-fill lands in one of five categories: correct, partially correct (one value
-a substring of the other after whitespace normalization), incorrect,
-missing, spurious.  The seven summary measures are stated once, as integer
-(numerator, denominator) pairs: ``compute_metrics`` builds exact Fractions
-from them, and the report table rounds them half-up to one decimal percent
-straight from the integers.  ``fractions`` is imported on first use, since
+object's slot table is built once and read by the alignment, by its pair's
+scoring and by the listing of an object left over.  Each fill lands in one
+of five categories: correct, partially correct (one value a substring of
+the other after whitespace normalization), incorrect, missing, spurious.
+The seven summary measures are stated once, as integer (numerator,
+denominator) pairs: ``compute_metrics`` builds exact Fractions from them,
+and the report table rounds them half-up to one decimal percent straight
+from the integers.  ``fractions`` is imported on first use, since
 extraction never builds a Fraction.
 """
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .templates import SLOT_PLAN, EntityObject, TemplateGraph, TieUpObject
@@ -132,31 +135,68 @@ def f_measure(rec: "Fraction", pre: "Fraction") -> "Fraction":
 _CLOSED_SLOTS = ("STATUS", "TYPE", "WARNING")
 
 
-def _fills(obj: EntityObject | TieUpObject) -> list[tuple[str, str]]:
-    """Flatten an object into (slot, value) fills; refs use ENTITY:n form."""
-    return [(slot, v) for slot, values in _slot_values(obj, None).items() for v in values]
-
-
 def _is_partial(a: str, b: str) -> bool:
     a, b = " ".join(a.split()), " ".join(b.split())  # whitespace normalized
     return a != b and (a in b or b in a)
 
 
-def _slot_values(obj, entity_map: dict[int, int] | None) -> dict[str, list[str]]:
-    """slot -> list of comparable values, read off the object's fields; with
-    ``entity_map``, response refs are mapped through the entity alignment."""
-    out = {}
-    for slot, (i, multi) in SLOT_PLAN[type(obj)].items():
-        value = obj[i]
-        if not value:
-            continue
-        if slot == "ENTITIES" and entity_map is not None:
-            value = [f"ENTITY:{entity_map[r]}" if r in entity_map else f"unaligned:{r}"
-                     for r in value]
-        elif slot == "ENTITIES":
-            value = [f"ENTITY:{r}" for r in value]
-        out[slot] = list(value) if multi else [value]
-    return out
+class _TablePlan(NamedTuple):
+    """What scoring reads of one object class's slots, in name order: each
+    slot's object field index and whether it is multi-valued, and which
+    table positions hold closed slots, open slots and, in layout order,
+    every slot."""
+
+    rows: tuple[tuple[str, int, bool], ...]
+    names: tuple[str, ...]
+    closed: tuple[int, ...]
+    open: tuple[int, ...]
+    layout: tuple[int, ...]
+
+
+def _table_plan(plan: dict[str, tuple[int, bool]]) -> _TablePlan:
+    names = tuple(sorted(plan))
+    return _TablePlan(
+        tuple((slot, *plan[slot]) for slot in names),
+        names,
+        tuple(n for n, slot in enumerate(names) if slot in _CLOSED_SLOTS),
+        tuple(n for n, slot in enumerate(names) if slot not in _CLOSED_SLOTS),
+        tuple(names.index(slot) for slot in plan),
+    )
+
+
+_TABLE_PLANS = {cls: _table_plan(plan) for cls, plan in SLOT_PLAN.items()}
+
+
+def _slot_tables(objs, entity_map: dict[int, int] | None) -> list[tuple[tuple[str, ...], ...]]:
+    """Each object's slot table: per slot in name order, the tuple of its
+    comparable values, empty for an empty field.  References read
+    ``ENTITY:n``; with ``entity_map``, response refs are mapped through the
+    entity alignment."""
+    if not objs:
+        return []
+    rows = _TABLE_PLANS[type(objs[0])].rows
+    tables = []
+    for obj in objs:
+        table = []
+        for slot, i, multi in rows:
+            value = obj[i]
+            if not multi:
+                table.append((value,) if value else ())
+            elif slot == "ENTITIES":
+                table.append(_refs(value, entity_map))
+            else:
+                table.append(tuple(value))
+        tables.append(tuple(table))
+    return tables
+
+
+def _refs(refs: tuple[int, ...], entity_map: dict[int, int] | None) -> tuple[str, ...]:
+    """Entity references as ``ENTITY:n``, mapped through ``entity_map`` when
+    given (``unaligned:n`` for a response entity with no partner)."""
+    if entity_map is None:
+        return tuple([f"ENTITY:{r}" for r in refs])
+    return tuple([f"ENTITY:{entity_map[r]}" if r in entity_map else f"unaligned:{r}"
+                  for r in refs])
 
 
 class FillScore(NamedTuple):
@@ -170,65 +210,73 @@ class FillScore(NamedTuple):
     category: str  # COR | PAR | INC | MIS | SPU
 
 
-def _score_pair(kind, label, resp_slots, key_slots) -> list[FillScore]:
-    records = []
-    for slot in sorted(resp_slots.keys() | key_slots.keys()):
-        resp_vals = resp_slots.get(slot, [])
-        key_vals = key_slots.get(slot, [])
+_new = tuple.__new__  # builds a FillScore without its Python-level __new__
+
+
+def _score_pair(records, kind, label, names, resp_table, key_table) -> None:
+    """Append the fills of one aligned pair to ``records``, slot by slot in
+    name order."""
+    if resp_table == key_table:
+        records += [_new(FillScore, (kind, label, slot, v, v, "COR"))
+                    for slot, values in zip(names, key_table) for v in values]
+        return
+    for slot, resp_vals, key_vals in zip(names, resp_table, key_table):
         if resp_vals == key_vals:
-            records.extend([FillScore(kind, label, slot, v, v, "COR") for v in key_vals])
+            records += [_new(FillScore, (kind, label, slot, v, v, "COR")) for v in key_vals]
             continue
-        # Slot tables are shared by every pair an object joins, so the value
-        # lists are copied before they are consumed.
-        resp_vals, key_vals = list(resp_vals), list(key_vals)
-        # Exact matches first.
-        for kv in list(key_vals):
-            if kv in resp_vals:
-                records.append(FillScore(kind, label, slot, kv, kv, "COR"))
-                key_vals.remove(kv)
-                resp_vals.remove(kv)
+        # Exact matches first, in key order.
+        resp_left = list(resp_vals)
+        key_left = []
+        for kv in key_vals:
+            if kv in resp_left:
+                records.append(_new(FillScore, (kind, label, slot, kv, kv, "COR")))
+                resp_left.remove(kv)
+            else:
+                key_left.append(kv)
         # Substring partials; reference slots never match partially.
-        if slot != "ENTITIES":
-            for kv in list(key_vals):
-                partial = next((rv for rv in resp_vals if _is_partial(kv, rv)), None)
-                if partial is not None:
-                    records.append(FillScore(kind, label, slot, kv, partial, "PAR"))
-                    key_vals.remove(kv)
-                    resp_vals.remove(partial)
+        if slot != "ENTITIES" and key_left and resp_left:
+            unmatched = []
+            for kv in key_left:
+                partial = next((rv for rv in resp_left if _is_partial(kv, rv)), None)
+                if partial is None:
+                    unmatched.append(kv)
+                else:
+                    records.append(_new(FillScore, (kind, label, slot, kv, partial, "PAR")))
+                    resp_left.remove(partial)
+            key_left = unmatched
         # Remaining cross pairs are incorrect; leftovers missing/spurious.
-        while key_vals and resp_vals:
-            records.append(
-                FillScore(kind, label, slot, key_vals.pop(0), resp_vals.pop(0), "INC")
-            )
-        records.extend(FillScore(kind, label, slot, kv, None, "MIS") for kv in key_vals)
-        records.extend(FillScore(kind, label, slot, None, rv, "SPU") for rv in resp_vals)
-    return records
+        n = min(len(key_left), len(resp_left))
+        records += [_new(FillScore, (kind, label, slot, kv, rv, "INC"))
+                    for kv, rv in zip(key_left, resp_left)]
+        records += [_new(FillScore, (kind, label, slot, kv, None, "MIS")) for kv in key_left[n:]]
+        records += [_new(FillScore, (kind, label, slot, None, rv, "SPU")) for rv in resp_left[n:]]
 
 
-def _pair_cor_count(resp_slots, key_slots) -> int:
+def _pair_cor_count(resp_table, key_table) -> int:
+    if resp_table == key_table:
+        return sum(map(len, key_table))
     cor = 0
-    for slot, key_vals in key_slots.items():
-        resp_vals = resp_slots.get(slot)
+    for resp_vals, key_vals in zip(resp_table, key_table):
         if resp_vals == key_vals:
             cor += len(key_vals)
-        elif resp_vals:
-            resp_vals = list(resp_vals)
+        elif resp_vals and key_vals:
+            resp_left = list(resp_vals)
             for kv in key_vals:
-                if kv in resp_vals:
+                if kv in resp_left:
                     cor += 1
-                    resp_vals.remove(kv)
+                    resp_left.remove(kv)
     return cor
 
 
 # Pair count up to which a kind is aligned by sorting every pair, from a size
-# ladder of µs per call, index / sort, on k x k entity graphs: 8.9 / 3.7 at
-# 1 x 1, 17.4 / 7.7 at 2 x 2, 35.0 / 28.7 at 4 x 4, 40.9 / 41.9 at 5 x 5 and
-# 67.9 / 87.7 at 8 x 8.  Shapes of 18 to 24 pairs (3 x 6, 4 x 5, 2 x 12)
-# already favour the index.
+# ladder of µs per call, index / sort, on k x k entity graphs: 5.6 / 0.2 at
+# 1 x 1, 8.9 / 5.1 at 2 x 2, 12.7 / 10.7 at 3 x 3, 17.5 / 17.9 at 4 x 4,
+# 19.7 / 27.4 at 5 x 5 and 31.1 / 68.7 at 8 x 8.  Shapes of 18 to 24 pairs
+# (3 x 6, 4 x 5, 2 x 12) already favour the index.
 _SORT_MAX_PAIRS = 16
 
 
-def _align_type(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, int]]:
+def _align_type(resp_objs, key_objs, resp_tables, key_tables) -> list[tuple[int, int]]:
     """Greedy pairing by descending shared-correct count, ids break ties.
 
     The result is that of sorting every (key, response) pair by (-COR, key
@@ -239,16 +287,19 @@ def _align_type(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, i
     link index, which gives the same pairs.
     """
     if len(resp_objs) * len(key_objs) <= _SORT_MAX_PAIRS:
-        return _align_by_sorting(resp_objs, key_objs, resp_slots, key_slots)
-    return _align_by_index(resp_objs, key_objs, resp_slots, key_slots)
+        return _align_by_sorting(resp_objs, key_objs, resp_tables, key_tables)
+    return _align_by_index(resp_objs, key_objs, resp_tables, key_tables)
 
 
-def _align_by_sorting(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, int]]:
-    """The greedy rule as stated: every pair counted, sorted and taken while free."""
+def _align_by_sorting(resp_objs, key_objs, resp_tables, key_tables) -> list[tuple[int, int]]:
+    """The greedy rule as stated: every pair counted, sorted and taken while
+    free.  A lone pair is taken without counting."""
+    if len(resp_objs) == 1 == len(key_objs):
+        return [(0, 0)]
     candidates = sorted([
-        (-_pair_cor_count(rs, ks), key.object_id, resp.object_id, ri, ki)
-        for ki, (key, ks) in enumerate(zip(key_objs, key_slots))
-        for ri, (resp, rs) in enumerate(zip(resp_objs, resp_slots))
+        (-_pair_cor_count(rt, kt), key.object_id, resp.object_id, ri, ki)
+        for ki, (key, kt) in enumerate(zip(key_objs, key_tables))
+        for ri, (resp, rt) in enumerate(zip(resp_objs, resp_tables))
     ])
     taken_resp, taken_key = set(), set()
     pairs = []
@@ -260,54 +311,74 @@ def _align_by_sorting(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[
     return pairs
 
 
-def _align_by_index(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[int, int]]:
+def _align_by_index(resp_objs, key_objs, resp_tables, key_tables) -> list[tuple[int, int]]:
     """``_align_type``'s pairs without visiting every pair.
 
-    COR splits into a closed part, the number of (slot, value) pairs two
-    signatures share (closed slots hold one value each), and an open part,
-    nonzero only for linked pairs, which share a value.  One COR level at a
-    time, from the highest, each free key in id order takes its lowest-id
-    free candidate: a linked response at that level, or the first free
-    response of each signature group whose closed part equals the level.
+    Objects go by rank, their position in id order.  COR splits into a
+    closed part, the closed slots two tables hold the same value in (so at
+    most the kind's closed slot count), and an open part, nonzero only for
+    linked pairs, which share a value.  Above the closed slot count only
+    linked pairs reach a level, so those are taken as sorting every pair
+    would take them.  Below it the rest go one COR level at a time, from
+    the highest: each free key in rank order takes its lowest-ranked free
+    candidate, a linked response at that level or the first free response
+    of each closed signature group whose closed part equals the level.
     Were that response linked to the key at a higher COR, the key or the
     response would have been taken there.
     """
-    key_index: dict[str, list[int]] = {}  # open value -> keys holding it
-    key_sigs = []
-    for ki, slots in enumerate(key_slots):
-        sig = []
-        for slot, values in slots.items():
-            if slot in _CLOSED_SLOTS:
-                sig.append((slot, values[0]))
-            else:
-                for value in values:
-                    key_index.setdefault(value, []).append(ki)
-        key_sigs.append(tuple(sig))
+    if not resp_objs or not key_objs:
+        return []
+    plan = _TABLE_PLANS[type(key_objs[0])]
+    key_order = sorted(range(len(key_objs)), key=lambda ki: key_objs[ki].object_id)
+    resp_order = sorted(range(len(resp_objs)), key=lambda ri: resp_objs[ri].object_id)
+    key_tables = [key_tables[ki] for ki in key_order]
+    resp_tables = [resp_tables[ri] for ri in resp_order]
 
-    # Responses go by their position in id order: a lower position is a lower id.
-    order = sorted(range(len(resp_objs)), key=lambda ri: resp_objs[ri].object_id)
-    resp_sigs = []
-    groups: dict[tuple, list[int]] = {}  # signature -> free positions, in order
-    linked: list[dict[int, int]] = [{} for _ in key_objs]  # ki -> {position: COR}, in order
+    key_index: dict[str, list[int]] = {}  # open value -> key ranks holding it
+    for k, table in enumerate(key_tables):
+        for n in plan.open:
+            for value in table[n]:
+                key_index.setdefault(value, []).append(k)
+    linked: list[dict[int, int]] = [{} for _ in key_tables]  # k -> {r: COR}, r ascending
+    candidates = []  # (-COR, k, r) per linked pair
+    for r, table in enumerate(resp_tables):
+        for n in plan.open:
+            for value in table[n]:
+                for k in key_index.get(value, ()):
+                    links = linked[k]
+                    if r not in links:
+                        links[r] = cor = _pair_cor_count(table, key_tables[k])
+                        candidates.append((-cor, k, r))
+
+    candidates.sort()
+    top_closed = len(plan.closed)
+    key_taken: set[int] = set()
+    resp_taken: set[int] = set()
+    pairs = []
     levels = set()
-    for pos, ri in enumerate(order):
-        slots = resp_slots[ri]
-        sig = []
-        for slot, values in slots.items():
-            if slot in _CLOSED_SLOTS:
-                sig.append((slot, values[0]))
-            else:
-                for value in values:
-                    for ki in key_index.get(value, ()):
-                        links = linked[ki]
-                        if pos not in links:
-                            links[pos] = cor = _pair_cor_count(slots, key_slots[ki])
-                            levels.add(cor)
-        resp_sigs.append(tuple(sig))
-        groups.setdefault(resp_sigs[-1], []).append(pos)
-    # Key signature -> (closed COR, group) for every response group.
-    closed: dict[tuple, list[tuple[int, list[int]]]] = {}
-    for ks in key_sigs:
+    for neg_cor, k, r in candidates:
+        if -neg_cor <= top_closed:
+            levels.add(-neg_cor)
+        elif k not in key_taken and r not in resp_taken:
+            key_taken.add(k)
+            resp_taken.add(r)
+            pairs.append((resp_order[r], key_order[k]))
+    free_keys = [k for k in range(len(key_tables)) if k not in key_taken]
+    if not free_keys or len(resp_taken) == len(resp_tables):
+        return pairs
+
+    def signature(table):
+        return tuple([(n, table[n]) for n in plan.closed if table[n]])
+
+    groups: dict[tuple, list[int]] = {}  # signature -> free response ranks, in order
+    resp_sigs = {}
+    for r, table in enumerate(resp_tables):
+        if r not in resp_taken:
+            resp_sigs[r] = sig = signature(table)
+            groups.setdefault(sig, []).append(r)
+    key_sigs = {k: signature(key_tables[k]) for k in free_keys}
+    closed: dict[tuple, list[tuple[int, list[int]]]] = {}  # key signature -> offers
+    for ks in key_sigs.values():
         if ks not in closed:
             offers = closed[ks] = []
             for rs, members in groups.items():
@@ -315,73 +386,81 @@ def _align_by_index(resp_objs, key_objs, resp_slots, key_slots) -> list[tuple[in
                 offers.append((cor, members))
                 levels.add(cor)
 
-    free_keys = sorted(range(len(key_objs)), key=lambda ki: key_objs[ki].object_id)
-    taken: set[int] = set()
-    pairs = []
     for level in sorted(levels, reverse=True):
         still_free = []
-        for ki in free_keys:
+        for k in free_keys:
             best = None
-            for pos, cor in linked[ki].items():
-                if cor == level and pos not in taken:
-                    best = pos
+            for r, cor in linked[k].items():
+                if cor == level and r not in resp_taken:
+                    best = r
                     break
-            for cor, members in closed[key_sigs[ki]]:
+            for cor, members in closed[key_sigs[k]]:
                 if cor == level and members and (best is None or members[0] < best):
                     best = members[0]
             if best is None:
-                still_free.append(ki)
+                still_free.append(k)
                 continue
-            taken.add(best)
+            resp_taken.add(best)
             groups[resp_sigs[best]].remove(best)
-            pairs.append((order[best], ki))
+            pairs.append((resp_order[best], key_order[k]))
         free_keys = still_free
-        if not free_keys or len(taken) == len(resp_objs):
+        if not free_keys or len(resp_taken) == len(resp_tables):
             break
     return pairs
 
 
 def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
-    """Align the two graphs and score every fill of both sides."""
+    """Align the two graphs and score every fill of both sides.
+
+    Each object's slot table is built once and read by the alignment, by
+    its pair's scoring and, for an object left over, by its MIS or SPU
+    listing.  An aligned pair lists its fills slot by slot in name order,
+    an object left over in layout order; a response tie-up left over
+    names its entities in its own numbering, not the key's.
+    """
     records: list[FillScore] = []
     entity_map: dict[int, int] = {}
 
     # Entities align first so tie-up reference slots see their pairing.
-    for kind, resp_objs, key_objs in (
-        ("ENTITY", response.entities, key.entities),
-        ("TIE_UP", response.tieups, key.tieups),
+    for kind, cls, resp_objs, key_objs in (
+        ("ENTITY", EntityObject, response.entities, key.entities),
+        ("TIE_UP", TieUpObject, response.tieups, key.tieups),
     ):
         # Entities have no ENTITIES slot, so the still-empty map is inert on
         # the first pass; tie-up tables see the finished entity alignment.
-        resp_slots = [_slot_values(o, entity_map) for o in resp_objs]
-        key_slots = [_slot_values(o, None) for o in key_objs]
+        resp_tables = _slot_tables(resp_objs, entity_map)
+        key_tables = _slot_tables(key_objs, None)
 
-        pairs = _align_type(resp_objs, key_objs, resp_slots, key_slots)
-        aligned_resp = {ri for ri, _ in pairs}
-        aligned_key = {ki for _, ki in pairs}
-
-        for ri, ki in sorted(pairs, key=lambda p: p[1]):
-            resp_obj, key_obj = resp_objs[ri], key_objs[ki]
+        pairs = _align_type(resp_objs, key_objs, resp_tables, key_tables)
+        pairs.sort(key=itemgetter(1))  # by key position
+        plan = _TABLE_PLANS[cls]
+        names = plan.names
+        for ri, ki in pairs:
+            resp_id, key_id = resp_objs[ri].object_id, key_objs[ki].object_id
             if kind == "ENTITY":
-                entity_map[resp_obj.object_id] = key_obj.object_id
-            label = f"{kind}-{resp_obj.object_id}~{kind}-{key_obj.object_id}"
-            records.extend(
-                _score_pair(kind, label, resp_slots[ri], key_slots[ki])
-            )
-        for ki, key_obj in enumerate(key_objs):
-            if ki not in aligned_key:
-                label = f"{kind}-{key_obj.object_id}"
-                records.extend(
-                    FillScore(kind, label, slot, value, None, "MIS")
-                    for slot, value in _fills(key_obj)
-                )
-        for ri, resp_obj in enumerate(resp_objs):
-            if ri not in aligned_resp:
-                label = f"{kind}-{resp_obj.object_id}"
-                records.extend(
-                    FillScore(kind, label, slot, None, value, "SPU")
-                    for slot, value in _fills(resp_obj)
-                )
+                entity_map[resp_id] = key_id
+            label = f"{kind}-{resp_id}~{kind}-{key_id}"
+            _score_pair(records, kind, label, names, resp_tables[ri], key_tables[ki])
+
+        if len(pairs) < len(key_objs):
+            aligned = {ki for _, ki in pairs}
+            for ki, key_obj in enumerate(key_objs):
+                if ki not in aligned:
+                    label = f"{kind}-{key_obj.object_id}"
+                    table = key_tables[ki]
+                    records += [_new(FillScore, (kind, label, names[n], v, None, "MIS"))
+                                for n in plan.layout for v in table[n]]
+        if len(pairs) < len(resp_objs):
+            aligned = {ri for ri, _ in pairs}
+            for ri, resp_obj in enumerate(resp_objs):
+                if ri not in aligned:
+                    label = f"{kind}-{resp_obj.object_id}"
+                    for n in plan.layout:
+                        values = resp_tables[ri][n]
+                        if names[n] == "ENTITIES":  # mapped in the table; listed unmapped
+                            values = _refs(resp_obj.entity_refs, None)
+                        records += [_new(FillScore, (kind, label, names[n], None, v, "SPU"))
+                                    for v in values]
     return records
 
 

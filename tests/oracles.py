@@ -26,6 +26,12 @@ from tieupkit.tokens import (
 )
 
 
+def is_subsequence(short: str, long: str) -> bool:
+    """Whether ``short`` is ``long`` with some characters deleted."""
+    it = iter(long)
+    return all(c in it for c in short)
+
+
 def lcs_by_enumeration(a: str, b: str) -> int:
     """LCS length by enumerating subsequences of the shorter string."""
     short, long_ = (a, b) if len(a) <= len(b) else (b, a)

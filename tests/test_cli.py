@@ -300,6 +300,21 @@ class TestExtract:
         assert "Traceback" not in err
         assert out.read_text("utf-8") == "not a directory\n"
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        # A directory where the template goes makes the final rename fail.
+        out = tmp_path / "out"
+        (out / "tanabe_merck.tmpl").mkdir(parents=True)
+        code, _, err = run(
+            capsys,
+            "extract",
+            "--corpus", str(DATA / "corpus" / "tanabe_merck.tok"),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not list(out.glob("*.tmp"))
+        assert sorted(p.name for p in out.iterdir()) == ["tanabe_merck.tmpl"]
+
     def test_dump_stages_written(self, tmp_path, capsys):
         # All four stages of every fixture, and the templates of the two
         # fixtures that have no golden, pinned byte for byte.

@@ -13,6 +13,7 @@ from tieupkit.discourse import (
     segment_discourse,
     track_topics,
     unify_company_references,
+    _append_entry,
     _english_words,
     _is_english_word,
 )
@@ -25,6 +26,7 @@ from oracles import (
     english_words_by_loop,
     entry_at_by_scan,
     is_english_word_by_loop,
+    is_subsequence,
     lcs_by_enumeration,
 )
 
@@ -101,6 +103,45 @@ class TestUnification:
             s = "".join(rng.choice(chars) for _ in range(rng.randrange(9)))
             assert _is_english_word(s) == is_english_word_by_loop(s), s
             assert _english_words(s) == english_words_by_loop(s), s
+
+    def test_join_rule_is_a_subsequence_test(self):
+        # The rule as coded (LCS >= 2, LCS = len(tgt), and LCS = len(src)
+        # for an English-word source) is a plain subsequence test: the
+        # exact form an indexed unification can use instead of LCS.
+        rng = random.Random(89)
+        shapes = {
+            "ascii": lambda: "".join(rng.choices("abcAB", k=rng.randint(0, 6))),
+            "kana": lambda: "".join(rng.choices("アイウエオン", k=rng.randint(0, 6))),
+            "dot": lambda: "".join(rng.choices("アイ・ab", k=rng.randint(0, 6))),
+            "four": lambda: "".join(rng.choices("abアイ", k=rng.randint(0, 8))),
+            "short": lambda: "".join(rng.choices("aアB・", k=rng.randint(0, 1))),
+        }
+        makers = list(shapes.values())
+        seen = set()
+        for _ in range(20000):
+            src = rng.choice(makers)()
+            tgt = rng.choice(makers)()
+            if rng.random() < 0.3:  # a subsequence of the source, often itself
+                tgt = "".join(c for c in src if rng.random() < 0.7)
+            reg = CompanyRegistry()
+            _append_entry(reg, src, "company", (0, 0))
+            _append_entry(reg, tgt, "unknown", (0, 1))
+            unify_company_references(reg)
+            joined = reg.entries[1].entity_id == 1
+            eg = reg.entries[0].eg
+            assert joined == (len(tgt) >= 2 and is_subsequence(tgt, src)
+                              and (not eg or tgt == src)), (src, tgt)
+            seen.add((joined, eg, len(tgt) < 2, is_subsequence(tgt, src), tgt == src))
+        # Joins and refusals for English-word and other sources, equal and
+        # unequal strings, and subsequences too short to join all occur.
+        assert {
+            (True, True, False, True, True),  # English word, equal
+            (False, True, False, True, False),  # English word, proper subsequence
+            (True, False, False, True, False),  # other source, proper subsequence
+            (True, False, False, True, True),  # other source, equal
+            (False, False, False, False, False),  # not a subsequence
+            (False, False, True, True, False),  # a subsequence of 0 or 1 characters
+        } <= seen
 
     def test_english_source_requires_exact_equality(self):
         reg = registry_from(("IBM", "company"), ("IB", "unknown"))

@@ -10,6 +10,7 @@ from tieupkit.errors import ParseError
 from tieupkit.patterns import (
     MAX_RULE_ELEMENTS,
     ElementKind,
+    PatternElement,
     PatternMatch,
     PatternRule,
     _live_positions,
@@ -158,6 +159,16 @@ class TestParsing:
             parse_pattern_file(f"(A 1 a:strict:N)\n(R 1\n a:strict:N{skips} @SKIP)", "r.pat")
         assert (err.value.line, err.value.path) == (2, "r.pat")
         assert "rule has 101 elements, more than 100" in str(err.value)
+
+    def test_rule_past_the_element_limit_refused_when_built_in_code(self):
+        # The limit is the rule's own, so a rule that never passed through
+        # the reader cannot reach matching and recurse past Python's limit.
+        literal = PatternElement(ElementKind.LITERAL, alternatives=("a",), pos_tag="N")
+        skip = PatternElement(ElementKind.SKIP, name="@SKIP")
+        with pytest.raises(ValueError, match="^rule has 1001 elements, more than 100$"):
+            PatternRule("R", 1, (literal,) + (skip,) * 1000)
+        rule = PatternRule("R", 1, (literal,) + (skip,) * (MAX_RULE_ELEMENTS - 1))
+        assert len(match_sentence(sent(("a", "noun")), [rule])) == 1
 
 
 class TestConceptMap:

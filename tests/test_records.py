@@ -20,7 +20,7 @@ from tieupkit.discourse import (
     unify_company_references,
 )
 from tieupkit.pipeline import extract_document
-from tieupkit.scoring import ScoreCounts, ScoreReport, _fills, align_and_count, score_documents
+from tieupkit.scoring import ScoreCounts, ScoreReport, _slot_tables, align_and_count, score_documents
 from tieupkit.tokens import Token, parse_document
 
 from ablation import extract_without_discourse
@@ -61,6 +61,12 @@ def test_import_loads_no_dataclass_machinery(import_probe):
     added, _ = import_probe
     assert "tieupkit.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_start_up_loads_no_argument_parser(import_probe):
+    # argparse, and the gettext it imports, load only when main parses flags.
+    added, _ = import_probe
+    assert not added & {"argparse", "gettext"}
 
 
 def test_packaged_resources_load_without_importlib_resources(import_probe):
@@ -188,7 +194,8 @@ def test_registries_compare_entries_by_value():
 def test_self_alignment_counts_every_fill_correct(resources):
     for name in FIXTURES:
         graph = extract_document(load_doc(name), resources).graph
-        n = sum(len(_fills(obj)) for obj in (*graph.entities, *graph.tieups))
+        n = sum(sum(map(len, table)) for objs in (graph.entities, graph.tieups)
+                for table in _slot_tables(objs, None))
         assert align_and_count(graph, graph) == ScoreCounts(n, 0, 0, 0, 0), name
 
 

@@ -10,9 +10,9 @@ from tieupkit.scoring import (
     _align_by_index,
     _align_by_sorting,
     _align_type,
-    _fills,
     _format_row,
-    _slot_values,
+    _TABLE_PLANS,
+    _slot_tables,
     align_and_count,
     compute_metrics,
     round_percent,
@@ -307,18 +307,21 @@ class TestIndexedAlignment:
     return exactly the pairs of sorting every pair."""
 
     def assert_same_pairs(self, response, key):
-        # Slot tables as score_fills builds them: tie-up tables map their
-        # references through the finished entity alignment.
+        # Slot tables as score_fills builds them, and the former scorer's
+        # tables for the former alignment: tie-up tables map their references
+        # through the finished entity alignment.
         entity_map: dict[int, int] = {}
         for resp_objs, key_objs in (
             (response.entities, key.entities),
             (response.tieups, key.tieups),
         ):
-            resp_slots = [_slot_values(o, entity_map) for o in resp_objs]
-            key_slots = [_slot_values(o, None) for o in key_objs]
-            want = align_by_sorting(resp_objs, key_objs, resp_slots, key_slots)
+            want = align_by_sorting(resp_objs, key_objs,
+                                    [slot_values_by_fills(o, entity_map) for o in resp_objs],
+                                    [slot_values_by_fills(o, None) for o in key_objs])
+            resp_tables = _slot_tables(resp_objs, entity_map)
+            key_tables = _slot_tables(key_objs, None)
             for align in (_align_by_index, _align_by_sorting, _align_type):
-                assert align(resp_objs, key_objs, resp_slots, key_slots) == want, align
+                assert align(resp_objs, key_objs, resp_tables, key_tables) == want, align
             for ri, ki in want:
                 entity_map[resp_objs[ri].object_id] = key_objs[ki].object_id
 
@@ -460,8 +463,9 @@ def crossed_graph(rng) -> TemplateGraph:
 
 
 class TestSlotTables:
-    """Slot tables read from the object fields equal those parsed back out of
-    the flattened fills, and flattening them gives those fills."""
+    """Slot tables read from the object fields hold, slot by slot in name
+    order, the values parsed back out of the flattened fills, and reading
+    them in layout order gives those fills."""
 
     def test_equal_to_tables_from_fills(self):
         rng = random.Random(151)
@@ -474,12 +478,18 @@ class TestSlotTables:
             ids = [e.object_id for e in g.entities]
             entity_map = {i: rng.randint(1, 9) for i in ids if rng.random() < 0.6}
             for obj in g.entities + g.tieups:
-                assert _fills(obj) == fills_by_fields(obj)
+                plan = _TABLE_PLANS[type(obj)]
+                (table,) = _slot_tables([obj], None)
+                listed = [(plan.names[n], v) for n in plan.layout for v in table[n]]
+                assert listed == fills_by_fields(obj)
                 for mapping in (None, {}, entity_map):
-                    got = _slot_values(obj, mapping)
-                    assert got == slot_values_by_fills(obj, mapping), (obj, mapping)
-                    assert list(got) == list(slot_values_by_fills(obj, mapping))
-                    seen.update(v.split(":")[0] for v in got.get("ENTITIES", ()))
+                    (got,) = _slot_tables([obj], mapping)
+                    want = slot_values_by_fills(obj, mapping)
+                    assert got == tuple(tuple(want.get(slot, ())) for slot in plan.names)
+                    assert want.keys() <= set(plan.names)
+                    for slot, values in zip(plan.names, got):
+                        if slot == "ENTITIES":
+                            seen.update(v.split(":")[0] for v in values)
         assert seen == {"ENTITY", "unaligned"}
 
 
@@ -599,6 +609,52 @@ class TestReport:
         assert len(lines) == 4  # header + 2 docs + TOTAL
         assert lines[-1].startswith("TOTAL")
         assert "0.0" in lines[-1]  # ERR of a perfect response
+
+    def test_listing_orders_and_numbering(self):
+        # Aligned pairs list slots by name (ALIASES before NAME, ACTIVITY
+        # before ENTITIES); objects left over list them in layout order.
+        # The aligned tie-up's references are in the key's numbering, its
+        # reference to the unaligned response entity 3 as unaligned:3; the
+        # response tie-up left over uses its own, so its ENTITY:1 is B社
+        # where the aligned tie-up's ENTITY:1 is A社.
+        key = TemplateGraph(
+            "d",
+            tieups=(TieUpObject(1, (1, 2), activities=("販売",), status="EXISTING"),),
+            entities=(EntityObject(1, "A社", ("AA",), "COMPANY"),
+                      EntityObject(2, "B社", (), "COMPANY")),
+        )
+        response = TemplateGraph(
+            "d",
+            tieups=(TieUpObject(1, (2, 3), activities=("販売",), status="EXISTING"),
+                    TieUpObject(2, (1, 2), activities=("開発",), status="DISSOLVED")),
+            entities=(EntityObject(1, "B社", (), "COMPANY"),
+                      EntityObject(2, "A社", ("AA",), "COMPANY"),
+                      EntityObject(3, "C社", ("CC",), "COMPANY")),
+        )
+        report = score_documents([("d", response, key)]).format()
+        assert report == """\
+-- d
+  COR ENTITY-2~ENTITY-1 ALIASES: AA | AA
+  COR ENTITY-2~ENTITY-1 NAME: A社 | A社
+  COR ENTITY-2~ENTITY-1 TYPE: COMPANY | COMPANY
+  COR ENTITY-1~ENTITY-2 NAME: B社 | B社
+  COR ENTITY-1~ENTITY-2 TYPE: COMPANY | COMPANY
+  SPU ENTITY-3 NAME: - | C社
+  SPU ENTITY-3 ALIASES: - | CC
+  SPU ENTITY-3 TYPE: - | COMPANY
+  COR TIE_UP-1~TIE_UP-1 ACTIVITY: 販売 | 販売
+  COR TIE_UP-1~TIE_UP-1 ENTITIES: ENTITY:1 | ENTITY:1
+  INC TIE_UP-1~TIE_UP-1 ENTITIES: ENTITY:2 | unaligned:3
+  COR TIE_UP-1~TIE_UP-1 STATUS: EXISTING | EXISTING
+  SPU TIE_UP-2 ENTITIES: - | ENTITY:1
+  SPU TIE_UP-2 ENTITIES: - | ENTITY:2
+  SPU TIE_UP-2 ACTIVITY: - | 開発
+  SPU TIE_UP-2 STATUS: - | DISSOLVED
+
+DOC                  ERR     UND     OVG     SUB     REC     PRE     P&R
+d                   50.0     0.0    43.8    11.1    88.9    50.0    64.0
+TOTAL               50.0     0.0    43.8    11.1    88.9    50.0    64.0"""
+        assert report == oracles.score_documents([("d", response, key)]).format()
 
     def test_report_lists_aligned_slots(self):
         report = score_documents([("a", SAMPLE, SAMPLE)])

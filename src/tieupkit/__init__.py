@@ -6,6 +6,9 @@ a finite-state enumerator, unifies company references (abbreviations by
 longest common subsequence, pronouns by discourse heuristics), segments the
 text by tie-up, merges concepts into template object graphs, and scores
 output against answer keys with slot-fill metrics.
+
+Extraction never scores, so importing the package does not run
+``tieupkit.scoring``: its names below load it on first access.
 """
 
 from .concepts import ConceptHit, ConceptLexicon, compound_runs, find_concepts, load_concept_lexicon
@@ -34,15 +37,6 @@ from .patterns import (
     select_best,
 )
 from .pipeline import ExtractionResources, ExtractionResult, extract_document
-from .scoring import (
-    FillScore,
-    Metrics,
-    ScoreCounts,
-    align_and_count,
-    compute_metrics,
-    score_documents,
-    score_fills,
-)
 from .templates import (
     EntityObject,
     TemplateGraph,
@@ -63,3 +57,26 @@ from .tokens import (
 )
 
 __version__ = "0.1.0"
+
+# Resolved by __getattr__ (PEP 562).
+_SCORING_NAMES = frozenset({
+    "FillScore",
+    "Metrics",
+    "ScoreCounts",
+    "align_and_count",
+    "compute_metrics",
+    "score_documents",
+    "score_fills",
+})
+
+
+def __getattr__(name: str):
+    if name in _SCORING_NAMES:
+        from . import scoring
+
+        return getattr(scoring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SCORING_NAMES)

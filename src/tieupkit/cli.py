@@ -16,7 +16,6 @@ from . import patterns as patterns_mod
 from . import tokens as tokens_mod
 from .errors import ParseError, TieupkitError
 from .pipeline import ExtractionResources, ExtractionResult, extract_document
-from .scoring import score_documents
 from .templates import parse_templates, serialize_templates
 
 
@@ -194,6 +193,9 @@ def run_score(response_dir: Path, key_dir: Path) -> int:
                   f"fills spurious", file=sys.stderr)
             resp_graph = parse_templates(_read_text(resp_path), doc_id, str(resp_path))
             pairs.append((doc_id, resp_graph, parse_templates("", doc_id)))
+
+    # Imported here, its one user: extraction never loads the scorer.
+    from .scoring import score_documents
 
     report = score_documents(pairs)
     try:

@@ -37,7 +37,6 @@ completion of each reachable state, plus one match per assignment; a
 sentence it cannot match costs linear time.
 """
 
-import re
 from bisect import bisect_left
 from enum import Enum
 from itertools import groupby
@@ -121,7 +120,8 @@ class PatternRule:
     """A named element sequence with its index field, and what matching reads
     of it per element, derived once:
 
-    - ``group``: the name with trailing decimal digits stripped;
+    - ``group``: the name with trailing decimal digits (``str.isdecimal``)
+      stripped;
     - ``elements_matched``: variables and literals, the elements every match
       fills;
     - ``min_widths``: fewest tokens each element takes, ``@SKIP`` none, the
@@ -142,7 +142,10 @@ class PatternRule:
         self.name = name
         self.index_field = index_field
         self.elements = elements
-        self.group = re.sub(r"\d+$", "", name)
+        end = len(name)
+        while end and name[end - 1].isdecimal():
+            end -= 1
+        self.group = name[:end]
         self.elements_matched = sum(el.kind is not ElementKind.SKIP for el in elements)
         self.min_widths = tuple(int(el.kind is not ElementKind.SKIP) for el in elements)
         self.is_cname = tuple(

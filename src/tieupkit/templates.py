@@ -30,8 +30,9 @@ STATUS_DISSOLVED = "DISSOLVED"
 WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 
 # ``\d`` takes any Unicode decimal digit; ``read_number`` then accepts only
-# the spelling ``str`` gives the number.
-_HEADER_RE = re.compile(r"^<([A-Z_]+)-(\d+)>\s*:=\s*$")
+# the spelling ``str`` gives the number.  Compiled by ``parse_templates``,
+# its one user, so that importing the package compiles no pattern.
+_HEADER_PATTERN = r"^<([A-Z_]+)-(\d+)>\s*:=\s*$"
 
 
 class EntityObject(NamedTuple):
@@ -181,6 +182,8 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
     Every ENTITIES reference must name an entity the text defines, once per
     tie-up.
     """
+    # re's cache holds the compiled pattern after the first call.
+    match_header = re.compile(_HEADER_PATTERN).match
     # Per object class, each object's field values, in file order.
     built: dict[type, list[list]] = {TieUpObject: [], EntityObject: []}
     values: list | None = None  # the current object's
@@ -192,7 +195,7 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         if not line:
             continue
         if line[0] == "<":
-            header = _HEADER_RE.match(line)
+            header = match_header(line)
             if header:
                 kind, digits = header.groups()
                 what = f"object number in <{kind}-{{}}>"

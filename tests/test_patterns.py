@@ -1,6 +1,9 @@
 import gc
 import random
+import re
+import string
 import time
+from collections import Counter
 from itertools import groupby
 from operator import attrgetter
 
@@ -76,6 +79,28 @@ class TestParsing:
         assert rule.elements[1].pos_tag == "P"
         assert rule.index_element.alternatives == ("提携",)
         assert rule.index_element.mode == "loose"
+
+    def test_group_strips_what_the_digit_pattern_strips(self):
+        # The reference is the rule as a regular expression; ``\d`` takes
+        # Unicode category Nd.  Names hold no whitespace, as the reader
+        # splits them out, so ``$`` never matches before a newline.
+        digits = "0123456789０１２３４５６７８９٠١٢٣٤٥٦٧٨٩०१२३४५६७८९"
+        other_numerics = "²½Ⅻ〇"
+        pools = (digits, digits + string.ascii_letters, digits + other_numerics,
+                 digits + other_numerics + string.ascii_letters)
+        literal = PatternElement(ElementKind.LITERAL, alternatives=("x",), mode="strict",
+                                 pos_tag="N")
+        rng = random.Random(83)
+        seen = Counter()
+        for _ in range(5000):
+            pool = rng.choice(pools)
+            name = "".join(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+            group = PatternRule(name, 1, (literal,)).group
+            assert group == re.sub(r"\d+$", "", name), name
+            seen["empty" if not group else "kept" if group == name else "stripped"] += 1
+            if group[-1:] in other_numerics:
+                seen["ends in another numeric"] += 1
+        assert min(seen.values()) > 50 and len(seen) == 4, seen
 
     def test_english_rule_multiword_literal(self):
         (rule,) = parse_pattern_file(EN_RULE_TEXT)

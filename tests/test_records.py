@@ -1,6 +1,9 @@
 """Record types: immutable records are NamedTuples that compare by value,
 mutable ones plain slotted classes, and importing the package loads no
-dataclass machinery."""
+dataclass machinery.  Start-up (importing the package and ``tieupkit.cli``
+and loading the packaged resources) does not load the scorer either: the
+package's scoring names import ``tieupkit.scoring`` on first use and are
+then its very objects."""
 
 import subprocess
 import sys
@@ -67,6 +70,54 @@ def test_start_up_loads_no_argument_parser(import_probe):
     # argparse, and the gettext it imports, load only when main parses flags.
     added, _ = import_probe
     assert not added & {"argparse", "gettext"}
+
+
+def test_start_up_loads_no_scorer(import_probe):
+    added, _ = import_probe
+    assert "tieupkit.scoring" not in added
+
+
+SCORING_NAMES = (
+    "FillScore", "Metrics", "ScoreCounts", "align_and_count",
+    "compute_metrics", "score_documents", "score_fills",
+)
+
+# Runs one first use of the scorer in a fresh interpreter, then prints
+# whether the scorer was loaded before it, whether it bound ``found`` to
+# the object named, and whether each scoring name is now the scorer's own.
+FIRST_USE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tieupkit
+loaded_before = "tieupkit.scoring" in sys.modules
+exec(sys.argv[2])
+scoring = sys.modules["tieupkit.scoring"]
+print(loaded_before, found is eval(sys.argv[3]),
+      all(getattr(tieupkit, name) is getattr(scoring, name) for name in sys.argv[4:]))
+"""
+
+
+@pytest.mark.parametrize("statement, expected", [
+    ("from tieupkit import score_documents as found", "scoring.score_documents"),
+    ("from tieupkit import scoring as found", "scoring"),
+    ("found = tieupkit.Metrics", "scoring.Metrics"),
+])
+def test_scoring_names_load_the_scorer_on_first_use(statement, expected):
+    src = str(Path(tieupkit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", FIRST_USE_PROBE, src, statement, expected,
+         *SCORING_NAMES],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
+def test_unknown_package_name_still_refused():
+    with pytest.raises(AttributeError, match="no attribute 'score_everything'"):
+        tieupkit.score_everything
+    with pytest.raises(ImportError):
+        from tieupkit import score_everything  # noqa: F401
+    assert set(SCORING_NAMES) <= set(dir(tieupkit))
 
 
 def test_packaged_resources_load_without_importlib_resources(import_probe):

@@ -118,17 +118,19 @@ def compound_runs(sentence: list[Token] | tuple[Token, ...]) -> list[tuple[str, 
     Returns ``(run string, start tok position, member count)`` triples.
     """
     runs: list[tuple[str, int, int]] = []
-    i = 0
-    while i < len(sentence):
-        if sentence[i].pos in NOUN_LIKE:
-            j = i
-            while j < len(sentence) and sentence[j].pos in NOUN_LIKE:
-                j += 1
-            runs.append(("".join(t.surface for t in sentence[i:j]), i, j - i))
-            i = j
-        else:
-            runs.append((sentence[i].surface, i, 1))
-            i += 1
+    text, start = "", 0  # the open noun-like run, if any
+    for i, tok in enumerate(sentence):
+        if tok.pos in NOUN_LIKE:
+            if not text:
+                start = i
+            text += tok.surface
+            continue
+        if text:
+            runs.append((text, start, i - start))
+            text = ""
+        runs.append((tok.surface, i, 1))
+    if text:
+        runs.append((text, start, len(sentence) - start))
     return runs
 
 
@@ -141,12 +143,13 @@ def find_concepts(
     sent_index = sentence[0].sent_index
     hits: list[ConceptHit] = []
     initials = lex.initials
+    new = tuple.__new__
     for run, start, _count in compound_runs(sentence):
         if initials.isdisjoint(run):
             continue
         for name, keywords in lex.entries:
             for kw in keywords:
                 if kw.matches(run):
-                    hits.append(ConceptHit(name, sent_index, run, kw, start))
+                    hits.append(new(ConceptHit, (name, sent_index, run, kw, start)))
                     break
     return hits

@@ -46,7 +46,7 @@ class RegistryEntry(NamedTuple):
 class CompanyRegistry:
     """Entries in text order, plus one index of the non-alias ones: the
     list index of the first at each position.  It starts empty and grows
-    only through ``_append_entry``, which keeps the index in step;
+    only through ``build_registry``, which keeps the index in step;
     unification replaces entries in place, so an entry fetched before it
     keeps its old id, and the index stays valid."""
 
@@ -96,12 +96,8 @@ def _english_words(s: str) -> list[str]:
     return re.findall(r"[A-Za-z]{2,}", s)
 
 
-def _append_entry(reg: CompanyRegistry, string: str, pos: str, position, alias_of=None):
-    index = len(reg.entries) + 1
-    entry = RegistryEntry(index, string, pos, _is_english_word(string), index, position, alias_of)
-    reg.entries.append(entry)
-    if alias_of is None:
-        reg._at.setdefault(position, index - 1)
+# A name holding none of these has no English word to register.
+_ASCII_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
 def build_registry(doc: Document) -> CompanyRegistry:
@@ -115,16 +111,29 @@ def build_registry(doc: Document) -> CompanyRegistry:
     word-level entry to match exactly.
     """
     reg = CompanyRegistry()
-    for t in doc.tokens():
-        string, pos, position = t.surface, t.pos, (t.sent_index, t.tok_index)
-        if pos not in _CANDIDATE_TAGS or (pos != POS_COMPANY and len(string) < 2):
-            continue
-        _append_entry(reg, string, pos, position)
-        if pos == POS_COMPANY:
-            parent = len(reg.entries)
-            for word in _english_words(string):
-                if word != string:
-                    _append_entry(reg, word, pos, position, alias_of=parent)
+    entries, at = reg.entries, reg._at
+    new = tuple.__new__
+    for sent in doc.sentences:
+        for tok in sent:
+            pos = tok.pos
+            if pos not in _CANDIDATE_TAGS:
+                continue
+            string = tok.surface
+            if pos != POS_COMPANY and len(string) < 2:
+                continue
+            position = (tok.sent_index, tok.tok_index)
+            parent = len(entries) + 1
+            entries.append(new(RegistryEntry, (
+                parent, string, pos, _is_english_word(string), parent, position, None
+            )))
+            at.setdefault(position, parent - 1)
+            if pos == POS_COMPANY and not _ASCII_LETTERS.isdisjoint(string):
+                for word in _english_words(string):
+                    if word != string:
+                        index = len(entries) + 1
+                        entries.append(new(RegistryEntry, (
+                            index, word, pos, True, index, position, parent
+                        )))
     return reg
 
 
@@ -187,19 +196,19 @@ def track_topics(doc: Document, reg: CompanyRegistry) -> TopicState:
     """Companies immediately followed by a subject marker; else inherited."""
     topics: list[frozenset[int]] = []
     inherited: list[bool] = []
+    company_entry_at = reg.company_entry_at
+    topic: frozenset[int] = frozenset()
     for s, sent in enumerate(doc.sentences):
         found: set[int] = set()
-        for t in range(len(sent) - 1):
-            if sent[t + 1].surface in SUBJECT_MARKERS:
-                entry = reg.company_entry_at((s, t))
+        for t, tok in enumerate(sent[1:]):
+            if tok.surface in SUBJECT_MARKERS:
+                entry = company_entry_at((s, t))
                 if entry is not None:
                     found.add(entry.entity_id)
         if found:
-            topics.append(frozenset(found))
-            inherited.append(False)
-        else:
-            topics.append(topics[s - 1] if s > 0 else frozenset())
-            inherited.append(s > 0)
+            topic = frozenset(found)
+        topics.append(topic)
+        inherited.append(s > 0 and not found)
     return TopicState(tuple(topics), tuple(inherited))
 
 
@@ -226,31 +235,36 @@ def resolve_pronouns(
     distinct ids were read.  A company-tagged 同社 is read as a mention by
     the next one.  An unresolvable pronoun gets an empty set.
     """
-    tieup = {
-        s: seg.tieup_ids
-        for seg in segments
-        for s in range(seg.start, seg.end + 1)
-    }
+    tieup = None  # each sentence's tie-up partners, built at the first 両社
+    company_entry_at = reg.company_entry_at
+    new = tuple.__new__
     refs: list[PronounReference] = []
     for s, sent in enumerate(doc.sentences):
         walked, nearest, several = 0, None, False
         for t, tok in enumerate(sent):
-            if tok.surface not in _PRONOUNS:
+            surface = tok.surface
+            if surface not in _PRONOUNS:
                 continue
-            if tok.surface == PRONOUN_BOTH:
+            if surface == PRONOUN_BOTH:
+                if tieup is None:
+                    tieup = {
+                        k: seg.tieup_ids
+                        for seg in segments
+                        for k in range(seg.start, seg.end + 1)
+                    }
                 ids = tieup.get(s, frozenset())
-            elif tok.surface == PRONOUN_NEAR:
+            elif surface == PRONOUN_NEAR:
                 for u in range(walked, t):
-                    entry = reg.company_entry_at((s, u))
+                    entry = company_entry_at((s, u))
                     if entry is not None:
                         # Two distinct ids were read iff one differs from the one before.
                         several = several or nearest not in (None, entry.entity_id)
                         nearest = entry.entity_id
                 walked = t
-                ids = frozenset({nearest}) if several else topics.for_sentence(s)
+                ids = frozenset({nearest}) if several else topics.topics[s]
             else:
-                ids = topics.for_sentence(s)
-            refs.append(PronounReference((s, t), tok.surface, frozenset(ids)))
+                ids = topics.topics[s]
+            refs.append(new(PronounReference, ((s, t), surface, frozenset(ids))))
     return refs
 
 

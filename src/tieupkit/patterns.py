@@ -113,6 +113,9 @@ class PatternElement:
         tags, alts = self.token_tags, self.alternatives
         if self.mode == "strict":
             return [t.pos in tags and t.surface in alts for t in sentence]
+        if len(alts) == 1:
+            (alt,) = alts
+            return [t.pos in tags and alt in t.surface for t in sentence]
         return [t.pos in tags and any(a in t.surface for a in alts) for t in sentence]
 
 
@@ -445,8 +448,10 @@ def match_sentence(
     """
     sent_index = sentence[0].sent_index if sentence else 0
     companies = [0]
+    n = 0
     for tok in sentence:
-        companies.append(companies[-1] + (tok.pos == POS_COMPANY))
+        n += tok.pos == POS_COMPANY
+        companies.append(n)
     table: dict[tuple, list[bool]] = {}
     matches: list[PatternMatch] = []
     for rule in rules:

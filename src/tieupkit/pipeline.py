@@ -71,6 +71,7 @@ def _match_instances(doc, winners, reg, resources):
     """
     instances: list[disc.ConceptInstance] = []
     others: list[list[tuple[int, int]]] = []
+    new = tuple.__new__
     for m in winners:
         s, rule = m.sent_index, m.rule
         sentence = doc.sentences[s]
@@ -82,7 +83,7 @@ def _match_instances(doc, winners, reg, resources):
             if not rule.is_cname[i]:
                 continue
             lo, hi = span = m.spans[i]
-            bindings[name] = "".join(t.surface for t in sentence[lo:hi])
+            bindings[name] = "".join([t.surface for t in sentence[lo:hi]])
             for t in range(lo, hi):
                 entry = reg.company_entry_at((s, t))
                 if entry is None:
@@ -95,17 +96,9 @@ def _match_instances(doc, winners, reg, resources):
                     bindings["created"] = created
         if label == "ECONOMIC-ACTIVITY":
             lo, hi = m.spans[rule.index_field - 1]
-            bindings["activity"] = "".join(t.surface for t in sentence[lo:hi])
-        instances.append(
-            disc.ConceptInstance(
-                concept=label,
-                sent_index=s,
-                source="pattern",
-                bindings=bindings,
-                subject_ids=frozenset(partner_ids),
-                partner_ids=frozenset(partner_ids),
-            )
-        )
+            bindings["activity"] = "".join([t.surface for t in sentence[lo:hi]])
+        partners = frozenset(partner_ids)
+        instances.append(new(disc.ConceptInstance, (label, s, "pattern", bindings, partners, partners)))
         others.append(rest)
     return instances, others
 
@@ -147,23 +140,27 @@ def extract_document(doc: Document, resources: ExtractionResources) -> Extractio
     pronouns = disc.resolve_pronouns(doc, reg, topics, segments)
     pronoun_refs = {p.position: p.referent_ids for p in pronouns}
 
-    instances = [
-        inst._replace(
-            subject_ids=inst.partner_ids.union(*(pronoun_refs.get(p, ()) for p in rest))
-            or topics.for_sentence(inst.sent_index)
-        )
-        for inst, rest in zip(instances, others)
-    ]
-    for hit in hits:
-        instances.append(
-            disc.ConceptInstance(
-                concept=hit.concept_name,
-                sent_index=hit.sent_index,
-                source="concept-search",
-                bindings={},
-                subject_ids=topics.for_sentence(hit.sent_index),
+    # An instance is copied only where pronoun referents or the topic
+    # fallback change its subjects.
+    topic_sets = topics.topics
+    new = tuple.__new__
+    for k, rest in enumerate(others):
+        concept, s, source, bindings, subjects, partners = instances[k]
+        referents = [pronoun_refs[p] for p in rest if p in pronoun_refs]
+        if referents:
+            subjects = partners.union(*referents)
+        if not subjects:
+            subjects = topic_sets[s]
+        if subjects is not partners:
+            instances[k] = new(
+                disc.ConceptInstance, (concept, s, source, bindings, subjects, partners)
             )
-        )
+    for hit in hits:
+        s = hit.sent_index
+        instances.append(new(
+            disc.ConceptInstance,
+            (hit.concept_name, s, "concept-search", {}, topic_sets[s], frozenset()),
+        ))
 
     clusters = [
         disc.merge_concepts(seg, instances) for seg in segments if seg.tieup_ids

@@ -110,22 +110,24 @@ def generate_templates(
     # Each referenced id's later surfaces, in entry order, once each: a dict
     # keeps insertion order and tests membership without a scan.
     aliases: dict[int, dict[str, None]] = {eid: {} for eid in referenced}
-    for e in reg.entries:
-        found = aliases.get(e.entity_id)
-        if (
-            found is not None
-            and e.index != e.entity_id
-            and e.string != reg.entries[e.entity_id - 1].string
-        ):
-            found[e.string] = None
+    entries = reg.entries
+    if aliases:
+        for e in entries:
+            found = aliases.get(e.entity_id)
+            if (
+                found is not None
+                and e.index != e.entity_id
+                and e.string != entries[e.entity_id - 1].string
+            ):
+                found[e.string] = None
+    # ``tuple.__new__`` makes each object straight from its field values.
+    new = tuple.__new__
     entities = []
     for eid in referenced:
-        canonical = reg.entries[eid - 1]
-        entities.append(
-            EntityObject(
-                entity_numbers[eid], canonical.string, tuple(aliases[eid]), canonical.pos.upper()
-            )
-        )
+        canonical = entries[eid - 1]
+        entities.append(new(EntityObject, (
+            entity_numbers[eid], canonical.string, tuple(aliases[eid]), canonical.pos.upper()
+        )))
 
     tieups = []
     for n, cluster in enumerate(clusters, start=1):
@@ -135,23 +137,23 @@ def generate_templates(
         for inst in cluster.attached:
             if inst.concept == "DISSOLVED":
                 dissolved = True
-            value = inst.bindings.get("created")
-            if value and value not in created:
-                created.append(value)
-            value = inst.bindings.get("activity")
-            if value and value not in activities:
-                activities.append(value)
-        refs = tuple(entity_numbers[eid] for eid in sorted(cluster.tieup_ids))
-        tieups.append(
-            TieUpObject(
-                object_id=n,
-                entity_refs=refs,
-                jv_company=tuple(created),
-                activities=tuple(activities),
-                status=STATUS_DISSOLVED if dissolved else STATUS_EXISTING,
-                warning=None if len(refs) >= 2 else WARNING_UNDER_SPECIFIED,
-            )
-        )
+            bindings = inst.bindings
+            if bindings:
+                value = bindings.get("created")
+                if value and value not in created:
+                    created.append(value)
+                value = bindings.get("activity")
+                if value and value not in activities:
+                    activities.append(value)
+        refs = tuple([entity_numbers[eid] for eid in sorted(cluster.tieup_ids)])
+        tieups.append(new(TieUpObject, (
+            n,
+            refs,
+            tuple(created),
+            tuple(activities),
+            STATUS_DISSOLVED if dissolved else STATUS_EXISTING,
+            None if len(refs) >= 2 else WARNING_UNDER_SPECIFIED,
+        )))
     return TemplateGraph(doc.doc_id, tuple(tieups), tuple(entities))
 
 
@@ -164,10 +166,10 @@ def serialize_templates(graph: TemplateGraph) -> str:
                 raise DanglingReferenceError(f"<ENTITY-{ref}>")
     blocks: list[str] = []
     for obj in (*graph.tieups, *graph.entities):
-        kind, slots = LAYOUT[type(obj)]
-        lines = [f"<{kind}-{obj.object_id}> :="]
-        for slot, (attr, multi) in slots.items():
-            value = getattr(obj, attr)
+        cls = type(obj)
+        lines = [f"<{LAYOUT[cls][0]}-{obj[0]}> :="]
+        for slot, (i, multi) in SLOT_PLAN[cls].items():
+            value = obj[i]
             if value:
                 if slot == "ENTITIES":
                     value = [f"<ENTITY-{r}>" for r in value]

@@ -4,8 +4,9 @@ Input text arrives pre-segmented: one token per line as ``surface<TAB>pos``,
 blank lines between sentences, ``#DOC <id>`` / ``#END`` around each document.
 The POS vocabulary is open; the tags below have reserved meaning, everything
 else is carried through untouched.  The reader, recognition and grouping
-each build a token once, at its final (sentence, token) index; recognition
-and grouping reuse a token already there.
+each build a token once, at its final (sentence, token) index, with the
+tuple constructor after their own checks; recognition and grouping reuse a
+token already there, and pass a token they cannot act on straight through.
 """
 
 from typing import NamedTuple
@@ -94,13 +95,6 @@ class DesignatorLexicon:
         return None
 
 
-def _placed(tok: Token, s: int, t: int) -> Token:
-    """``tok`` at position ``(s, t)``: itself when its indices already say so."""
-    if tok.tok_index == t and tok.sent_index == s:
-        return tok
-    return Token(tok.surface, tok.pos, s, t)
-
-
 def parse_token_file(text: str, path: str | None = None) -> list[Document]:
     """Parse token-file content into one Document per ``#DOC`` block."""
     docs: list[Document] = []
@@ -108,6 +102,7 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
     doc_line = 0
     sentences: list[tuple[Token, ...]] = []
     sentence: list[Token] = []
+    new = tuple.__new__
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -154,7 +149,9 @@ def parse_token_file(text: str, path: str | None = None) -> list[Document]:
         surface, pos = fields[0].strip(), fields[1].strip()
         if not surface or not pos:
             raise ParseError("empty surface or pos field", lineno, path)
-        sentence.append(Token(surface, pos, len(sentences), len(sentence)))
+        # Both fields are checked non-empty above, so ``Token``'s own check is
+        # skipped.
+        sentence.append(new(Token, (surface, pos, len(sentences), len(sentence))))
 
     if doc_id is not None:
         raise ParseError(f"document {doc_id!r} not terminated by #END", doc_line, path)
@@ -211,18 +208,22 @@ def recognize_names(doc: Document, lex: DesignatorLexicon) -> Document:
     """
     if not lex.entries:
         return doc
+    finals, match, entries = lex.finals, lex.match, lex.entries
+    new = tuple.__new__
     sentences: list[tuple[Token, ...]] = []
     for s, toks in enumerate(doc.sentences):
         out: list[Token] = []
         i = 0
         while i < len(toks):
             tok = toks[i]
-            etype = lex.match(tok.surface)
-            anchored = etype is not None and (
-                tok.pos in _ANCHOR_ELIGIBLE or tok.surface in lex.entries
-            )
-            if not anchored:
-                out.append(_placed(tok, s, len(out)))
+            surface = tok.surface
+            # A token whose last character ends no designator cannot anchor.
+            etype = match(surface) if surface[-1:] in finals else None
+            if etype is None or (tok.pos not in _ANCHOR_ELIGIBLE and surface not in entries):
+                t = len(out)
+                if tok.tok_index != t or tok.sent_index != s:
+                    tok = new(Token, (surface, tok.pos, s, t))
+                out.append(tok)
                 i += 1
                 continue
             # Extend backward over tokens already emitted this sentence.
@@ -232,17 +233,21 @@ def recognize_names(doc: Document, lex: DesignatorLexicon) -> Document:
             # A run may not start on the connector itself.
             while start < len(out) and out[start].surface == CONNECTOR:
                 start += 1
-            absorbed = out[start:]
-            del out[start:]
             j = i + 1
             while j < len(toks) and _forward_ok(toks[j]):
                 j += 1
-            surface = "".join(t.surface for t in absorbed)
-            surface += "".join(t.surface for t in toks[i:j])
-            # Forward extension may leave a different designator at the end;
-            # the final surface decides the type so a second pass agrees.
-            final_type = lex.match(surface) or etype
-            out.append(Token(surface, final_type, s, start))
+            if start < len(out) or j > i + 1:
+                surface = "".join([t.surface for t in out[start:]])
+                surface += "".join([t.surface for t in toks[i:j]])
+                del out[start:]
+                # Forward extension may leave a different designator at the
+                # end; the final surface decides the type so a second pass
+                # agrees.
+                etype = match(surface) or etype
+                tok = new(Token, (surface, etype, s, start))
+            elif etype != tok.pos or tok.tok_index != start or tok.sent_index != s:
+                tok = new(Token, (surface, etype, s, start))
+            out.append(tok)
             i = j
         sentences.append(tuple(out))
     return Document(doc.doc_id, tuple(sentences))
@@ -250,34 +255,36 @@ def recognize_names(doc: Document, lex: DesignatorLexicon) -> Document:
 
 def group_segments(doc: Document) -> Document:
     """Join adjacent same-type entity tokens, bridging single ``・`` connectors."""
+    new = tuple.__new__
     sentences: list[tuple[Token, ...]] = []
     for s, toks in enumerate(doc.sentences):
         out: list[Token] = []
         i = 0
         while i < len(toks):
             tok = toks[i]
-            if tok.pos not in ENTITY_TAGS:
-                out.append(_placed(tok, s, len(out)))
-                i += 1
-                continue
-            surface = tok.surface
+            pos = tok.pos
             j = i + 1
-            while j < len(toks):
-                if toks[j].pos == tok.pos:
-                    surface += toks[j].surface
-                    j += 1
-                elif (
-                    toks[j].surface == CONNECTOR
-                    and j + 1 < len(toks)
-                    and toks[j + 1].pos == tok.pos
-                ):
-                    surface += toks[j].surface + toks[j + 1].surface
-                    j += 2
-                else:
-                    break
-            if j > i + 1:
-                tok = Token(surface, tok.pos, s, len(out))
-            out.append(_placed(tok, s, len(out)))
+            if pos in ENTITY_TAGS:
+                surface = tok.surface
+                while j < len(toks):
+                    if toks[j].pos == pos:
+                        surface += toks[j].surface
+                        j += 1
+                    elif (
+                        toks[j].surface == CONNECTOR
+                        and j + 1 < len(toks)
+                        and toks[j + 1].pos == pos
+                    ):
+                        surface += toks[j].surface + toks[j + 1].surface
+                        j += 2
+                    else:
+                        break
+                if j > i + 1:
+                    tok = new(Token, (surface, pos, s, len(out)))
+            t = len(out)
+            if tok.tok_index != t or tok.sent_index != s:
+                tok = new(Token, (tok.surface, pos, s, t))
+            out.append(tok)
             i = j
         sentences.append(tuple(out))
     return Document(doc.doc_id, tuple(sentences))

@@ -1116,3 +1116,501 @@ def select_best_by_key(matches: list[PatternMatch]) -> list[PatternMatch]:
     winners = [min(bucket, key=_selection_key) for bucket in buckets.values()]
     winners.sort(key=lambda m: (m.start, m.rule_name))
     return winners
+
+
+# ---------------------------------------------------------------------------
+# Extraction's per-token and per-record steps as they were before each token,
+# entry, run, instance and template object lost its per-call overhead,
+# verbatim: tokens built through ``Token.__new__`` and placed by
+# ``_placed``, registry entries appended one call each, instances built by
+# keyword and then copied, template objects built by keyword and written
+# through ``getattr``.  The functions they call are the package's own.
+
+from tieupkit import discourse as disc
+from tieupkit import pipeline
+from tieupkit.discourse import (
+    _CANDIDATE_TAGS,
+    _PRONOUNS,
+    PRONOUN_BOTH,
+    PRONOUN_NEAR,
+    SUBJECT_MARKERS,
+    CompanyRegistry,
+    PronounReference,
+    RegistryEntry,
+    TieUpCluster,
+    TopicState,
+    _english_words,
+    _is_english_word,
+)
+from tieupkit.pipeline import (
+    ExtractionResources,
+    ExtractionResult,
+    _created_company_text,
+)
+from tieupkit.templates import (
+    STATUS_DISSOLVED,
+    STATUS_EXISTING,
+    WARNING_UNDER_SPECIFIED,
+    generate_templates,
+)
+from tieupkit.tokens import POS_COMPANY, DesignatorLexicon
+
+
+def literal_row_by_any(el, sentence) -> list[bool]:
+    """``PatternElement.row`` as it was: a loose literal's alternatives
+    tried through ``any`` on every token."""
+    tags, alts = el.token_tags, el.alternatives
+    if el.mode == "strict":
+        return [t.pos in tags and t.surface in alts for t in sentence]
+    return [t.pos in tags and any(a in t.surface for a in alts) for t in sentence]
+
+
+def company_counts_by_appends(sentence) -> list[int]:
+    """``match_sentence``'s company counts as they were: the company tokens
+    before each position."""
+    companies = [0]
+    for tok in sentence:
+        companies.append(companies[-1] + (tok.pos == POS_COMPANY))
+    return companies
+
+
+def _placed(tok: Token, s: int, t: int) -> Token:
+    """``tok`` at position ``(s, t)``: itself when its indices already say so."""
+    if tok.tok_index == t and tok.sent_index == s:
+        return tok
+    return Token(tok.surface, tok.pos, s, t)
+
+
+def parse_token_file_by_constructor(text: str, path: str | None = None) -> list[Document]:
+    """Parse token-file content into one Document per ``#DOC`` block."""
+    docs: list[Document] = []
+    doc_id: str | None = None
+    doc_line = 0
+    sentences: list[tuple[Token, ...]] = []
+    sentence: list[Token] = []
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if doc_id is None:
+            if not stripped:
+                continue
+            parts = stripped.split(None, 1)
+            if parts[0] != "#DOC":
+                raise ParseError("expected '#DOC <id>' header", lineno, path)
+            if len(parts) != 2:
+                raise ParseError("missing document id after #DOC", lineno, path)
+            doc_id = parts[1].strip()
+            # The id names the document's output files, so it must be a
+            # plain file name, one the OS accepts, inside the output directory.
+            if doc_id in (".", "..") or any(c in doc_id for c in "/\\\0"):
+                raise ParseError(
+                    f"document id {doc_id!r} is not a plain file name", lineno, path
+                )
+            doc_line = lineno
+            continue
+        if stripped == "#END":
+            if sentence:
+                sentences.append(tuple(sentence))
+                sentence = []
+            if not sentences:
+                raise ParseError(f"empty document {doc_id!r}", lineno, path)
+            docs.append(Document(doc_id, tuple(sentences)))
+            doc_id = None
+            sentences = []
+            continue
+        if not stripped:
+            if sentence:
+                sentences.append(tuple(sentence))
+                sentence = []
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            if stripped.split(None, 1)[0] == "#DOC":
+                msg = f"document {doc_id!r} from line {doc_line} not terminated by #END"
+                raise ParseError(msg, lineno, path)
+            raise ParseError(
+                f"expected 'surface<TAB>pos', got {len(fields)} field(s)", lineno, path
+            )
+        surface, pos = fields[0].strip(), fields[1].strip()
+        if not surface or not pos:
+            raise ParseError("empty surface or pos field", lineno, path)
+        sentence.append(Token(surface, pos, len(sentences), len(sentence)))
+
+    if doc_id is not None:
+        raise ParseError(f"document {doc_id!r} not terminated by #END", doc_line, path)
+    return docs
+
+
+def recognize_names_by_placing(doc: Document, lex: DesignatorLexicon) -> Document:
+    """Merge designator-anchored name runs into single entity tokens.
+
+    A token anchors a name when its surface ends with a designator and its
+    tag is unknown/company/person/place, or when it exactly equals a
+    designator.  The anchor absorbs the maximal run of name-like neighbors
+    (backward: noun, unknown, entity tags, connector ``・``; forward: noun
+    and unknown only).  Particles, verbs, other punctuation, numerals, and
+    sentence boundaries stop the extension.
+    """
+    if not lex.entries:
+        return doc
+    sentences: list[tuple[Token, ...]] = []
+    for s, toks in enumerate(doc.sentences):
+        out: list[Token] = []
+        i = 0
+        while i < len(toks):
+            tok = toks[i]
+            etype = lex.match(tok.surface)
+            anchored = etype is not None and (
+                tok.pos in _ANCHOR_ELIGIBLE or tok.surface in lex.entries
+            )
+            if not anchored:
+                out.append(_placed(tok, s, len(out)))
+                i += 1
+                continue
+            # Extend backward over tokens already emitted this sentence.
+            start = len(out)
+            while start > 0 and _backward_ok(out[start - 1]):
+                start -= 1
+            # A run may not start on the connector itself.
+            while start < len(out) and out[start].surface == CONNECTOR:
+                start += 1
+            absorbed = out[start:]
+            del out[start:]
+            j = i + 1
+            while j < len(toks) and _forward_ok(toks[j]):
+                j += 1
+            surface = "".join(t.surface for t in absorbed)
+            surface += "".join(t.surface for t in toks[i:j])
+            # Forward extension may leave a different designator at the end;
+            # the final surface decides the type so a second pass agrees.
+            final_type = lex.match(surface) or etype
+            out.append(Token(surface, final_type, s, start))
+            i = j
+        sentences.append(tuple(out))
+    return Document(doc.doc_id, tuple(sentences))
+
+
+def group_segments_by_placing(doc: Document) -> Document:
+    """Join adjacent same-type entity tokens, bridging single ``・`` connectors."""
+    sentences: list[tuple[Token, ...]] = []
+    for s, toks in enumerate(doc.sentences):
+        out: list[Token] = []
+        i = 0
+        while i < len(toks):
+            tok = toks[i]
+            if tok.pos not in ENTITY_TAGS:
+                out.append(_placed(tok, s, len(out)))
+                i += 1
+                continue
+            surface = tok.surface
+            j = i + 1
+            while j < len(toks):
+                if toks[j].pos == tok.pos:
+                    surface += toks[j].surface
+                    j += 1
+                elif (
+                    toks[j].surface == CONNECTOR
+                    and j + 1 < len(toks)
+                    and toks[j + 1].pos == tok.pos
+                ):
+                    surface += toks[j].surface + toks[j + 1].surface
+                    j += 2
+                else:
+                    break
+            if j > i + 1:
+                tok = Token(surface, tok.pos, s, len(out))
+            out.append(_placed(tok, s, len(out)))
+            i = j
+        sentences.append(tuple(out))
+    return Document(doc.doc_id, tuple(sentences))
+
+
+def _append_entry(reg: CompanyRegistry, string: str, pos: str, position, alias_of=None):
+    index = len(reg.entries) + 1
+    entry = RegistryEntry(index, string, pos, _is_english_word(string), index, position, alias_of)
+    reg.entries.append(entry)
+    if alias_of is None:
+        reg._at.setdefault(position, index - 1)
+
+
+def build_registry_by_appends(doc: Document) -> CompanyRegistry:
+    """Collect a document's company names and abbreviation candidates in
+    text order, each at its token's (sentence, token) index.
+
+    Company tokens are always registered; person, place, and unknown tokens
+    are registered as possible abbreviations when two or more characters
+    long.  An English word embedded in a company name is additionally
+    registered right after its parent so English abbreviations have a
+    word-level entry to match exactly.
+    """
+    reg = CompanyRegistry()
+    for t in doc.tokens():
+        string, pos, position = t.surface, t.pos, (t.sent_index, t.tok_index)
+        if pos not in _CANDIDATE_TAGS or (pos != POS_COMPANY and len(string) < 2):
+            continue
+        _append_entry(reg, string, pos, position)
+        if pos == POS_COMPANY:
+            parent = len(reg.entries)
+            for word in _english_words(string):
+                if word != string:
+                    _append_entry(reg, word, pos, position, alias_of=parent)
+    return reg
+
+
+def track_topics_by_index(doc: Document, reg: CompanyRegistry) -> TopicState:
+    """Companies immediately followed by a subject marker; else inherited."""
+    topics: list[frozenset[int]] = []
+    inherited: list[bool] = []
+    for s, sent in enumerate(doc.sentences):
+        found: set[int] = set()
+        for t in range(len(sent) - 1):
+            if sent[t + 1].surface in SUBJECT_MARKERS:
+                entry = reg.company_entry_at((s, t))
+                if entry is not None:
+                    found.add(entry.entity_id)
+        if found:
+            topics.append(frozenset(found))
+            inherited.append(False)
+        else:
+            topics.append(topics[s - 1] if s > 0 else frozenset())
+            inherited.append(s > 0)
+    return TopicState(tuple(topics), tuple(inherited))
+
+
+def resolve_pronouns_by_table(
+    doc: Document,
+    reg: CompanyRegistry,
+    topics: TopicState,
+    segments: list["DiscourseSegment"],
+) -> list[PronounReference]:
+    """Resolve 両社 / 同社 / 自社 occurrences to entity id sets.
+
+    両社 names the tie-up partner ids of the segment that covers its
+    sentence.  A later segment in ``segments`` overwrites an earlier one on
+    a sentence they share, so 両社 there names the later tie-up.  同社 reads
+    the company mentions before it in its sentence by one forward walk per
+    sentence: each 同社 reads the positions after the previous 同社's, once
+    each, and the walk keeps the nearest company id read and whether two
+    distinct ids were read.  A company-tagged 同社 is read as a mention by
+    the next one.  An unresolvable pronoun gets an empty set.
+    """
+    tieup = {
+        s: seg.tieup_ids
+        for seg in segments
+        for s in range(seg.start, seg.end + 1)
+    }
+    refs: list[PronounReference] = []
+    for s, sent in enumerate(doc.sentences):
+        walked, nearest, several = 0, None, False
+        for t, tok in enumerate(sent):
+            if tok.surface not in _PRONOUNS:
+                continue
+            if tok.surface == PRONOUN_BOTH:
+                ids = tieup.get(s, frozenset())
+            elif tok.surface == PRONOUN_NEAR:
+                for u in range(walked, t):
+                    entry = reg.company_entry_at((s, u))
+                    if entry is not None:
+                        # Two distinct ids were read iff one differs from the one before.
+                        several = several or nearest not in (None, entry.entity_id)
+                        nearest = entry.entity_id
+                walked = t
+                ids = frozenset({nearest}) if several else topics.for_sentence(s)
+            else:
+                ids = topics.for_sentence(s)
+            refs.append(PronounReference((s, t), tok.surface, frozenset(ids)))
+    return refs
+
+
+def compound_runs_by_slices(sentence: list[Token] | tuple[Token, ...]) -> list[tuple[str, int, int]]:
+    """Concatenate maximal noun-like runs; other tokens stay singletons.
+
+    Returns ``(run string, start tok position, member count)`` triples.
+    """
+    runs: list[tuple[str, int, int]] = []
+    i = 0
+    while i < len(sentence):
+        if sentence[i].pos in NOUN_LIKE:
+            j = i
+            while j < len(sentence) and sentence[j].pos in NOUN_LIKE:
+                j += 1
+            runs.append(("".join(t.surface for t in sentence[i:j]), i, j - i))
+            i = j
+        else:
+            runs.append((sentence[i].surface, i, 1))
+            i += 1
+    return runs
+
+
+def match_instances_by_keywords(doc, winners, reg, resources):
+    """Concept instances for best matches, each with the positions in its
+    ``@CNAME`` spans that are not company mentions.
+
+    The partner ids, and for now the subjects, are the companies named in the
+    spans; a pronoun at one of the other positions may name more subjects
+    once pronouns are resolved.
+    """
+    instances: list[disc.ConceptInstance] = []
+    others: list[list[tuple[int, int]]] = []
+    for m in winners:
+        s, rule = m.sent_index, m.rule
+        sentence = doc.sentences[s]
+        label = resources.concept_map.get(m.group, m.group)
+        partner_ids: set[int] = set()
+        rest: list[tuple[int, int]] = []
+        bindings: dict[str, str] = {}
+        for i, name in rule.variables:
+            if not rule.is_cname[i]:
+                continue
+            lo, hi = span = m.spans[i]
+            bindings[name] = "".join(t.surface for t in sentence[lo:hi])
+            for t in range(lo, hi):
+                entry = reg.company_entry_at((s, t))
+                if entry is None:
+                    rest.append((s, t))
+                else:
+                    partner_ids.add(entry.entity_id)
+            if "_CREATED" in name:
+                created = _created_company_text(sentence, span)
+                if created:
+                    bindings["created"] = created
+        if label == "ECONOMIC-ACTIVITY":
+            lo, hi = m.spans[rule.index_field - 1]
+            bindings["activity"] = "".join(t.surface for t in sentence[lo:hi])
+        instances.append(
+            disc.ConceptInstance(
+                concept=label,
+                sent_index=s,
+                source="pattern",
+                bindings=bindings,
+                subject_ids=frozenset(partner_ids),
+                partner_ids=frozenset(partner_ids),
+            )
+        )
+        others.append(rest)
+    return instances, others
+
+
+def extract_document_by_replace(doc: Document, resources: ExtractionResources) -> ExtractionResult:
+    doc, reg, hits, winners = pipeline._sentence_stage(doc, resources)
+    # The sentence stage never reads entity ids, so unification and topic
+    # tracking can follow it.
+    disc.unify_company_references(reg)
+    topics = disc.track_topics(doc, reg)
+
+    # Segmentation sees only company tokens; pronouns resolve afterward
+    # against each segment's tie-up and feed the final subject sets.
+    instances, others = match_instances_by_keywords(doc, winners, reg, resources)
+    segments = disc.segment_discourse(doc, instances)
+    pronouns = disc.resolve_pronouns(doc, reg, topics, segments)
+    pronoun_refs = {p.position: p.referent_ids for p in pronouns}
+
+    instances = [
+        inst._replace(
+            subject_ids=inst.partner_ids.union(*(pronoun_refs.get(p, ()) for p in rest))
+            or topics.for_sentence(inst.sent_index)
+        )
+        for inst, rest in zip(instances, others)
+    ]
+    for hit in hits:
+        instances.append(
+            disc.ConceptInstance(
+                concept=hit.concept_name,
+                sent_index=hit.sent_index,
+                source="concept-search",
+                bindings={},
+                subject_ids=topics.for_sentence(hit.sent_index),
+            )
+        )
+
+    clusters = [
+        disc.merge_concepts(seg, instances) for seg in segments if seg.tieup_ids
+    ]
+    graph = generate_templates(doc, clusters, reg)
+    return ExtractionResult(
+        graph, doc, reg, topics, winners, hits, segments, clusters, pronouns, instances
+    )
+
+
+def generate_templates_by_keywords(
+    doc: Document, clusters: list[TieUpCluster], reg: CompanyRegistry
+) -> TemplateGraph:
+    """One tie-up object per cluster, one entity per referenced company id.
+
+    Slot candidates come from the attached concept instances: a DISSOLVED
+    concept flips the status, ``created`` bindings fill the joint-venture
+    company, ``activity`` bindings fill activities.  Entity ids are assigned
+    in first-mention order; a cluster with fewer than two entities is kept
+    but flagged.
+    """
+    # Registry index order is first-mention order.
+    referenced = sorted({eid for cluster in clusters for eid in cluster.tieup_ids})
+
+    entity_numbers = {eid: n for n, eid in enumerate(referenced, start=1)}
+    # Each referenced id's later surfaces, in entry order, once each: a dict
+    # keeps insertion order and tests membership without a scan.
+    aliases: dict[int, dict[str, None]] = {eid: {} for eid in referenced}
+    for e in reg.entries:
+        found = aliases.get(e.entity_id)
+        if (
+            found is not None
+            and e.index != e.entity_id
+            and e.string != reg.entries[e.entity_id - 1].string
+        ):
+            found[e.string] = None
+    entities = []
+    for eid in referenced:
+        canonical = reg.entries[eid - 1]
+        entities.append(
+            EntityObject(
+                entity_numbers[eid], canonical.string, tuple(aliases[eid]), canonical.pos.upper()
+            )
+        )
+
+    tieups = []
+    for n, cluster in enumerate(clusters, start=1):
+        created: list[str] = []
+        activities: list[str] = []
+        dissolved = False
+        for inst in cluster.attached:
+            if inst.concept == "DISSOLVED":
+                dissolved = True
+            value = inst.bindings.get("created")
+            if value and value not in created:
+                created.append(value)
+            value = inst.bindings.get("activity")
+            if value and value not in activities:
+                activities.append(value)
+        refs = tuple(entity_numbers[eid] for eid in sorted(cluster.tieup_ids))
+        tieups.append(
+            TieUpObject(
+                object_id=n,
+                entity_refs=refs,
+                jv_company=tuple(created),
+                activities=tuple(activities),
+                status=STATUS_DISSOLVED if dissolved else STATUS_EXISTING,
+                warning=None if len(refs) >= 2 else WARNING_UNDER_SPECIFIED,
+            )
+        )
+    return TemplateGraph(doc.doc_id, tuple(tieups), tuple(entities))
+
+
+def serialize_templates_by_getattr(graph: TemplateGraph) -> str:
+    """Deterministic block text; refuses graphs with dangling references."""
+    entity_ids = {e.object_id for e in graph.entities}
+    for t in graph.tieups:
+        for ref in t.entity_refs:
+            if ref not in entity_ids:
+                raise DanglingReferenceError(f"<ENTITY-{ref}>")
+    blocks: list[str] = []
+    for obj in (*graph.tieups, *graph.entities):
+        kind, slots = LAYOUT[type(obj)]
+        lines = [f"<{kind}-{obj.object_id}> :="]
+        for slot, (attr, multi) in slots.items():
+            value = getattr(obj, attr)
+            if value:
+                if slot == "ENTITIES":
+                    value = [f"<ENTITY-{r}>" for r in value]
+                lines.append(f"  {slot}: " + (" ".join(value) if multi else value))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n" if blocks else ""

@@ -694,3 +694,19 @@ def test_decode_and_parse_errors_count_lines_alike(tmp_path, capsys):
         errors.append(err)
     assert errors[0].startswith(f"error: {tmp_path / 'decode.tok'}:line 4: byte 0xff")
     assert errors[1].startswith(f"error: {tmp_path / 'parse.tok'}:line 4: expected")
+
+
+def test_atomic_write_reports_the_write_error_not_the_clean_up(tmp_path, monkeypatch):
+    from tieupkit.cli import _atomic_write
+
+    def refuse_write(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    def refuse_unlink(self, missing_ok=False):
+        raise PermissionError("cannot delete")
+
+    monkeypatch.setattr(Path, "write_text", refuse_write)
+    monkeypatch.setattr(Path, "unlink", refuse_unlink)
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(tmp_path / "doc.tmpl", "text")
+    assert list(tmp_path.iterdir()) == []

@@ -7,13 +7,13 @@ from tieupkit.discourse import (
     ConceptInstance,
     DiscourseSegment,
     build_registry,
+    RegistryEntry,
     lcs_length,
     merge_concepts,
     resolve_pronouns,
     segment_discourse,
     track_topics,
     unify_company_references,
-    _append_entry,
     _english_words,
     _is_english_word,
 )
@@ -124,8 +124,10 @@ class TestUnification:
             if rng.random() < 0.3:  # a subsequence of the source, often itself
                 tgt = "".join(c for c in src if rng.random() < 0.7)
             reg = CompanyRegistry()
-            _append_entry(reg, src, "company", (0, 0))
-            _append_entry(reg, tgt, "unknown", (0, 1))
+            reg.entries += [
+                RegistryEntry(1, src, "company", _is_english_word(src), 1, (0, 0)),
+                RegistryEntry(2, tgt, "unknown", _is_english_word(tgt), 2, (0, 1)),
+            ]
             unify_company_references(reg)
             joined = reg.entries[1].entity_id == 1
             eg = reg.entries[0].eg

@@ -263,3 +263,16 @@ def test_reprs_name_their_fields(records):
         "RegistryEntry(index=1, string='田辺製薬', pos='company', eg=False, "
         "entity_id=1, position=(0, 0), alias_of=None)"
     )
+
+
+def test_equality_with_another_type_is_left_to_it():
+    from tieupkit.discourse import CompanyRegistry
+    from tieupkit.patterns import ElementKind, PatternElement
+
+    skip = PatternElement(ElementKind.SKIP, name="@SKIP")
+    reg = CompanyRegistry()
+    for obj in (skip, reg):
+        assert obj.__eq__("@SKIP") is NotImplemented
+        assert obj != "@SKIP" and obj != ()
+    assert skip == PatternElement(ElementKind.SKIP, name="@SKIP")
+    assert reg == CompanyRegistry()

@@ -217,8 +217,9 @@ def _score_pair(records, kind, label, names, resp_table, key_table) -> None:
     """Append the fills of one aligned pair to ``records``, slot by slot in
     name order."""
     if resp_table == key_table:
-        records += [_new(FillScore, (kind, label, slot, v, v, "COR"))
-                    for slot, values in zip(names, key_table) for v in values]
+        for slot, values in zip(names, key_table):
+            for v in values:
+                records.append(_new(FillScore, (kind, label, slot, v, v, "COR")))
         return
     for slot, resp_vals, key_vals in zip(names, resp_table, key_table):
         if resp_vals == key_vals:
@@ -329,8 +330,8 @@ def _align_by_index(resp_objs, key_objs, resp_tables, key_tables) -> list[tuple[
     if not resp_objs or not key_objs:
         return []
     plan = _TABLE_PLANS[type(key_objs[0])]
-    key_order = sorted(range(len(key_objs)), key=lambda ki: key_objs[ki].object_id)
-    resp_order = sorted(range(len(resp_objs)), key=lambda ri: resp_objs[ri].object_id)
+    key_order = sorted(range(len(key_objs)), key=[obj[0] for obj in key_objs].__getitem__)
+    resp_order = sorted(range(len(resp_objs)), key=[obj[0] for obj in resp_objs].__getitem__)
     key_tables = [key_tables[ki] for ki in key_order]
     resp_tables = [resp_tables[ri] for ri in resp_order]
 
@@ -436,7 +437,7 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
         plan = _TABLE_PLANS[cls]
         names = plan.names
         for ri, ki in pairs:
-            resp_id, key_id = resp_objs[ri].object_id, key_objs[ki].object_id
+            resp_id, key_id = resp_objs[ri][0], key_objs[ki][0]
             if kind == "ENTITY":
                 entity_map[resp_id] = key_id
             label = f"{kind}-{resp_id}~{kind}-{key_id}"
@@ -446,7 +447,7 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
             aligned = {ki for _, ki in pairs}
             for ki, key_obj in enumerate(key_objs):
                 if ki not in aligned:
-                    label = f"{kind}-{key_obj.object_id}"
+                    label = f"{kind}-{key_obj[0]}"
                     table = key_tables[ki]
                     records += [_new(FillScore, (kind, label, names[n], v, None, "MIS"))
                                 for n in plan.layout for v in table[n]]
@@ -454,7 +455,7 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
             aligned = {ri for ri, _ in pairs}
             for ri, resp_obj in enumerate(resp_objs):
                 if ri not in aligned:
-                    label = f"{kind}-{resp_obj.object_id}"
+                    label = f"{kind}-{resp_obj[0]}"
                     for n in plan.layout:
                         values = resp_tables[ri][n]
                         if names[n] == "ENTITIES":  # mapped in the table; listed unmapped
@@ -467,7 +468,7 @@ def score_fills(response: TemplateGraph, key: TemplateGraph) -> list[FillScore]:
 def tally(records: list[FillScore]) -> ScoreCounts:
     n = {"COR": 0, "PAR": 0, "INC": 0, "MIS": 0, "SPU": 0}  # ScoreCounts order
     for r in records:
-        n[r.category] += 1
+        n[r[5]] += 1
     return ScoreCounts(*n.values())
 
 
@@ -505,12 +506,10 @@ class ScoreReport:
         lines = []
         for doc in self.documents:
             lines.append(f"-- {doc.doc_id}")
-            for f in doc.fills:
-                key_side = f.key_value if f.key_value is not None else "-"
-                resp_side = f.resp_value if f.resp_value is not None else "-"
-                lines.append(
-                    f"  {f.category:<3} {f.label} {f.slot}: {key_side} | {resp_side}"
-                )
+            for _, label, slot, key_value, resp_value, category in doc.fills:
+                key_side = key_value if key_value is not None else "-"
+                resp_side = resp_value if resp_value is not None else "-"
+                lines.append(f"  {category} {label} {slot}: {key_side} | {resp_side}")
         return "\n".join(lines)
 
     def format_table(self) -> str:

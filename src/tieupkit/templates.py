@@ -21,7 +21,7 @@ import re
 from typing import NamedTuple
 
 from .discourse import CompanyRegistry, TieUpCluster
-from .errors import DanglingReferenceError, ParseError, read_number
+from .errors import _SMALL_NUMBERS, DanglingReferenceError, ParseError, TieupkitError, read_number
 from .tokens import Document
 
 STATUS_EXISTING = "EXISTING"
@@ -84,12 +84,14 @@ SLOT_PLAN = {
     cls: {slot: (cls._fields.index(attr), multi) for slot, (attr, multi) in slots.items()}
     for cls, (_, slots) in LAYOUT.items()
 }
-# Per header type: the object class, its slot plan, and the defaults of the
-# fields after the object number.
+# Per header type: its slot plan, the other fields' defaults, and how an error names its number.
 _PARSE_PLAN = {
-    kind: (cls, SLOT_PLAN[cls], [cls._field_defaults[f] for f in cls._fields[1:]])
+    kind: (SLOT_PLAN[cls], [cls._field_defaults[f] for f in cls._fields[1:]],
+           f"object number in <{kind}-{{}}>")
     for cls, (kind, _) in LAYOUT.items()
 }
+# Entity references numbered below 256, by their one accepted spelling.
+_SMALL_REFS = {f"<ENTITY-{digits}>": n for digits, n in _SMALL_NUMBERS.items()}
 
 
 def generate_templates(
@@ -158,7 +160,7 @@ def generate_templates(
 
 
 def serialize_templates(graph: TemplateGraph) -> str:
-    """Deterministic block text; refuses graphs with dangling references."""
+    """Deterministic block text; refuses dangling references and fills that would not read back."""
     entity_ids = {e.object_id for e in graph.entities}
     for t in graph.tieups:
         for ref in t.entity_refs:
@@ -167,13 +169,20 @@ def serialize_templates(graph: TemplateGraph) -> str:
     blocks: list[str] = []
     for obj in (*graph.tieups, *graph.entities):
         cls = type(obj)
-        lines = [f"<{LAYOUT[cls][0]}-{obj[0]}> :="]
+        name = f"<{LAYOUT[cls][0]}-{obj[0]}>"
+        lines = [name + " :="]
         for slot, (i, multi) in SLOT_PLAN[cls].items():
             value = obj[i]
             if value:
                 if slot == "ENTITIES":
-                    value = [f"<ENTITY-{r}>" for r in value]
-                lines.append(f"  {slot}: " + (" ".join(value) if multi else value))
+                    value = " ".join([f"<ENTITY-{r}>" for r in value])
+                elif multi:
+                    words, value = value, " ".join(value)
+                    if value.split() != list(words):
+                        word = next(w for w in words if w.split() != [w])
+                        raise TieupkitError(f"{name} {slot} value {word!r} is empty or holds "
+                                            "whitespace, so it would not read back as one value")
+                lines.append(f"  {slot}: {value}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
@@ -186,31 +195,34 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
     """
     # re's cache holds the compiled pattern after the first call.
     match_header = re.compile(_HEADER_PATTERN).match
-    # Per object class, each object's field values, in file order.
-    built: dict[type, list[list]] = {TieUpObject: [], EntityObject: []}
+    # Per header type, object number -> field values, in file order.
+    built: dict[str, dict[int, list]] = {kind: {} for kind in _PARSE_PLAN}
     values: list | None = None  # the current object's
     plan: dict[str, tuple[int, bool]] = {}  # its slots; none before the first header
-    seen_headers: set[tuple[str, int]] = set()
-    references: list[tuple[int, int]] = []  # (entity number, line), in file order
+    references: dict[int, int] = {}  # entity number -> first line naming it
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if line[0] == "<":
-            header = match_header(line)
+            # A header as written is read without the pattern; ``isdecimal``
+            # takes exactly the characters ``\d`` does.
+            name, _, digits = line[1:-4].rpartition("-")
+            header = line.endswith("> :=") and name in _PARSE_PLAN and digits.isdecimal()
+            if not header and (matched := match_header(line)):
+                name, digits = matched.groups()
+                if name not in _PARSE_PLAN:  # a bad number is reported first
+                    read_number(digits, f"object number in <{name}-{{}}>", lineno, path)
+                    raise ParseError(f"unknown object type {name!r}", lineno, path)
+                header = True
             if header:
-                kind, digits = header.groups()
-                what = f"object number in <{kind}-{{}}>"
+                kind = name
+                plan, defaults, what = _PARSE_PLAN[kind]
                 object_id = read_number(digits, what, lineno, path)
-                if kind not in _PARSE_PLAN:
-                    raise ParseError(f"unknown object type {kind!r}", lineno, path)
-                name = (kind, object_id)
-                if name in seen_headers:
+                objects = built[kind]
+                if object_id in objects:
                     raise ParseError(f"duplicate object <{kind}-{object_id}>", lineno, path)
-                seen_headers.add(name)
-                cls, plan, defaults = _PARSE_PLAN[kind]
-                values = [object_id, *defaults]
-                built[cls].append(values)
+                objects[object_id] = values = [object_id, *defaults]
                 continue
         slot, sep, value = line.partition(":")
         value = value.strip()
@@ -237,28 +249,31 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         elif slot == "ENTITIES":
             refs = list(values[i])
             for ref in value.split():
-                # ``isdecimal`` takes exactly the characters ``\d`` does.
-                digits = ref[8:-1]
-                if not (ref.startswith("<ENTITY-") and ref.endswith(">") and digits.isdecimal()):
-                    raise ParseError(f"bad entity reference {ref!r}", lineno, path)
-                number = read_number(digits, "object number in <ENTITY-{}>", lineno, path)
+                number = _SMALL_REFS.get(ref)
+                if number is None:
+                    digits = ref[8:-1]
+                    if ref[:8] != "<ENTITY-" or ref[-1] != ">" or not digits.isdecimal():
+                        raise ParseError(f"bad entity reference {ref!r}", lineno, path)
+                    number = read_number(digits, "object number in <ENTITY-{}>", lineno, path)
                 if number in refs:
                     raise ParseError(
                         f"<ENTITY-{number}> repeated in <TIE_UP-{values[0]}>", lineno, path
                     )
                 refs.append(number)
-                references.append((number, lineno))
+                if number not in references:
+                    references[number] = lineno
             values[i] = tuple(refs)
         else:
             values[i] += tuple(value.split())
 
-    for number, lineno in references:
-        if ("ENTITY", number) not in seen_headers:
+    entities = built["ENTITY"]
+    for number, lineno in references.items():
+        if number not in entities:
             raise ParseError(f"reference to undefined <ENTITY-{number}>", lineno, path)
 
     # ``tuple.__new__`` makes each object straight from its field list.
     return TemplateGraph(
         doc_id,
-        tuple([tuple.__new__(TieUpObject, fields) for fields in built[TieUpObject]]),
-        tuple([tuple.__new__(EntityObject, fields) for fields in built[EntityObject]]),
+        tuple([tuple.__new__(TieUpObject, fields) for fields in built["TIE_UP"].values()]),
+        tuple([tuple.__new__(EntityObject, fields) for fields in entities.values()]),
     )

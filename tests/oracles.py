@@ -1614,3 +1614,105 @@ def serialize_templates_by_getattr(graph: TemplateGraph) -> str:
                 lines.append(f"  {slot}: " + (" ".join(value) if multi else value))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
+# ---------------------------------------------------------------------------
+# The template parser before a header as written skipped the pattern,
+# verbatim but for its name, with the pattern and the per-type plan it read.
+
+from tieupkit.errors import read_number
+from tieupkit.templates import SLOT_PLAN
+
+_HEADER_PATTERN = r"^<([A-Z_]+)-(\d+)>\s*:=\s*$"
+_PARSE_PLAN = {
+    kind: (cls, SLOT_PLAN[cls], [cls._field_defaults[f] for f in cls._fields[1:]])
+    for cls, (kind, _) in LAYOUT.items()
+}
+
+
+def parse_templates_by_pattern(
+    text: str, doc_id: str = "", path: str | None = None
+) -> TemplateGraph:
+    """Parse block text back into a graph; inverse of serialization.
+
+    Every ENTITIES reference must name an entity the text defines, once per
+    tie-up.
+    """
+    # re's cache holds the compiled pattern after the first call.
+    match_header = re.compile(_HEADER_PATTERN).match
+    # Per object class, each object's field values, in file order.
+    built: dict[type, list[list]] = {TieUpObject: [], EntityObject: []}
+    values: list | None = None  # the current object's
+    plan: dict[str, tuple[int, bool]] = {}  # its slots; none before the first header
+    seen_headers: set[tuple[str, int]] = set()
+    references: list[tuple[int, int]] = []  # (entity number, line), in file order
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "<":
+            header = match_header(line)
+            if header:
+                kind, digits = header.groups()
+                what = f"object number in <{kind}-{{}}>"
+                object_id = read_number(digits, what, lineno, path)
+                if kind not in _PARSE_PLAN:
+                    raise ParseError(f"unknown object type {kind!r}", lineno, path)
+                name = (kind, object_id)
+                if name in seen_headers:
+                    raise ParseError(f"duplicate object <{kind}-{object_id}>", lineno, path)
+                seen_headers.add(name)
+                cls, plan, defaults = _PARSE_PLAN[kind]
+                values = [object_id, *defaults]
+                built[cls].append(values)
+                continue
+        slot, sep, value = line.partition(":")
+        value = value.strip()
+        # A well-formed line names its slot exactly; every other line takes
+        # the checks in full.
+        found = plan.get(slot)
+        if found is None or not value:
+            if values is None:
+                raise ParseError("slot line before any object header", lineno, path)
+            slot = slot.strip()
+            if not sep or not slot:
+                raise ParseError(f"malformed slot line: {line!r}", lineno, path)
+            if not value:
+                raise ParseError(f"slot {slot} has no value", lineno, path)
+            found = plan.get(slot)
+            if found is None:
+                raise ParseError(f"unknown {kind} slot {slot}", lineno, path)
+        i, multi = found
+        if not multi:
+            # A stored value is never empty.
+            if values[i]:
+                raise ParseError(f"slot {slot} given twice", lineno, path)
+            values[i] = value
+        elif slot == "ENTITIES":
+            refs = list(values[i])
+            for ref in value.split():
+                # ``isdecimal`` takes exactly the characters ``\d`` does.
+                digits = ref[8:-1]
+                if not (ref.startswith("<ENTITY-") and ref.endswith(">") and digits.isdecimal()):
+                    raise ParseError(f"bad entity reference {ref!r}", lineno, path)
+                number = read_number(digits, "object number in <ENTITY-{}>", lineno, path)
+                if number in refs:
+                    raise ParseError(
+                        f"<ENTITY-{number}> repeated in <TIE_UP-{values[0]}>", lineno, path
+                    )
+                refs.append(number)
+                references.append((number, lineno))
+            values[i] = tuple(refs)
+        else:
+            values[i] += tuple(value.split())
+
+    for number, lineno in references:
+        if ("ENTITY", number) not in seen_headers:
+            raise ParseError(f"reference to undefined <ENTITY-{number}>", lineno, path)
+
+    # ``tuple.__new__`` makes each object straight from its field list.
+    return TemplateGraph(
+        doc_id,
+        tuple([tuple.__new__(TieUpObject, fields) for fields in built[TieUpObject]]),
+        tuple([tuple.__new__(EntityObject, fields) for fields in built[EntityObject]]),
+    )

@@ -220,6 +220,23 @@ class TestExtract:
             assert err == f"error: document id {doc_id!r} is too long for its output files\n"
             assert not out.exists()
 
+    def test_fill_holding_whitespace_fails_with_one_error_line(self, tmp_path, capsys):
+        # The worked passage with a space inside the partner's name and
+        # inside the sale activity: the name is single-valued and keeps it,
+        # but ACTIVITY would read back as two activities, so nothing is written.
+        text = (DATA / "corpus" / "abbrev_sale.tok").read_text("utf-8")
+        text = text.replace("メルセデス・ベンツ\t", "メルセデス ベンツ\t").replace("販売\t", "販売 強化\t")
+        corpus = tmp_path / "spaced.tok"
+        corpus.write_text(text, "utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "extract", "--corpus", str(corpus), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (
+            "error: <TIE_UP-1> ACTIVITY value '販売 強化' is empty or holds whitespace, "
+            "so it would not read back as one value\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_malformed_corpus_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.tok"
         bad.write_text("#DOC d\nX社\n#END\n", "utf-8")

@@ -1,5 +1,10 @@
+import functools
+import hashlib
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from tieupkit.pipeline import extract_document
 from tieupkit.scoring import (
@@ -29,7 +34,7 @@ from tieupkit.templates import (
 )
 
 import oracles
-from conftest import load_doc
+from conftest import bench_corpora, load_doc
 from oracles import align_by_sorting, exhaustive_align_cor, fills_by_fields, slot_values_by_fills
 from test_templates import SAMPLE, random_graph
 
@@ -664,3 +669,50 @@ TOTAL               50.0     0.0    43.8    11.1    88.9    50.0    64.0"""
         assert listing.count("COR") == 10
         # Full report carries the listing and then the table.
         assert report.format().endswith(report.format_table())
+
+
+# SHA-256 of the report text when each workload's seed-1 answers are scored
+# against the seed-1 keys (one perturbation a document), against the seed-2
+# keys (another corpus: ties, partial fills and objects left over), and,
+# "spaced", against the seed-1 keys with each NAME's first character set off
+# by one space while the answers set it off by two, which only whitespace
+# normalization reconciles: the corpora hold no whitespace inside a value.
+REPORT_PINS = {
+    ("news", "1"): "e76e659b5f95ccc17f9468508a90b0458a0f6797bbf3b9c34f56c35cb3677538",
+    ("news", "2"): "c549961e52844341f5e751fb55ace483ad377a63d499caefbf6187c4f9757b49",
+    ("news", "spaced"): "5ee45b078be907478961570625597656c3b1055da89cfc6d4c9b1c3b5913134a",
+    ("long_sentence", "1"): "00340b55348892a94d1586d3b4a257f0c27f997f5112f69bb193bef5cc1a5779",
+    ("long_sentence", "2"): "74c50e4dcd06add7225d1b7a761806d8d140f02d60086c3639e07718e29fa435",
+    ("long_sentence", "spaced"): "e351f5898f7ac1d28d99166bccb75becf5a8ea8bc3c61d1ddd1a3d5c3ca0dfef",
+    ("registry", "1"): "2f5f27a4a91461c959830eb971599533573e9a0a579050abe9e40199fec227f2",
+    ("registry", "2"): "99dd1008dfb58ad5857dca829a5b6f0e6361c4d096b82fbc5d3bfb1cb2f438a4",
+    ("registry", "spaced"): "22e68235cdd4140b476afce71ac2b0753ff00ead9b14aca19b1d52128e6b50e6",
+}
+
+
+@functools.cache
+def corpus_documents(workload: str, seed: int):
+    return bench_corpora().WORKLOADS[workload](seed).documents
+
+
+def spaced(text: str, gap: str) -> str:
+    """``text`` with ``gap`` after the first character of each NAME."""
+    return re.sub(r"(?m)^(  NAME: \S)", rf"\1{gap}", text)
+
+
+@pytest.mark.parametrize("workload, keys", sorted(REPORT_PINS))
+def test_corpus_scale_report_is_pinned(workload, keys):
+    # The answers are the corpus's own expected outputs, so nothing is
+    # extracted; every record line and table row is in the hashed text.
+    answers = corpus_documents(workload, 1)
+    pairs = [(a.expected, k.key.text())
+             for a, k in zip(answers, corpus_documents(workload, 2 if keys == "2" else 1))]
+    if keys == "spaced":
+        pairs = [(spaced(answer, "  "), spaced(key, " ")) for answer, key in pairs]
+    assert len(pairs) == len(answers)
+    report = score_documents([
+        (a.doc_id, parse_templates(answer, a.doc_id), parse_templates(key, a.doc_id))
+        for a, (answer, key) in zip(answers, pairs)
+    ])
+    digest = hashlib.sha256(report.format().encode("utf-8")).hexdigest()
+    assert digest == REPORT_PINS[workload, keys]

@@ -11,7 +11,7 @@ from tieupkit.discourse import (
     build_registry,
     unify_company_references,
 )
-from tieupkit.errors import DanglingReferenceError, ParseError
+from tieupkit.errors import DanglingReferenceError, ParseError, TieupkitError
 from tieupkit.pipeline import extract_document
 from tieupkit.templates import (
     EntityObject,
@@ -27,6 +27,7 @@ from conftest import DATA, bench_corpora, load_doc
 from fuzzing import mutate
 from oracles import graph_by_fields, serialize_templates_by_fields, slot_lists_by_lines
 from oracles import parse_templates as parse_templates_before
+from oracles import parse_templates_by_pattern
 
 
 def doc_of(*sentences):
@@ -134,6 +135,29 @@ class TestSerialization:
         with pytest.raises(DanglingReferenceError) as err:
             serialize_templates(bad)
         assert "ENTITY-7" in str(err.value)
+
+    @pytest.mark.parametrize("obj, slot, value", [
+        (EntityObject(2, "X社", aliases=("ベンツ", "メルセデス ベンツ")), "ALIASES", "メルセデス ベンツ"),
+        (TieUpObject(1, jv_company=("合弁\u3000会社",)), "JV-COMPANY", "合弁\u3000会社"),
+        (TieUpObject(1, activities=("開発", "販売 強化")), "ACTIVITY", "販売 強化"),
+        (TieUpObject(1, activities=(" 販売",)), "ACTIVITY", " 販売"),
+        (TieUpObject(1, activities=("開発", "")), "ACTIVITY", ""),
+    ], ids=["alias", "jv-ideographic-space", "activity", "leading-space", "empty"])
+    def test_multi_valued_fill_that_would_not_read_back_refused(self, obj, slot, value):
+        # Multi-valued slots are written space-separated and split on
+        # whitespace when read, so such a value would come back as several
+        # values, or as none.
+        kind = "ENTITY" if isinstance(obj, EntityObject) else "TIE_UP"
+        tieups, entities = ((), (obj,)) if kind == "ENTITY" else ((obj,), ())
+        with pytest.raises(TieupkitError) as err:
+            serialize_templates(TemplateGraph("d", tieups, entities))
+        assert str(err.value) == (
+            f"<{kind}-{obj.object_id}> {slot} value {value!r} is empty or holds whitespace, "
+            "so it would not read back as one value"
+        )
+        # A single-valued slot keeps inner whitespace through the round trip.
+        spaced = TemplateGraph("d", (), (EntityObject(1, "メルセデス ベンツ", ("ベンツ",)),))
+        assert parse_templates(serialize_templates(spaced), "d") == spaced
 
     def test_deterministic_output(self, resources):
         doc = load_doc("multi_tieup")
@@ -429,6 +453,96 @@ def test_parser_agrees_with_the_former_parser_on_benchmark_texts():
     assert max(text.count(":=") for text in texts) > 300
     for text in texts:
         assert parse_templates(text, "d") == parse_templates_before(text, "d")
+
+
+# Header spellings at the edges of the parser's fast form: both sides of
+# the small-number table's bound, zero, a leading zero, a non-ASCII digit
+# and one ``\d`` does not take (²); spacing only the pattern takes; near
+# misses of a known type; an unknown type with a bad number; and a close
+# that is not ``>``.
+HEADER_CASES = [
+    "<ENTITY-255> :=", "<ENTITY-256> :=", "<ENTITY-0> :=", "<ENTITY-01> :=", "<ENTITY-١> :=",
+    "<ENTITY-²> :=", "<TIE_UP-1>:=", "<TIE_UP-1>  :=", "<Entity-1> :=", "<ENTITY7-1> :=",
+    "<ENTITY--1> :=", "<ENTITY-1-2> :=", "<ENTITY-> :=", "<FOO-01> :=", "<ENTITY-1] :=",
+]
+# Each header as a file's first line, after an object, and beside objects
+# whose numbers it may repeat, named by references on both sides of the bound.
+HEADER_CONTEXTS = [
+    "{}\n  STATUS: EXISTING\n",
+    "<ENTITY-7> :=\n  TYPE: COMPANY\n\n{}\n  NAME: X社\n",
+    "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-255> <ENTITY-256> <ENTITY-0>\n\n{}\n  NAME: X社\n\n"
+    "<ENTITY-255> :=\n  NAME: Y社\n\n<ENTITY-256> :=\n  NAME: Z社\n\n<ENTITY-0> :=\n  NAME: W社\n",
+]
+
+
+@pytest.mark.parametrize("header", HEADER_CASES)
+def test_header_spellings_read_as_the_pattern_reads_them(header):
+    for context in HEADER_CONTEXTS:
+        text = context.format(header)
+        assert parse_outcome(parse_templates, text) == parse_outcome(
+            parse_templates_by_pattern, text
+        ), text
+
+
+@pytest.mark.parametrize("first, second", [
+    ("<ENTITY-3> :=", "<ENTITY-3>:="),
+    ("<ENTITY-3>:=", "<ENTITY-3> :="),
+    ("<ENTITY-300>\t:=", "<ENTITY-300> :="),
+], ids=["fast-then-pattern", "pattern-then-fast", "large-number"])
+def test_duplicate_through_both_header_forms_refused(first, second):
+    text = f"{first}\n  NAME: X社\n\n{second}\n  NAME: Y社\n"
+    number = first[8:first.index(">")]
+    expected = ("ParseError", f"m.tmpl:line 4: duplicate object <ENTITY-{number}>", 4)
+    assert parse_outcome(parse_templates, text) == expected
+    assert parse_outcome(parse_templates_by_pattern, text) == expected
+
+
+UNDEFINED_ONCE = (
+    "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1> <ENTITY-9>\n\n"  # line 2
+    "<TIE_UP-2> :=\n  ENTITIES: <ENTITY-9>\n\n"  # line 5
+    "<TIE_UP-3> :=\n  ENTITIES: <ENTITY-1>\n  ENTITIES: <ENTITY-9>\n\n"  # line 9
+    "<ENTITY-1> :=\n  NAME: X社\n"
+)
+UNDEFINED_TWICE = (
+    "<TIE_UP-1> :=\n  ENTITIES: <ENTITY-1> <ENTITY-300>\n\n"  # line 2
+    "<TIE_UP-2> :=\n  ENTITIES: <ENTITY-8> <ENTITY-1>\n\n"  # line 5
+    "<TIE_UP-3> :=\n  ENTITIES: <ENTITY-300> <ENTITY-8>\n\n"  # line 8
+    "<ENTITY-1> :=\n  NAME: X社\n"
+)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    (UNDEFINED_ONCE, "reference to undefined <ENTITY-9>", 2),
+    (UNDEFINED_TWICE, "reference to undefined <ENTITY-300>", 2),
+    (UNDEFINED_TWICE.replace("<ENTITY-1> <ENTITY-300>", "<ENTITY-1>", 1),
+     "reference to undefined <ENTITY-8>", 5),
+], ids=["one-on-three-lines", "two", "two-first-dropped"])
+def test_undefined_entity_reported_at_the_first_line_naming_any(text, message, line):
+    # The first reference in file order to an entity the file never
+    # defines is reported, however many lines name it or others.
+    expected = ("ParseError", f"m.tmpl:line {line}: {message}", line)
+    assert parse_outcome(parse_templates, text) == expected
+    assert parse_outcome(parse_templates_by_pattern, text) == expected
+
+
+def test_parser_agrees_with_the_pattern_parser_on_mutated_files():
+    # The fixture fuzz above with the hand cases' headers and references
+    # mixed in, against the parser the fast form replaced: every graph and
+    # every error, message and line, the same.
+    rng = random.Random(331)
+    texts = [
+        p.read_text("utf-8")
+        for d in ("golden", "score_key", "score_response")
+        for p in sorted((DATA / d).glob("*.tmpl"))
+    ]
+    pieces = FUZZ_PIECES + HEADER_CASES + ["  ENTITIES: <ENTITY-256> <ENTITY-0>", "<ENTITY-255>"]
+    parsed = 0
+    for n in range(3000):
+        text = mutate(texts[n % len(texts)], rng, FUZZ_CHARS, pieces)
+        got = parse_outcome(parse_templates, text)
+        assert got == parse_outcome(parse_templates_by_pattern, text), text
+        parsed += isinstance(got, TemplateGraph)
+    assert 100 < parsed < 2900
 
 
 def random_graph(rng, doc_id="d"):

@@ -9,22 +9,21 @@ index whose cost grows with the links, not the pairs (the size ladder
 behind the constant is in its comment).  Both give the same pairs.  Each
 object's slot table is built once and read by the alignment, by its pair's
 scoring and by the listing of an object left over.  Each fill lands in one
-of five categories: correct, partially correct (one value a substring of
-the other after whitespace normalization), incorrect, missing, spurious.
+of five categories: correct (the two strings equal as written), partially
+correct (after whitespace normalization the two differ and one is a
+substring of the other), incorrect, missing, spurious.  So two values equal
+only after whitespace normalization score incorrect.
 The seven summary measures are stated once, as integer (numerator,
 denominator) pairs: ``compute_metrics`` builds exact Fractions from them,
 and the report table rounds them half-up to one decimal percent straight
-from the integers.  ``fractions`` is imported on first use, since
-extraction never builds a Fraction.
+from the integers.
 """
 
+from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .templates import SLOT_PLAN, EntityObject, TemplateGraph, TieUpObject
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
@@ -50,13 +49,13 @@ class ScoreCounts(NamedTuple):
 
 
 class Metrics(NamedTuple):
-    err: "Fraction"
-    und: "Fraction"
-    ovg: "Fraction"
-    sub: "Fraction"
-    rec: "Fraction"
-    pre: "Fraction"
-    pr: "Fraction"
+    err: Fraction
+    und: Fraction
+    ovg: Fraction
+    sub: Fraction
+    rec: Fraction
+    pre: Fraction
+    pr: Fraction
     undefined: frozenset[str] = frozenset()  # metrics whose ratio was 0/0
 
     def as_percentages(self) -> dict[str, float]:
@@ -93,26 +92,13 @@ def _percent(num: int, den: int) -> float:
     return tenths / 10
 
 
-def round_percent(value: "Fraction") -> float:
+def round_percent(value: Fraction) -> float:
     """Percentage rounded half-up to one decimal (0.6375 -> 63.8)."""
     return _percent(*value.as_integer_ratio())
 
 
-_fraction = None  # fractions.Fraction, once a metric has needed it
-
-
-def _fraction_type():
-    """``fractions.Fraction``, imported the first time a metric is built; an
-    import statement in ``compute_metrics`` would add a fifth to each call."""
-    global _fraction
-    if _fraction is None:
-        from fractions import Fraction as _fraction
-    return _fraction
-
-
 def compute_metrics(counts: ScoreCounts) -> Metrics:
     """The error-based and recall/precision-based measures; 0/0 is 0, flagged."""
-    Fraction = _fraction_type()
     values = []
     undefined = []
     for name, (num, den) in zip(METRIC_NAMES, _ratios(counts)):
@@ -124,11 +110,11 @@ def compute_metrics(counts: ScoreCounts) -> Metrics:
     return Metrics(*values, frozenset(undefined))
 
 
-def f_measure(rec: "Fraction", pre: "Fraction") -> "Fraction":
+def f_measure(rec: Fraction, pre: Fraction) -> Fraction:
     """2·rec·pre / (rec + pre), built as one Fraction from integers."""
     a, b = rec.numerator, rec.denominator
     c, d = pre.numerator, pre.denominator
-    return _fraction_type()(2 * a * c, a * d + c * b)
+    return Fraction(2 * a * c, a * d + c * b)
 
 
 # Slots with a fixed vocabulary; every other slot is open.

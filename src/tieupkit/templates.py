@@ -14,10 +14,11 @@ Output format, also used for scorer answer keys:
 
 One ``<TYPE-n> :=`` header per object, two-space-indented ``SLOT: value``
 lines, object references written as ``<TYPE-n>``, values of multi-valued
-slots space-separated, blank line between objects.
+slots space-separated, blank line between objects.  A header may hold
+any whitespace between its ``>`` and ``:=``.  The reader takes headers by
+string tests alone: no part of this module uses a regular expression.
 """
 
-import re
 from typing import NamedTuple
 
 from .discourse import CompanyRegistry, TieUpCluster
@@ -29,10 +30,8 @@ STATUS_DISSOLVED = "DISSOLVED"
 
 WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 
-# ``\d`` takes any Unicode decimal digit; ``read_number`` then accepts only
-# the spelling ``str`` gives the number.  Compiled by ``parse_templates``,
-# its one user, so that importing the package compiles no pattern.
-_HEADER_PATTERN = r"^<([A-Z_]+)-(\d+)>\s*:=\s*$"
+# The letters of a header type name, known to the layout or not.
+_TYPE_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 
 
 class EntityObject(NamedTuple):
@@ -182,6 +181,10 @@ def serialize_templates(graph: TemplateGraph) -> str:
                         word = next(w for w in words if w.split() != [w])
                         raise TieupkitError(f"{name} {slot} value {word!r} is empty or holds "
                                             "whitespace, so it would not read back as one value")
+                elif value.strip().splitlines() != [value]:
+                    raise TieupkitError(f"{name} {slot} value {value!r} starts or ends with "
+                                        "whitespace or holds a line break, so it would not "
+                                        "read back as written")
                 lines.append(f"  {slot}: {value}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
@@ -193,8 +196,6 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
     Every ENTITIES reference must name an entity the text defines, once per
     tie-up.
     """
-    # re's cache holds the compiled pattern after the first call.
-    match_header = re.compile(_HEADER_PATTERN).match
     # Per header type, object number -> field values, in file order.
     built: dict[str, dict[int, list]] = {kind: {} for kind in _PARSE_PLAN}
     values: list | None = None  # the current object's
@@ -205,17 +206,16 @@ def parse_templates(text: str, doc_id: str = "", path: str | None = None) -> Tem
         if not line:
             continue
         if line[0] == "<":
-            # A header as written is read without the pattern; ``isdecimal``
-            # takes exactly the characters ``\d`` does.
-            name, _, digits = line[1:-4].rpartition("-")
-            header = line.endswith("> :=") and name in _PARSE_PLAN and digits.isdecimal()
-            if not header and (matched := match_header(line)):
-                name, digits = matched.groups()
+            # ``<TYPE-n>``, any whitespace, ``:=``; the number may be any run
+            # of decimal digits and ``read_number`` judges its spelling.
+            head, _, tail = line.partition(">")
+            name, _, digits = head[1:].rpartition("-")
+            if tail.lstrip() == ":=" and digits.isdecimal() and (
+                name in _PARSE_PLAN or name and not name.strip(_TYPE_LETTERS)
+            ):
                 if name not in _PARSE_PLAN:  # a bad number is reported first
                     read_number(digits, f"object number in <{name}-{{}}>", lineno, path)
                     raise ParseError(f"unknown object type {name!r}", lineno, path)
-                header = True
-            if header:
                 kind = name
                 plan, defaults, what = _PARSE_PLAN[kind]
                 object_id = read_number(digits, what, lineno, path)

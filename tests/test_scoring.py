@@ -675,8 +675,9 @@ TOTAL               50.0     0.0    43.8    11.1    88.9    50.0    64.0"""
 # against the seed-1 keys (one perturbation a document), against the seed-2
 # keys (another corpus: ties, partial fills and objects left over), and,
 # "spaced", against the seed-1 keys with each NAME's first character set off
-# by one space while the answers set it off by two, which only whitespace
-# normalization reconciles: the corpora hold no whitespace inside a value.
+# by one space while the answers set it off by two: the corpora hold no
+# whitespace inside a value.  Such a pair is equal only after whitespace
+# normalization, so it scores INC, not PAR.
 REPORT_PINS = {
     ("news", "1"): "e76e659b5f95ccc17f9468508a90b0458a0f6797bbf3b9c34f56c35cb3677538",
     ("news", "2"): "c549961e52844341f5e751fb55ace483ad377a63d499caefbf6187c4f9757b49",

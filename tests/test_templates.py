@@ -14,6 +14,7 @@ from tieupkit.discourse import (
 from tieupkit.errors import DanglingReferenceError, ParseError, TieupkitError
 from tieupkit.pipeline import extract_document
 from tieupkit.templates import (
+    SLOT_PLAN,
     EntityObject,
     TemplateGraph,
     TieUpObject,
@@ -142,19 +143,28 @@ class TestSerialization:
         (TieUpObject(1, activities=("開発", "販売 強化")), "ACTIVITY", "販売 強化"),
         (TieUpObject(1, activities=(" 販売",)), "ACTIVITY", " 販売"),
         (TieUpObject(1, activities=("開発", "")), "ACTIVITY", ""),
-    ], ids=["alias", "jv-ideographic-space", "activity", "leading-space", "empty"])
+        (EntityObject(1, "X社\n  TYPE: PERSON"), "NAME", "X社\n  TYPE: PERSON"),
+        (EntityObject(1, " X社"), "NAME", " X社"),
+        (TieUpObject(1, status="EXISTING "), "STATUS", "EXISTING "),
+    ], ids=["alias", "jv-ideographic-space", "activity", "leading-space", "empty",
+            "name-line-break", "name-leading-space", "status-trailing-space"])
     def test_multi_valued_fill_that_would_not_read_back_refused(self, obj, slot, value):
         # Multi-valued slots are written space-separated and split on
         # whitespace when read, so such a value would come back as several
-        # values, or as none.
+        # values, or as none.  A single-valued fill is read as its line
+        # after the colon, stripped, so a line break or an outer space
+        # would not come back.
         kind = "ENTITY" if isinstance(obj, EntityObject) else "TIE_UP"
         tieups, entities = ((), (obj,)) if kind == "ENTITY" else ((obj,), ())
         with pytest.raises(TieupkitError) as err:
             serialize_templates(TemplateGraph("d", tieups, entities))
-        assert str(err.value) == (
-            f"<{kind}-{obj.object_id}> {slot} value {value!r} is empty or holds whitespace, "
-            "so it would not read back as one value"
+        reason = (
+            "is empty or holds whitespace, so it would not read back as one value"
+            if SLOT_PLAN[type(obj)][slot][1] else
+            "starts or ends with whitespace or holds a line break, so it would not read back "
+            "as written"
         )
+        assert str(err.value) == f"<{kind}-{obj.object_id}> {slot} value {value!r} {reason}"
         # A single-valued slot keeps inner whitespace through the round trip.
         spaced = TemplateGraph("d", (), (EntityObject(1, "メルセデス ベンツ", ("ベンツ",)),))
         assert parse_templates(serialize_templates(spaced), "d") == spaced
@@ -455,15 +465,22 @@ def test_parser_agrees_with_the_former_parser_on_benchmark_texts():
         assert parse_templates(text, "d") == parse_templates_before(text, "d")
 
 
-# Header spellings at the edges of the parser's fast form: both sides of
+# Header spellings at the edges of the parser's string tests: both sides of
 # the small-number table's bound, zero, a leading zero, a non-ASCII digit
-# and one ``\d`` does not take (²); spacing only the pattern takes; near
-# misses of a known type; an unknown type with a bad number; and a close
-# that is not ``>``.
+# and one ``\d`` does not take (²); other spacings; near misses of a known
+# type, lowercase and full-width among them; an unknown type with a bad
+# number; and a close that is not ``>``.  Then a header spaced by each
+# whitespace character that can sit inside a line, where ``lstrip`` must
+# drop exactly what ``\s*`` matches.
 HEADER_CASES = [
     "<ENTITY-255> :=", "<ENTITY-256> :=", "<ENTITY-0> :=", "<ENTITY-01> :=", "<ENTITY-١> :=",
     "<ENTITY-²> :=", "<TIE_UP-1>:=", "<TIE_UP-1>  :=", "<Entity-1> :=", "<ENTITY7-1> :=",
     "<ENTITY--1> :=", "<ENTITY-1-2> :=", "<ENTITY-> :=", "<FOO-01> :=", "<ENTITY-1] :=",
+    "<entity-1> :=", "<tie_up-1> :=", "<ＥＮＴＩＴＹ-1> :=", "<ＦＯＯ-1> :=", "<-1> :=",
+    "<ENTITY-1> :=:=", "<ENTITY-1> : =", "<ENTITY-1>> :=",
+] + [
+    f"<ENTITY-1>{c}:=" for c in map(chr, range(0x110000))
+    if c.isspace() and len(f"a{c}b".splitlines()) == 1
 ]
 # Each header as a file's first line, after an object, and beside objects
 # whose numbers it may repeat, named by references on both sides of the bound.

@@ -8,14 +8,15 @@ the pooled counts.
 
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import concepts as concepts_mod
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
 from .errors import ParseError, TieupkitError
 from .pipeline import ExtractionResources, ExtractionResult, extract_document
+from .records import Record
 from .templates import parse_templates, serialize_templates
 
 
@@ -24,7 +25,9 @@ DUMP_STAGES = ("matches", "topics", "registry", "segments")
 NAME_MAX = 255
 
 
-class Resource(NamedTuple):
+class Resource(Record):
+    __slots__ = ()
+
     key: str  # RunConfig field and flag name
     help: str
     default: str  # file name in the packaged data directory
@@ -44,7 +47,9 @@ RESOURCES = (
              patterns_mod.load_concept_map, "concept_map"),
 )
 
-class RunConfig(NamedTuple):
+class RunConfig(Record):
+    __slots__ = ()
+
     corpus: Path
     out: Path
     concepts: Path | None = None

@@ -11,9 +11,8 @@ a run holding no key word's first character is skipped without trying any;
 the lexicon keeps those characters in one set built with it.
 """
 
-from typing import NamedTuple
-
 from .errors import ParseError, content_lines
+from .records import Record
 from .tokens import (
     POS_COMPANY,
     POS_NOUN,
@@ -29,14 +28,12 @@ NOUN_LIKE = frozenset(
 )
 
 
-class _KeywordFields(NamedTuple):
+class Keyword(Record):
+    __slots__ = ()
+
     text: str
     anchor_begin: bool = False
     anchor_end: bool = False
-
-
-class Keyword(_KeywordFields):
-    __slots__ = ()
 
     def __new__(cls, text: str, anchor_begin: bool = False, anchor_end: bool = False):
         if not text:
@@ -79,7 +76,9 @@ class ConceptLexicon:
         self.initials = frozenset(kw.text[0] for _, keywords in entries for kw in keywords)
 
 
-class ConceptHit(NamedTuple):
+class ConceptHit(Record):
+    __slots__ = ()
+
     concept_name: str
     sent_index: int
     matched_run: str

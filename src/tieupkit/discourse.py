@@ -14,8 +14,8 @@ cluster when their subjects intersect its partners.
 """
 
 import re
-from typing import NamedTuple
 
+from .records import Record
 from .tokens import Document, POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN
 
 _CANDIDATE_TAGS = frozenset({POS_COMPANY, POS_PERSON, POS_PLACE, POS_UNKNOWN})
@@ -31,8 +31,10 @@ _PRONOUNS = frozenset({PRONOUN_BOTH, PRONOUN_NEAR, PRONOUN_SELF})
 SUBJECT_MARKERS = frozenset({"が", "は", "も"})
 
 
-class RegistryEntry(NamedTuple):
+class RegistryEntry(Record):
     """One registered string; unification replaces it by a copy with a new ``entity_id``."""
+
+    __slots__ = ()
 
     index: int  # 1-based registry position
     string: str
@@ -182,8 +184,10 @@ def unify_company_references(reg: CompanyRegistry) -> CompanyRegistry:
     return reg
 
 
-class TopicState(NamedTuple):
+class TopicState(Record):
     """Per-sentence topic company ids, with inheritance marks."""
+
+    __slots__ = ()
 
     topics: tuple[frozenset[int], ...]
     inherited: tuple[bool, ...]
@@ -212,7 +216,9 @@ def track_topics(doc: Document, reg: CompanyRegistry) -> TopicState:
     return TopicState(tuple(topics), tuple(inherited))
 
 
-class PronounReference(NamedTuple):
+class PronounReference(Record):
+    __slots__ = ()
+
     position: tuple[int, int]
     surface: str
     referent_ids: frozenset[int]
@@ -268,8 +274,10 @@ def resolve_pronouns(
     return refs
 
 
-class ConceptInstance(NamedTuple):
+class ConceptInstance(Record):
     """One recognized concept occurrence, normalized for merging."""
+
+    __slots__ = ()
 
     concept: str
     sent_index: int
@@ -279,7 +287,9 @@ class ConceptInstance(NamedTuple):
     partner_ids: frozenset[int] = frozenset()
 
 
-class DiscourseSegment(NamedTuple):
+class DiscourseSegment(Record):
+    __slots__ = ()
+
     start: int  # sentence range, inclusive
     end: int
     tieup_ids: frozenset[int]
@@ -324,8 +334,10 @@ def segment_discourse(
     return segments
 
 
-class TieUpCluster(NamedTuple):
+class TieUpCluster(Record):
     """Everything merged into one tie-up relationship."""
+
+    __slots__ = ()
 
     segment: DiscourseSegment
     attached: list[ConceptInstance]

@@ -41,9 +41,9 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import ParseError, content_lines, read_number
+from .records import Record
 from .tokens import (
     ENTITY_TAGS, POS_COMPANY, POS_NOUN, POS_PARTICLE, POS_PUNCT, POS_VERB, POS_VERBAL_NOMINAL, Token
 )
@@ -169,12 +169,14 @@ class PatternRule:
         return self.elements[self.index_field - 1]
 
 
-class PatternMatch(NamedTuple):
+class PatternMatch(Record):
     """One assignment of a rule's elements to token spans.
 
     Only the rule, the sentence index, the spans and the company count are
     stored; everything else is derived from them on read.
     """
+
+    __slots__ = ()
 
     rule: PatternRule
     sent_index: int

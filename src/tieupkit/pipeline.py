@@ -21,18 +21,20 @@ raises.
 """
 
 import gc
-from typing import NamedTuple
 
 from . import concepts as concepts_mod
 from . import discourse as disc
 from . import patterns as patterns_mod
 from . import tokens as tokens_mod
+from .records import Record
 from .templates import TemplateGraph, generate_templates
 from .tokens import Document
 
 
-class ExtractionResources(NamedTuple):
+class ExtractionResources(Record):
     """Parsed lexicons and rules shared across documents."""
+
+    __slots__ = ()
 
     designators: tokens_mod.DesignatorLexicon
     concept_lexicon: concepts_mod.ConceptLexicon
@@ -40,7 +42,9 @@ class ExtractionResources(NamedTuple):
     concept_map: dict[str, str]
 
 
-class ExtractionResult(NamedTuple):
+class ExtractionResult(Record):
+    __slots__ = ()
+
     graph: TemplateGraph
     document: Document  # after name recognition and grouping
     registry: disc.CompanyRegistry

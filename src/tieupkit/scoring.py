@@ -21,14 +21,16 @@ from the integers.
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
+from .records import Record
 from .templates import SLOT_PLAN, EntityObject, TemplateGraph, TieUpObject
 
 METRIC_NAMES = ("ERR", "UND", "OVG", "SUB", "REC", "PRE", "PR")
 
 
-class ScoreCounts(NamedTuple):
+class ScoreCounts(Record):
+    __slots__ = ()
+
     cor: int = 0
     par: int = 0
     inc: int = 0
@@ -48,7 +50,9 @@ class ScoreCounts(NamedTuple):
         return self.cor + self.par + self.inc + self.spu
 
 
-class Metrics(NamedTuple):
+class Metrics(Record):
+    __slots__ = ()
+
     err: Fraction
     und: Fraction
     ovg: Fraction
@@ -126,11 +130,13 @@ def _is_partial(a: str, b: str) -> bool:
     return a != b and (a in b or b in a)
 
 
-class _TablePlan(NamedTuple):
+class _TablePlan(Record):
     """What scoring reads of one object class's slots, in name order: each
     slot's object field index and whether it is multi-valued, and which
     table positions hold closed slots, open slots and, in layout order,
     every slot."""
+
+    __slots__ = ()
 
     rows: tuple[tuple[str, int, bool], ...]
     names: tuple[str, ...]
@@ -185,8 +191,10 @@ def _refs(refs: tuple[int, ...], entity_map: dict[int, int] | None) -> tuple[str
                   for r in refs])
 
 
-class FillScore(NamedTuple):
+class FillScore(Record):
     """One scored fill: where it sat, what was compared, how it landed."""
+
+    __slots__ = ()
 
     kind: str  # ENTITY | TIE_UP
     label: str  # e.g. "TIE_UP-1~TIE_UP-1", "ENTITY-2" for unaligned objects
@@ -463,7 +471,9 @@ def align_and_count(response: TemplateGraph, key: TemplateGraph) -> ScoreCounts:
     return tally(score_fills(response, key))
 
 
-class DocumentScore(NamedTuple):
+class DocumentScore(Record):
+    __slots__ = ()
+
     doc_id: str
     fills: list[FillScore]
     counts: ScoreCounts

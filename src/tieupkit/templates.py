@@ -19,10 +19,9 @@ any whitespace between its ``>`` and ``:=``.  The reader takes headers by
 string tests alone: no part of this module uses a regular expression.
 """
 
-from typing import NamedTuple
-
 from .discourse import CompanyRegistry, TieUpCluster
 from .errors import _SMALL_NUMBERS, DanglingReferenceError, ParseError, TieupkitError, read_number
+from .records import Record
 from .tokens import Document
 
 STATUS_EXISTING = "EXISTING"
@@ -34,14 +33,18 @@ WARNING_UNDER_SPECIFIED = "UNDER-SPECIFIED"
 _TYPE_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 
 
-class EntityObject(NamedTuple):
+class EntityObject(Record):
+    __slots__ = ()
+
     object_id: int
     name: str = ""  # earliest surface of the coreference class
     aliases: tuple[str, ...] = ()
     entity_type: str | None = None
 
 
-class TieUpObject(NamedTuple):
+class TieUpObject(Record):
+    __slots__ = ()
+
     object_id: int
     entity_refs: tuple[int, ...] = ()
     jv_company: tuple[str, ...] = ()
@@ -50,7 +53,9 @@ class TieUpObject(NamedTuple):
     warning: str | None = None
 
 
-class TemplateGraph(NamedTuple):
+class TemplateGraph(Record):
+    __slots__ = ()
+
     doc_id: str
     tieups: tuple[TieUpObject, ...] = ()
     entities: tuple[EntityObject, ...] = ()
@@ -167,12 +172,15 @@ def serialize_templates(graph: TemplateGraph) -> str:
                 raise DanglingReferenceError(f"<ENTITY-{ref}>")
     blocks: list[str] = []
     for obj in (*graph.tieups, *graph.entities):
-        cls = type(obj)
-        name = f"<{LAYOUT[cls][0]}-{obj[0]}>"
+        kind = LAYOUT[type(obj)][0]
+        plan, defaults, _ = _PARSE_PLAN[kind]
+        name = f"<{kind}-{obj[0]}>"
         lines = [name + " :="]
-        for slot, (i, multi) in SLOT_PLAN[cls].items():
+        for slot, (i, multi) in plan.items():
             value = obj[i]
-            if value:
+            # An empty fill is not written, so it reads back as its field's
+            # default: a "" whose default is not "" goes on to be refused.
+            if value or value == "" != defaults[i - 1]:
                 if slot == "ENTITIES":
                     value = " ".join([f"<ENTITY-{r}>" for r in value])
                 elif multi:

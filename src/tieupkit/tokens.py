@@ -9,9 +9,8 @@ tuple constructor after their own checks; recognition and grouping reuse a
 token already there, and pass a token they cannot act on straight through.
 """
 
-from typing import NamedTuple
-
 from .errors import ParseError, content_lines
+from .records import Record
 
 # Reserved POS tags.
 POS_NOUN = "noun"
@@ -42,15 +41,13 @@ _ANCHOR_ELIGIBLE = frozenset({POS_UNKNOWN, POS_COMPANY, POS_PERSON, POS_PLACE})
 CONNECTOR = "・"
 
 
-class _TokenFields(NamedTuple):
+class Token(Record):
+    __slots__ = ()
+
     surface: str
     pos: str
     sent_index: int = 0
     tok_index: int = 0
-
-
-class Token(_TokenFields):
-    __slots__ = ()
 
     def __new__(cls, surface: str, pos: str, sent_index: int = 0, tok_index: int = 0):
         if not surface:
@@ -58,7 +55,9 @@ class Token(_TokenFields):
         return tuple.__new__(cls, (surface, pos, sent_index, tok_index))
 
 
-class Document(NamedTuple):
+class Document(Record):
+    __slots__ = ()
+
     doc_id: str
     sentences: tuple[tuple[Token, ...], ...]
 

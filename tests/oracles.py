@@ -7,9 +7,11 @@ end of this file; ``align_by_sorting`` borrows that scorer's per-pair count.
 """
 
 import re
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from tieupkit.patterns import ElementKind, PatternMatch, PatternRule
 from tieupkit.concepts import NOUN_LIKE, ConceptHit, compound_runs
@@ -24,6 +26,19 @@ from tieupkit.tokens import (
     _backward_ok,
     _forward_ok,
 )
+
+
+def namedtuple_twin(cls) -> type:
+    """A ``typing.NamedTuple`` with the name, field annotations and defaults
+    of the record class ``cls``: what the package built its records with
+    before ``tieupkit.records.Record``.  The twin has none of ``cls``'s
+    methods, so a checked ``__new__`` is not copied."""
+    namespace = {
+        "__module__": cls.__module__,
+        "__annotations__": dict(cls.__annotations__),
+        **cls._field_defaults,
+    }
+    return types.new_class(cls.__name__, (NamedTuple,), exec_body=lambda ns: ns.update(namespace))
 
 
 def is_subsequence(short: str, long: str) -> bool:

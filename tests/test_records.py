@@ -1,10 +1,14 @@
-"""Record types: immutable records are NamedTuples that compare by value,
-mutable ones plain slotted classes, and importing the package loads no
-dataclass machinery.  Start-up (importing the package and ``tieupkit.cli``
+"""Record types: immutable records are ``Record`` tuples that compare by
+value and behave as the ``typing.NamedTuple`` with the same fields would,
+which a differential test checks class by class; mutable ones are plain
+slotted classes, and importing the package loads no dataclass machinery
+and no ``typing``.  Start-up (importing the package and ``tieupkit.cli``
 and loading the packaged resources) does not load the scorer either: the
 package's scoring names import ``tieupkit.scoring`` on first use and are
 then its very objects."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +27,13 @@ from tieupkit.discourse import (
     unify_company_references,
 )
 from tieupkit.pipeline import extract_document
+from tieupkit.records import Record
 from tieupkit.scoring import ScoreCounts, ScoreReport, _slot_tables, align_and_count, score_documents
 from tieupkit.tokens import Token, parse_document
 
 from ablation import extract_without_discourse
 from conftest import DATA, bench_corpora, load_doc
+from oracles import namedtuple_twin
 
 FIXTURES = sorted(p.stem for p in (DATA / "corpus").glob("*.tok"))
 
@@ -64,6 +70,12 @@ def test_import_loads_no_dataclass_machinery(import_probe):
     added, _ = import_probe
     assert "tieupkit.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_start_up_loads_no_typing(import_probe):
+    # Records are not typing.NamedTuples, and cli's Callable comes from collections.abc.
+    added, _ = import_probe
+    assert "typing" not in added
 
 
 def test_start_up_loads_no_argument_parser(import_probe):
@@ -276,3 +288,94 @@ def test_equality_with_another_type_is_left_to_it():
         assert obj != "@SKIP" and obj != ()
     assert skip == PatternElement(ElementKind.SKIP, name="@SKIP")
     assert reg == CompanyRegistry()
+
+
+# Every record class the package defines; the test module has imported
+# every package module, the scorer included.
+RECORD_CLASSES = sorted(
+    (cls for cls in Record.__subclasses__() if cls.__module__.startswith("tieupkit.")),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_every_tuple_class_of_the_package_is_a_record():
+    defined = {
+        obj
+        for name, module in sys.modules.items() if name.startswith("tieupkit.")
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == name
+    }
+    assert defined - {Record} == set(RECORD_CLASSES)
+    assert len(RECORD_CLASSES) == 23
+
+
+def _outcome(build):
+    """What a call returns, or the type of the exception it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_behave_as_their_named_tuple_twins(cls):
+    twin = namedtuple_twin(cls)
+    fields = cls._fields
+    assert fields == twin._fields
+    assert cls.__match_args__ == twin.__match_args__ == fields
+    assert cls._field_defaults == twin._field_defaults
+    values = [f"{name}-value" for name in fields]
+    required = len(fields) - len(cls._field_defaults)
+
+    # Positional with every count of defaults filled, by keyword, and mixed.
+    calls = [(values[:n], {}) for n in range(required, len(fields) + 1)]
+    calls.append(([], dict(zip(fields, values))))
+    calls.append((values[:1], dict(zip(fields[1:], values[1:]))))
+    if required < len(fields):
+        calls.append(([], {**dict(zip(fields[:required], values)), fields[-1]: "last"}))
+    for args, kwargs in calls:
+        record, reference = cls(*args, **kwargs), twin(*args, **kwargs)
+        assert type(record) is cls and not hasattr(record, "__dict__")
+        assert record == reference and tuple(record) == tuple(reference)
+        if cls.__hash__ is tuple.__hash__:  # PatternMatch hashes its rule's name
+            assert hash(record) == hash(reference)
+        assert repr(record) == repr(reference)
+        assert record._asdict() == reference._asdict()
+        for name in fields:
+            assert getattr(record, name) == getattr(reference, name)
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert type(again) is cls and again == record
+
+    # A missing, extra, unknown or repeated argument.
+    bad = [(values + ["extra"], {}), (values, {"no_such_field": 1}),
+           (values[:required], {"no_such_field": 1})]
+    if required:
+        bad.append((values[:required - 1], {}))
+    if fields:
+        bad.append((values, {fields[0]: "again"}))
+    for args, kwargs in bad:
+        got = _outcome(lambda: cls(*args, **kwargs))
+        assert got is _outcome(lambda: twin(*args, **kwargs)) is TypeError, (args, kwargs)
+
+    record, reference = cls(*values), twin(*values)
+    made = cls._make(values)
+    assert type(made) is cls and made == twin._make(values)
+    assert _outcome(lambda: cls._make(values[:-1])) is _outcome(
+        lambda: twin._make(values[:-1])) is TypeError
+    for name in fields:
+        changed = record._replace(**{name: "changed"})
+        assert type(changed) is cls and changed == reference._replace(**{name: "changed"})
+    assert _outcome(lambda: record._replace(no_such_field=1)) is _outcome(
+        lambda: reference._replace(no_such_field=1)) is ValueError
+
+
+def test_field_without_default_after_one_with_refused():
+    # As namedtuple refuses it: positional defaults could not fill the gap.
+    with pytest.raises(TypeError, match="field 'b' without a default follows a field with one"):
+        class Gap(Record):
+            __slots__ = ()
+            a: int = 0
+            b: int

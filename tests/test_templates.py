@@ -146,14 +146,19 @@ class TestSerialization:
         (EntityObject(1, "X社\n  TYPE: PERSON"), "NAME", "X社\n  TYPE: PERSON"),
         (EntityObject(1, " X社"), "NAME", " X社"),
         (TieUpObject(1, status="EXISTING "), "STATUS", "EXISTING "),
+        (TieUpObject(1, status=""), "STATUS", ""),
+        (TieUpObject(1, warning=""), "WARNING", ""),
+        (EntityObject(1, "X社", entity_type=""), "TYPE", ""),
     ], ids=["alias", "jv-ideographic-space", "activity", "leading-space", "empty",
-            "name-line-break", "name-leading-space", "status-trailing-space"])
+            "name-line-break", "name-leading-space", "status-trailing-space",
+            "status-empty", "warning-empty", "type-empty"])
     def test_multi_valued_fill_that_would_not_read_back_refused(self, obj, slot, value):
         # Multi-valued slots are written space-separated and split on
         # whitespace when read, so such a value would come back as several
         # values, or as none.  A single-valued fill is read as its line
         # after the colon, stripped, so a line break or an outer space
-        # would not come back.
+        # would not come back, and an empty fill is not written, so it
+        # comes back as its field's default.
         kind = "ENTITY" if isinstance(obj, EntityObject) else "TIE_UP"
         tieups, entities = ((), (obj,)) if kind == "ENTITY" else ((obj,), ())
         with pytest.raises(TieupkitError) as err:
@@ -168,6 +173,9 @@ class TestSerialization:
         # A single-valued slot keeps inner whitespace through the round trip.
         spaced = TemplateGraph("d", (), (EntityObject(1, "メルセデス ベンツ", ("ベンツ",)),))
         assert parse_templates(serialize_templates(spaced), "d") == spaced
+        # A NAME "" is its default, so it round-trips.
+        unnamed = TemplateGraph("d", (), (EntityObject(1, "", (), "COMPANY"),))
+        assert parse_templates(serialize_templates(unnamed), "d") == unnamed
 
     def test_deterministic_output(self, resources):
         doc = load_doc("multi_tieup")
@@ -208,6 +216,13 @@ class TestSerialization:
         graphs.append(TemplateGraph("d"))
         for g in graphs:
             text = serialize_templates_by_fields(g)
+            # Only the table's writer refuses a "" that would read back as None.
+            if any("" in (t.status, t.warning) for t in g.tieups) or any(
+                e.entity_type == "" for e in g.entities
+            ):
+                with pytest.raises(TieupkitError, match="would not read back as written"):
+                    serialize_templates(g)
+                continue
             assert serialize_templates(g) == text
             assert parse_templates(text, "d") == graph_by_fields(slot_lists_by_lines(text), "d")
 
